@@ -18,12 +18,25 @@ significant digits), so writing and re-reading a matrix reproduces it
 bit for bit.  Malformed files raise :class:`ParseError`; well-formed files
 with invalid *values* (non-finite entries, inconsistent fiber shapes)
 raise :class:`ValueError`.
+
+Both directions of a matrix file stay on CPython's C JSON code.  The
+writer encodes each matrix with one ``json.dumps`` call and a single
+write: ``json.dump`` to a file is not one-shot, so it streams through the
+pure-Python encoder, which is slower and formats every float with the
+same ``float.__repr__`` (the bytes are identical).  The
+reader checks the ``[re, im]`` pairs with an exact-type gate over
+``map``/``set`` (``bool`` is not ``int`` there, so booleans stay
+rejected); only when the gate fails does a per-pair loop run, to name
+the first bad ``data[i]``.  The pairs become complex numbers by viewing
+the ``(N, 2)`` float array as complex, not by ``re + 1j*im``, whose
+arithmetic turns ``-0.0`` into ``0.0``.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -64,6 +77,15 @@ def _load_json(path) -> object:
                          f"{exc.msg}") from exc
 
 
+def _is_pair_list(data: list) -> bool:
+    """True when every item of non-empty ``data`` is a list of two ints/floats."""
+    return (
+        set(map(type, data)) == {list}
+        and set(map(len, data)) == {2}
+        and set(map(type, itertools.chain.from_iterable(data))) <= {int, float}
+    )
+
+
 def _matrix_from_obj(obj, where: str) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -71,22 +93,27 @@ def _matrix_from_obj(obj, where: str) -> np.ndarray:
     if missing:
         raise ParseError(f"{where}: missing field(s) {sorted(missing)}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if (
+        not all(isinstance(v, int) and not isinstance(v, bool) for v in (rows, cols))
+        or rows < 1
+        or cols < 1
+    ):
         raise ParseError(f"{where}: rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         got = len(data) if isinstance(data, list) else f"type {type(data).__name__}"
         raise ParseError(
             f"{where}: data must hold exactly rows*cols = {rows * cols} entries, got {got}"
         )
-    for i, pair in enumerate(data):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise ParseError(f"{where}: data[{i}] must be a [re, im] pair of numbers")
+    if not _is_pair_list(data):
+        for i, pair in enumerate(data):
+            if (
+                not isinstance(pair, list)
+                or len(pair) != 2
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+            ):
+                raise ParseError(f"{where}: data[{i}] must be a [re, im] pair of numbers")
     flat = np.asarray(data, dtype=float)
-    A = (flat[:, 0] + 1j * flat[:, 1]).reshape(rows, cols)
+    A = flat.view(complex).reshape(rows, cols)  # bit-exact, signed zeros included
     if not np.all(np.isfinite(flat)):
         bad = int(np.argwhere(~np.isfinite(flat))[0][0])
         raise ValueError(f"{where}: non-finite entry at data[{bad}]")
@@ -112,14 +139,15 @@ def _matrix_to_obj(A: np.ndarray) -> dict:
     return {
         "rows": int(A.shape[0]),
         "cols": int(A.shape[1]),
-        "data": [[float(x.real), float(x.imag)] for x in A.ravel()],
+        "data": np.ascontiguousarray(A).view(float).reshape(-1, 2).tolist(),
     }
 
 
 def save_matrix(path, A) -> None:
     """Write a matrix file; floats keep shortest round-trip precision."""
+    text = json.dumps(_matrix_to_obj(A))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_matrix_to_obj(A), fh)
+        fh.write(text)
         fh.write("\n")
 
 

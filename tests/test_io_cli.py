@@ -4,6 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from charmat.graph import char_matrix
@@ -37,19 +40,18 @@ def run_cli(*argv, env=None):
 
 
 def test_matrix_round_trip_is_bit_identical(tmp_path):
-    awkward = np.array(
-        [
-            [0.1 + 0.2, np.pi],
-            [1e16 + 1.0, 5e-324],
-            [-0.0, 1.0 / 3.0],
-        ]
-    ) + 1j * np.array(
-        [
-            [np.e, -1e-300],
-            [0.1, 2.0 / 3.0],
-            [123456789.123456789, -0.0],
-        ]
-    )
+    awkward = np.empty((3, 2), dtype=complex)
+    # set the parts directly: re + 1j*im would turn each -0.0 into 0.0
+    awkward.real = [
+        [0.1 + 0.2, np.pi],
+        [1e16 + 1.0, 5e-324],
+        [-0.0, 1.0 / 3.0],
+    ]
+    awkward.imag = [
+        [np.e, -1e-300],
+        [0.1, 2.0 / 3.0],
+        [123456789.123456789, -0.0],
+    ]
     path = tmp_path / "m.json"
     save_matrix(path, awkward)
     back = load_matrix(path)
@@ -58,6 +60,74 @@ def test_matrix_round_trip_is_bit_identical(tmp_path):
     # and a second hop changes nothing at all
     save_matrix(tmp_path / "m2.json", back)
     assert file_digest(tmp_path / "m2.json") == file_digest(path)
+
+
+# Finite floats, with the awkward ones drawn often: signed zero, the smallest
+# subnormal, a value past 2**53 and integer-valued floats.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16 + 1.0, 2.0**53, 1e300]),
+    st.integers(-(10**6), 10**6).map(float),
+)
+
+
+def _documented_text(A) -> str:
+    """The matrix-file text for ``A``, composed from ``repr`` of each float."""
+    pairs = ", ".join(f"[{float(z.real)!r}, {float(z.imag)!r}]" for z in A.flat)
+    return f'{{"rows": {A.shape[0]}, "cols": {A.shape[1]}, "data": [{pairs}]}}\n'
+
+
+@st.composite
+def matrices(draw):
+    """Complex matrices of shape 1..8 x 1..8 in C, Fortran, transposed or strided layout."""
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    layout = draw(st.sampled_from(["C", "F", "T", "strided", "real"]))
+    big = {"T": (c, r), "strided": (2 * c, 2 * r)}.get(layout, (r, c))
+    re = draw(hnp.arrays(float, big, elements=FINITE))
+    A = np.empty(big, dtype=complex)
+    A.real, A.imag = re, draw(hnp.arrays(float, big, elements=FINITE))
+    A = {
+        "C": A,
+        "F": np.asfortranarray(A),
+        "T": A.T,
+        "strided": A.T[::2, 1::2],
+        "real": re,
+    }[layout]
+    assert A.shape == (r, c)
+    return A
+
+
+def _assembled_block_slices():
+    rng = np.random.default_rng(3)
+    T = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    P = char_matrix(T).assemble()
+    blocks = [P[:5, 5:], P[5:, :5], P[1::2, ::3], P.T]
+    assert not any(B.flags.c_contiguous for B in blocks)
+    return blocks
+
+
+HYPOTHESIS_TMP = settings(max_examples=150, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@HYPOTHESIS_TMP
+@given(A=matrices())
+def test_saved_matrix_text_is_the_documented_bytes(tmp_path, A):
+    for M in [A, *_assembled_block_slices()]:
+        save_matrix(tmp_path / "m.json", M)
+        assert (tmp_path / "m.json").read_text(encoding="utf-8") == _documented_text(M)
+
+
+@HYPOTHESIS_TMP
+@given(A=matrices())
+def test_matrix_file_round_trips_bit_for_bit(tmp_path, A):
+    for M in [A, *_assembled_block_slices()]:
+        save_matrix(tmp_path / "m.json", M)
+        back = load_matrix(tmp_path / "m.json")
+        assert back.shape == M.shape
+        assert back.tobytes() == np.ascontiguousarray(M, dtype=complex).tobytes()
+        save_matrix(tmp_path / "again.json", back)
+        assert file_digest(tmp_path / "again.json") == file_digest(tmp_path / "m.json")
 
 
 def test_load_matrix_parse_errors(tmp_path):
@@ -87,8 +157,38 @@ def test_load_matrix_parse_errors(tmp_path):
     with pytest.raises(ParseError, match="positive"):
         load_matrix(path)
 
+    # JSON booleans are not dimensions, although bool subclasses int
+    for dims in ({"rows": True, "cols": 1}, {"rows": 1, "cols": True}):
+        path.write_text(json.dumps({**dims, "data": [[1, 0]]}))
+        with pytest.raises(ParseError, match="positive"):
+            load_matrix(path)
+
     with pytest.raises(ParseError, match="cannot read"):
         load_matrix(tmp_path / "missing.json")
+
+
+BAD_PAIRS = [None, "1", False, [0, [0]], [0, 0, 0], [False, 0], [0, None], [1.5]]
+
+
+@pytest.mark.parametrize("bad", BAD_PAIRS)
+def test_load_matrix_names_the_first_bad_pair(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    data = [[1, 0], [0.5, -2.0], bad, [3, 4], [True, 0]]
+    path.write_text(json.dumps({"rows": 1, "cols": 5, "data": data}))
+    with pytest.raises(ParseError) as exc:
+        load_matrix(path)
+    assert str(exc.value) == f"{path}: data[2] must be a [re, im] pair of numbers"
+
+
+@pytest.mark.parametrize("bad", BAD_PAIRS)
+def test_load_family_names_the_fiber_and_pair(tmp_path, bad):
+    path = tmp_path / "fam.json"
+    good = {"rows": 2, "cols": 2, "data": [[1, 0], [0, 1], [0, -1], [2, 0]]}
+    broken = {**good, "data": good["data"][:3] + [bad]}
+    path.write_text(json.dumps({"grid": [0.0, 0.5, 1.0], "fibers": [good, broken, good]}))
+    with pytest.raises(ParseError) as exc:
+        load_family(path)
+    assert str(exc.value) == f"{path}: fibers[1]: data[3] must be a [re, im] pair of numbers"
 
 
 def test_load_matrix_rejects_nonfinite(tmp_path):
@@ -236,6 +336,19 @@ def test_cli_exit_2_on_parse_error(tmp_path):
     proc = run_cli("charmat", bad, "--out", tmp_path / "o")
     assert proc.returncode == 2
     assert "parse error" in proc.stderr
+
+
+def test_cli_exit_2_on_boolean_dimensions(tmp_path):
+    mat = tmp_path / "T.json"
+    mat.write_text(json.dumps({"rows": True, "cols": 1, "data": [[1, 0]]}))
+    fam = tmp_path / "fam.json"
+    fiber = {"rows": True, "cols": 1, "data": [[1, 0]]}
+    fam.write_text(json.dumps({"grid": [0.0, 1.0], "fibers": [fiber, fiber]}))
+    for argv in (("charmat", mat), ("verify", fam)):
+        proc = run_cli(*argv, "--out", tmp_path / "o")
+        assert proc.returncode == 2, proc.stderr
+        assert "rows and cols must be positive integers" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_cli_exit_3_on_invariant_violations(tmp_path):
