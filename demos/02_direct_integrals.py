@@ -16,7 +16,6 @@ from charmat import (
     ParameterGrid,
     char_matrix_fiberwise,
     decomposition_suite,
-    direct_integral,
     family_norm,
     lennon_product,
     lennon_sum,
@@ -34,12 +33,11 @@ def main():
 
     fibers = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
     fam = OperatorFamily(grid, fibers)
-    op = direct_integral(fam)
-    print(f"assembled block diagonal: {op.assembled.shape}, "
+    print(f"assembled block diagonal: {fam.assemble().shape}, "
           f"norm = max fiber norm = {family_norm(fam):.3f}")
 
     f = FamilyVector(grid, rng.standard_normal((5, 3)))
-    out = op.apply(f)
+    out = fam.apply(f)
     print(f"acting fiberwise: section norms {np.round(np.linalg.norm(out.sections, axis=1), 3)}")
 
     print("\n=== the characteristic matrix passes through the fibers ===")

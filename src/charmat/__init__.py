@@ -41,13 +41,11 @@ from .calculus import (
     unitary_group,
 )
 from .family import (
-    DirectIntegralOperator,
     FamilyVector,
     OperatorFamily,
     ParameterGrid,
     char_matrix_fiberwise,
     decomposition_suite,
-    direct_integral,
     family_inner,
     family_norm,
     family_vector_norm,
@@ -68,29 +66,24 @@ from .graph import (
     verify_identities,
 )
 from .hilbert import (
-    GraphPair,
-    HermitianEigen,
     adjoint,
     eig_hermitian,
     inner_product,
     matfunc_hermitian,
     norm,
-    pair_inner,
-    pair_norm,
     polarization,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GraphPair", "HermitianEigen", "inner_product", "norm", "pair_inner",
-    "pair_norm", "adjoint", "eig_hermitian", "matfunc_hermitian", "polarization",
+    "inner_product", "norm", "adjoint", "eig_hermitian", "matfunc_hermitian",
+    "polarization",
     "CharacteristicMatrix", "IdentityReport", "char_matrix", "char_matrix_oracle",
     "verify_identities", "adjoint_char_matrix", "inverse_char_matrix",
     "operator_from_char_matrix",
-    "ParameterGrid", "OperatorFamily", "FamilyVector", "DirectIntegralOperator",
-    "direct_integral", "family_inner", "family_vector_norm", "family_norm",
-    "char_matrix_fiberwise",
+    "ParameterGrid", "OperatorFamily", "FamilyVector", "family_inner",
+    "family_vector_norm", "family_norm", "char_matrix_fiberwise",
     "decomposition_suite", "lennon_sum", "lennon_product", "resolvent_reconstruct",
     "resolvent_limit_check", "truncate_family_vector",
     "SpectralDecomposition", "spectral_decomposition", "spectral_projection",

@@ -13,9 +13,9 @@ on its boundary conditions, and finite differences reproduce the hierarchy:
   boundary condition at all, the largest of the three.
 
 Second-order operators come from the direct (2, -1) second-difference
-stencil.  Squaring the first-derivative matrices instead decouples even
-and odd nodes and manufactures a spurious near-null mode; that construction
-stays available behind a flag for demonstration.
+stencil.  Squaring the first-derivative matrices instead, as ``D* D`` from
+:func:`derivative_operator`, decouples even and odd nodes and manufactures
+a spurious near-null mode; that is why :func:`laplacian` does not offer it.
 
 All grids are uniform.  Discretized functions use the quadrature inner
 product ``h * sum(conj(u) * v)``, which makes ``grid_inner`` a Riemann sum
@@ -138,18 +138,13 @@ def derivative_operator(g: GridDiscretization, bc: str) -> np.ndarray:
     return D / 1j
 
 
-def laplacian(g: GridDiscretization, bc: str, from_derivative: bool = False) -> np.ndarray:
+def laplacian(g: GridDiscretization, bc: str) -> np.ndarray:
     """Second-order operator ``-d^2/dx^2`` on the grid.
 
-    By default uses the direct ``(-1, 2, -1)/h^2`` stencil, which is
-    Hermitian positive semidefinite and has the expected spectrum: the
-    Dirichlet eigenvalues converge to ``(k pi)^2`` and the periodic kernel
-    is exactly the constants with next eigenvalue pair near ``4 pi^2``.
-
-    With ``from_derivative=True`` the operator is built as ``D* D`` from the
-    corresponding first-derivative matrix instead.  That form decouples
-    even- and odd-indexed nodes and admits a spurious (near-)null mode far
-    below the physical spectrum; it exists only to demonstrate the defect.
+    Uses the direct ``(-1, 2, -1)/h^2`` stencil, which is Hermitian
+    positive semidefinite and has the expected spectrum: the Dirichlet
+    eigenvalues converge to ``(k pi)^2`` and the periodic kernel is exactly
+    the constants with next eigenvalue pair near ``4 pi^2``.
 
     Parameters
     ----------
@@ -161,15 +156,10 @@ def laplacian(g: GridDiscretization, bc: str, from_derivative: bool = False) -> 
     Returns
     -------
     numpy.ndarray
-        Real symmetric ``n x n`` matrix (complex Hermitian when
-        ``from_derivative=True``).
+        Real symmetric ``n x n`` matrix.
     """
     if bc not in ("dirichlet", "periodic"):
         raise ValueError("laplacian supports 'dirichlet' and 'periodic' only")
-    if from_derivative:
-        D = derivative_operator(g, bc)
-        return D.conj().T @ D
-
     if (bc == "periodic") != (g.bc == "periodic"):
         raise ValueError(f"{bc!r} stencil requires a matching grid type")
     n, h = g.n, g.h

@@ -47,8 +47,9 @@ from .calculus import (
     stone_formula_check,
     unitary_group,
 )
-from .family import char_matrix_fiberwise, decomposition_suite, family_norm
+from .family import SUITE_TOL, char_matrix_fiberwise, decomposition_suite, family_norm
 from .graph import (
+    IDENTITY_TOL,
     adjoint_char_matrix,
     char_matrix,
     char_matrix_oracle,
@@ -60,9 +61,9 @@ from .io import ParseError, Report, file_digest, load_family, load_matrix, param
 
 log = logging.getLogger("charmat")
 
-#: Default residual tolerances per report label family.
-DEFAULT_TOL = 1e-10
-SUITE_TOL = 1e-9
+#: Default residual tolerances per report label family, beside the library's
+#: IDENTITY_TOL (identity residuals) and SUITE_TOL (decomposition suite).
+INVERSE_TOL = 1e-9  # A11: its reference graph goes through inv(T)
 STONE_TOL = 1e-3
 FOURIER_TOL = 1e-4
 SPECTRUM_REL_TOL = 1e-2
@@ -149,7 +150,7 @@ def _probe_vectors(n: int, seed):
 def cmd_charmat(args, outdir: str) -> Report:
     T = load_matrix(args.input)
     report = Report(command="charmat", inputs=file_digest(args.input), seed=args.seed)
-    tol = _tol(args, DEFAULT_TOL)
+    tol = _tol(args, IDENTITY_TOL)
 
     P = char_matrix(T)
     for name in ("p11", "p12", "p21", "p22"):
@@ -171,7 +172,7 @@ def cmd_charmat(args, outdir: str) -> Report:
         report.notes["A11"] = f"skipped: {exc}"
     else:
         report.add("A11", Pinv.blockwise_distance(char_matrix(np.linalg.inv(T))),
-                   _tol(args, 1e-9))
+                   _tol(args, INVERSE_TOL))
 
     if args.oracle:
         report.add("oracle", P.blockwise_distance(char_matrix_oracle(T)), tol)
@@ -181,7 +182,7 @@ def cmd_charmat(args, outdir: str) -> Report:
 def cmd_verify(args, outdir: str) -> Report:
     fam = load_family(args.input)
     report = Report(command="verify", inputs=file_digest(args.input), seed=args.seed)
-    tol = _tol(args, DEFAULT_TOL)
+    tol = _tol(args, IDENTITY_TOL)
 
     _, fiber_res = char_matrix_fiberwise(fam)
     for block, value in fiber_res.items():
@@ -267,22 +268,22 @@ def cmd_selfadjoint(args, outdir: str) -> Report:
         R = resolvent(T, z)
         save_matrix(os.path.join(outdir, "resolvent.json"), R)
         resid = np.linalg.norm((T - z * np.eye(len(T))) @ R - np.eye(len(T)), "fro")
-        report.add("resolvent_identity", resid, _tol(args, DEFAULT_TOL))
+        report.add("resolvent_identity", resid, _tol(args, IDENTITY_TOL))
     elif sub == "projection":
         lam = need("lam")
         E = spectral_projection(T, lam)
         save_matrix(os.path.join(outdir, "projection.json"), E)
         report.add("projection_idempotent", np.linalg.norm(E @ E - E, "fro"),
-                   _tol(args, DEFAULT_TOL))
+                   _tol(args, IDENTITY_TOL))
         report.add("projection_hermitian", np.linalg.norm(E - adjoint(E), "fro"),
-                   _tol(args, DEFAULT_TOL))
+                   _tol(args, IDENTITY_TOL))
         report.notes["rank"] = repr(float(np.real(np.trace(E))))
     elif sub == "group":
         s = need("s")
         U = unitary_group(T, s)
         save_matrix(os.path.join(outdir, "unitary.json"), U)
         report.add("group_unitary", np.linalg.norm(adjoint(U) @ U - np.eye(len(U)), "fro"),
-                   _tol(args, DEFAULT_TOL))
+                   _tol(args, IDENTITY_TOL))
     elif sub == "stone":
         lam = need("lam")
         f, g = _probe_vectors(len(T), args.seed)

@@ -18,14 +18,12 @@ import numpy as np
 import scipy.linalg
 
 from .graph import char_matrix
-from .hilbert import _as_square_matrix, adjoint
+from .hilbert import _as_square_matrix, adjoint, is_hermitian, kernel_trivial
 
 __all__ = [
     "ParameterGrid",
     "OperatorFamily",
     "FamilyVector",
-    "DirectIntegralOperator",
-    "direct_integral",
     "family_inner",
     "family_vector_norm",
     "family_norm",
@@ -44,6 +42,9 @@ SUITE_TOL = 1e-9
 #: Property tolerance used by the suite's yes/no classifications
 #: (Hermitian / positive / normal / injective).
 CLASSIFY_TOL = 1e-10
+
+#: Ascending coefficients of the suite's ``polynomial`` item: ``x^3 - 2x``.
+SUITE_POLY = (0.0, -2.0, 0.0, 1.0)
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -143,6 +144,16 @@ class OperatorFamily:
         """New family with ``fn`` applied to every fiber."""
         return OperatorFamily(self.grid, np.stack([fn(F) for F in self.fibers]))
 
+    def apply(self, f: "FamilyVector") -> "FamilyVector":
+        """Act fiberwise: ``(T f)(t_k) = T(t_k) f(t_k)``.
+
+        The same action as the assembled block diagonal on the stacked
+        sections, without forming it.
+        """
+        if not f.grid.matches(self.grid):
+            raise ValueError("section grid does not match the family grid")
+        return FamilyVector(f.grid, np.einsum("kij,kj->ki", self.fibers, f.sections))
+
 
 @dataclass(frozen=True)
 class FamilyVector:
@@ -176,26 +187,6 @@ def family_inner(f: FamilyVector, g: FamilyVector) -> complex:
 def family_vector_norm(f: FamilyVector) -> float:
     """Norm induced by :func:`family_inner`."""
     return float(np.sqrt(family_inner(f, f).real))
-
-
-@dataclass(frozen=True)
-class DirectIntegralOperator:
-    """Block-diagonal realization of an operator family."""
-
-    family: OperatorFamily
-    assembled: np.ndarray
-
-    def apply(self, f: FamilyVector) -> FamilyVector:
-        """Act fiberwise: ``(T f)(t_k) = T(t_k) f(t_k)``."""
-        if not f.grid.matches(self.family.grid):
-            raise ValueError("section grid does not match the family grid")
-        out = np.einsum("kij,kj->ki", self.family.fibers, f.sections)
-        return FamilyVector(f.grid, out)
-
-
-def direct_integral(fam: OperatorFamily) -> DirectIntegralOperator:
-    """Assemble the block-diagonal direct integral of a family."""
-    return DirectIntegralOperator(family=fam, assembled=fam.assemble())
 
 
 def family_norm(fam: OperatorFamily) -> float:
@@ -245,12 +236,8 @@ def _modulus(A: np.ndarray) -> np.ndarray:
     return adjoint(Vh) @ (s[:, None] * Vh)
 
 
-def _is_hermitian(A, tol):
-    return np.linalg.norm(A - adjoint(A), "fro") <= tol * max(1.0, np.linalg.norm(A, "fro"))
-
-
 def _is_positive(A, tol):
-    if not _is_hermitian(A, tol):
+    if not is_hermitian(A, tol):
         return False
     w = np.linalg.eigvalsh((A + adjoint(A)) / 2.0)
     return bool(w.min() >= -tol * max(1.0, abs(w).max()))
@@ -261,18 +248,12 @@ def _is_normal(A, tol):
     return np.linalg.norm(A @ adjoint(A) - adjoint(A) @ A, "fro") <= tol * scale
 
 
-def _is_injective(A, tol):
-    sig = np.linalg.svd(A, compute_uv=False)
-    return bool(sig[-1] > tol * (1.0 + sig[0]))
-
-
 def _rel(diff: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(diff, "fro") / max(1.0, np.linalg.norm(ref, "fro")))
 
 
 def decomposition_suite(
     fam: OperatorFamily,
-    poly=(0.0, -2.0, 0.0, 1.0),
     other: OperatorFamily | None = None,
     tol: float = SUITE_TOL,
 ) -> dict:
@@ -287,9 +268,9 @@ def decomposition_suite(
     - ``positive``   : positive semidefinite iff every fiber is
     - ``normal``     : normal iff every fiber is
     - ``inverse``    : matrix inverse; skipped unless every fiber is injective
-    - ``polynomial`` : the polynomial with ascending coefficients ``poly``
-      (default ``x^3 - 2x``); meaningful for normal fibers, and reported
-      with a note when some fiber is not normal
+    - ``polynomial`` : the fixed polynomial ``x^3 - 2x`` (``SUITE_POLY``);
+      meaningful for normal fibers, and reported with a note when some
+      fiber is not normal
     - ``inclusion``  : only when ``other`` is given -- fiberwise equality of
       the two families compared against equality of their assemblies
 
@@ -325,7 +306,7 @@ def decomposition_suite(
 
     # property equivalences: assembled iff all fibers
     for name, pred in (
-        ("selfadjoint", _is_hermitian),
+        ("selfadjoint", is_hermitian),
         ("positive", _is_positive),
         ("normal", _is_normal),
     ):
@@ -335,7 +316,7 @@ def decomposition_suite(
              note=f"assembled={whole}, all_fibers={fiberwise}")
 
     # inverse commutes with assembly, when defined
-    if all(_is_injective(F, CLASSIFY_TOL) for F in fam.fibers):
+    if all(kernel_trivial(F, tol=CLASSIFY_TOL)[0] for F in fam.fibers):
         invA = np.linalg.inv(A)
         inv = _rel(invA - fam.map_fibers(np.linalg.inv).assemble(), invA)
         item("inverse", inv, inv <= tol)
@@ -344,8 +325,9 @@ def decomposition_suite(
              note="skipped: some fiber is not injective")
 
     # polynomial calculus commutes with assembly
-    pA = _matrix_polynomial(poly, A)
-    presid = _rel(pA - fam.map_fibers(lambda F: _matrix_polynomial(poly, F)).assemble(), pA)
+    pA = _matrix_polynomial(SUITE_POLY, A)
+    pfibers = fam.map_fibers(lambda F: _matrix_polynomial(SUITE_POLY, F))
+    presid = _rel(pA - pfibers.assemble(), pA)
     note = "" if all(_is_normal(F, CLASSIFY_TOL) for F in fam.fibers) else \
         "some fiber is not normal; the block identity still holds for plain polynomials"
     item("polynomial", presid, presid <= tol, note=note)
@@ -455,7 +437,7 @@ def resolvent_limit_check(
         if not fam.grid.matches(limit.grid) or fam.n != limit.n:
             raise ValueError("all families must share the limit's grid and fiber size")
         for k, F in enumerate(fam.fibers):
-            if not _is_hermitian(F, 1e-12):
+            if not is_hermitian(F):
                 raise ValueError(f"fiber {k} is not Hermitian")
 
     I = np.eye(limit.n)
@@ -490,9 +472,7 @@ def truncate_family_vector(fam: OperatorFamily, f: FamilyVector, level: float) -
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    if not f.grid.matches(fam.grid):
-        raise ValueError("section grid does not match the family grid")
-    action = np.einsum("kij,kj->ki", fam.fibers, f.sections)
+    action = fam.apply(f).sections
     keep = (np.linalg.norm(action, axis=1) <= level) & (np.abs(fam.grid.nodes) <= level)
     out = np.where(keep[:, None], f.sections, 0.0)
     return FamilyVector(f.grid, out)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .hilbert import _as_square_matrix, adjoint
+from .hilbert import _as_square_matrix, adjoint, kernel_trivial
 
 __all__ = [
     "CharacteristicMatrix",
@@ -202,9 +202,7 @@ def verify_identities(
     )
     full = P.assemble()
     r["A7"] = np.linalg.norm(full @ full - full, "fro")
-    sig_p11 = np.linalg.svd(P.p11, compute_uv=False)[-1]
-    sig_c22 = np.linalg.svd(I - P.p22, compute_uv=False)[-1]
-    r["A8"] = min(float(sig_p11), float(sig_c22))
+    kernels_ok, r["A8"], threshold = kernel_trivial(P.p11, I - P.p22, tol=kernel_tol)
     r["A12"] = max(
         np.linalg.norm(P.p21 - T @ P.p11, "fro"),
         np.linalg.norm(P.p22 - T @ P.p12, "fro"),
@@ -215,9 +213,8 @@ def verify_identities(
     )
     r = {k: float(v) for k, v in r.items()}
 
-    threshold = kernel_tol * (1.0 + max(np.linalg.norm(P.p11, 2), np.linalg.norm(I - P.p22, 2)))
     passes = {k: (v <= tol) for k, v in r.items() if k != "A8"}
-    passes["A8"] = r["A8"] > threshold
+    passes["A8"] = kernels_ok
     return IdentityReport(residuals=r, passes=passes, tol=tol, kernel_threshold=threshold)
 
 
@@ -232,12 +229,6 @@ def adjoint_char_matrix(P: CharacteristicMatrix) -> CharacteristicMatrix:
     return CharacteristicMatrix(
         p11=I - P.p22, p12=P.p21, p21=P.p12, p22=I - P.p11
     )
-
-
-def _kernel_trivial(M: np.ndarray, kernel_tol: float) -> tuple[bool, float, float]:
-    sig = float(np.linalg.svd(M, compute_uv=False)[-1])
-    threshold = kernel_tol * (1.0 + float(np.linalg.norm(M, 2)))
-    return sig > threshold, sig, threshold
 
 
 def inverse_char_matrix(
@@ -256,7 +247,7 @@ def inverse_char_matrix(
         If the injectivity gate fails, i.e. the smallest singular value of
         ``I - p11`` is at or below ``kernel_tol * (1 + ||I - p11||_2)``.
     """
-    ok, sig, threshold = _kernel_trivial(np.eye(P.n) - P.p11, kernel_tol)
+    ok, sig, threshold = kernel_trivial(np.eye(P.n) - P.p11, tol=kernel_tol)
     if not ok:
         raise ValueError(
             f"operator has a nontrivial kernel: sigma_min(I - p11) = {sig:.3e} "

@@ -9,17 +9,13 @@ norm of the input.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "GraphPair",
-    "HermitianEigen",
     "inner_product",
     "norm",
-    "pair_inner",
-    "pair_norm",
     "adjoint",
     "eig_hermitian",
     "matfunc_hermitian",
@@ -73,31 +69,6 @@ def norm(f) -> float:
     return float(np.linalg.norm(_as_vector(f)))
 
 
-class GraphPair(NamedTuple):
-    """A pair ``(first, second)`` of vectors of equal length.
-
-    Models an element of the direct sum of two copies of the same space,
-    e.g. a point ``(f, T f)`` on the graph of an operator ``T``.
-    """
-
-    first: np.ndarray
-    second: np.ndarray
-
-
-def pair_inner(p: GraphPair, q: GraphPair) -> complex:
-    """Inner product on pairs: ``(p1, q1) + (p2, q2)``.
-
-    Equals the plain inner product of the concatenated vectors, i.e. the
-    direct-sum embedding is isometric.
-    """
-    return inner_product(p.first, q.first) + inner_product(p.second, q.second)
-
-
-def pair_norm(p: GraphPair) -> float:
-    """Norm induced by :func:`pair_inner`."""
-    return float(np.sqrt(norm(p.first) ** 2 + norm(p.second) ** 2))
-
-
 def adjoint(A) -> np.ndarray:
     """Conjugate transpose of a matrix."""
     A = np.asarray(A)
@@ -106,35 +77,53 @@ def adjoint(A) -> np.ndarray:
     return A.conj().T
 
 
-class HermitianEigen(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
+def is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
+    """Whether ``||A - A*||_F <= tol * max(1, ||A||_F)``.
 
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` has orthonormal
-    columns with ``A == eigenvectors @ diag(eigenvalues) @ eigenvectors*``.
+    The one Hermitian test of the package: :func:`require_hermitian`, the
+    family suite's classifications and the resolvent limit check all use it.
     """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    A = np.asarray(A)
+    dev = np.linalg.norm(A - A.conj().T, "fro")
+    return bool(dev <= tol * max(1.0, np.linalg.norm(A, "fro")))
 
 
 def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Return the symmetrized matrix ``(A + A*)/2`` or raise.
 
-    The input must be Hermitian up to a relative Frobenius deviation of
-    ``tol``; the tiny skew part is silently discarded.
+    The input must pass :func:`is_hermitian` with ``tol``; the tiny skew
+    part is silently discarded.
     """
     A = _as_square_matrix(A)
-    scale = np.linalg.norm(A, "fro")
-    dev = np.linalg.norm(A - A.conj().T, "fro")
-    if dev > tol * max(scale, 1.0):
+    if not is_hermitian(A, tol):
+        dev = np.linalg.norm(A - A.conj().T, "fro") / max(np.linalg.norm(A, "fro"), 1.0)
         raise ValueError(
-            f"matrix is not Hermitian: relative deviation {dev / max(scale, 1.0):.3e} "
-            f"exceeds {tol:.1e}"
+            f"matrix is not Hermitian: relative deviation {dev:.3e} exceeds {tol:.1e}"
         )
     return (A + A.conj().T) / 2.0
 
 
-def eig_hermitian(A, tol: float = HERMITIAN_TOL) -> HermitianEigen:
+def kernel_trivial(*mats: np.ndarray, tol: float) -> tuple[bool, float, float]:
+    """Whether every matrix in ``mats`` has a trivial kernel to working precision.
+
+    One ``svd(M, compute_uv=False)`` per matrix yields both its smallest
+    singular value ``s[-1]`` and its 2-norm ``s[0]``.  The kernels count as
+    trivial when the smallest singular value over all ``mats`` exceeds
+    ``tol * (1 + largest 2-norm)``.
+
+    Returns
+    -------
+    (ok, sigma_min, threshold) : tuple
+        The verdict, the smallest singular value and the threshold it was
+        compared against.
+    """
+    svals = [np.linalg.svd(M, compute_uv=False) for M in mats]
+    sigma = min(float(s[-1]) for s in svals)
+    threshold = tol * (1.0 + max(float(s[0]) for s in svals))
+    return sigma > threshold, sigma, threshold
+
+
+def eig_hermitian(A, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
@@ -147,8 +136,10 @@ def eig_hermitian(A, tol: float = HERMITIAN_TOL) -> HermitianEigen:
 
     Returns
     -------
-    HermitianEigen
-        Real ascending eigenvalues and orthonormal eigenvectors.
+    (eigenvalues, eigenvectors)
+        ``np.linalg.eigh``'s result: real ascending eigenvalues and
+        orthonormal eigenvector columns, with
+        ``A == eigenvectors @ diag(eigenvalues) @ eigenvectors*``.
 
     Raises
     ------
@@ -157,9 +148,7 @@ def eig_hermitian(A, tol: float = HERMITIAN_TOL) -> HermitianEigen:
     numpy.linalg.LinAlgError
         If the eigensolver fails to converge.
     """
-    H = require_hermitian(A, tol)
-    w, V = np.linalg.eigh(H)
-    return HermitianEigen(w, V)
+    return np.linalg.eigh(require_hermitian(A, tol))
 
 
 def matfunc_hermitian(A, F: Callable, tol: float = HERMITIAN_TOL) -> np.ndarray:

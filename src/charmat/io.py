@@ -29,7 +29,9 @@ reader checks the ``[re, im]`` pairs with an exact-type gate over
 rejected); only when the gate fails does a per-pair loop run, to name
 the first bad ``data[i]``.  The pairs become complex numbers by viewing
 the ``(N, 2)`` float array as complex, not by ``re + 1j*im``, whose
-arithmetic turns ``-0.0`` into ``0.0``.
+arithmetic turns ``-0.0`` into ``0.0``.  A JSON integer beyond the float
+range reads as the infinity it rounds to, so it is reported exactly like
+``Infinity``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +80,21 @@ def _load_json(path) -> object:
                          f"{exc.msg}") from exc
 
 
+def _as_floats(values: list) -> np.ndarray:
+    """``np.asarray(values, dtype=float)``, reading out-of-range ints as +-inf."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        return np.vectorize(_int_to_float, otypes=[float])(np.array(values, dtype=object))
+
+
+def _int_to_float(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _is_pair_list(data: list) -> bool:
     """True when every item of non-empty ``data`` is a list of two ints/floats."""
     return (
@@ -112,7 +130,7 @@ def _matrix_from_obj(obj, where: str) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
             ):
                 raise ParseError(f"{where}: data[{i}] must be a [re, im] pair of numbers")
-    flat = np.asarray(data, dtype=float)
+    flat = _as_floats(data)
     A = flat.view(complex).reshape(rows, cols)  # bit-exact, signed zeros included
     if not np.all(np.isfinite(flat)):
         bad = int(np.argwhere(~np.isfinite(flat))[0][0])
@@ -179,8 +197,7 @@ def load_family(path) -> OperatorFamily:
         or not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights)
     ):
         raise ParseError(f"{where}: weights must be a list of numbers")
-    grid = ParameterGrid(np.asarray(nodes, dtype=float),
-                         None if weights is None else np.asarray(weights, dtype=float))
+    grid = ParameterGrid(_as_floats(nodes), None if weights is None else _as_floats(weights))
 
     fibers_obj = obj["fibers"]
     if isinstance(fibers_obj, dict):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from charmat.graph import (
+    KERNEL_TOL,
     CharacteristicMatrix,
     adjoint_char_matrix,
     char_matrix,
@@ -193,6 +194,44 @@ def test_kernel_rule_range_limit_is_documented_behavior():
     # a looser kernel_tol restores the certification
     loose = verify_identities(T, char_matrix(T), kernel_tol=1e-14)
     assert loose.passes["A8"]
+
+
+KERNEL_CASES = [(n, scale) for n in (2, 40, 300) for scale in (1e-6, 1e-3, 1.0, 1e3)]
+KERNEL_CASES += ["diag(1e6, 1e-6)", "singular"]
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=str)
+def test_kernel_predicate_equals_two_factorization_formulas(case):
+    # A8 and the inverse gate read sigma_min and ||M||_2 off one SVD; both
+    # must equal, bit for bit, svd(M)[-1] and norm(M, 2) computed separately
+    if case == "diag(1e6, 1e-6)":
+        T = np.diag([1e6, 1e-6])
+    elif case == "singular":
+        T = np.array([[1.0, 2.0], [2.0, 4.0]])
+    else:
+        n, scale = case
+        T = scale * random_operator(np.random.default_rng(n), n)
+    P = char_matrix(T)
+    I = np.eye(P.n)
+
+    def sigma_min(M):
+        return float(np.linalg.svd(M, compute_uv=False)[-1])
+
+    report = verify_identities(T, P)
+    assert report.residuals["A8"] == min(sigma_min(P.p11), sigma_min(I - P.p22))
+    assert report.kernel_threshold == KERNEL_TOL * (
+        1.0 + max(np.linalg.norm(P.p11, 2), np.linalg.norm(I - P.p22, 2))
+    )
+    assert report.passes["A8"] == (report.residuals["A8"] > report.kernel_threshold)
+
+    C = I - P.p11
+    gate_open = sigma_min(C) > KERNEL_TOL * (1.0 + np.linalg.norm(C, 2))
+    try:
+        inverse_char_matrix(P)
+    except ValueError:
+        assert not gate_open
+    else:
+        assert gate_open
 
 
 def test_suite_on_discretized_derivative_operators():

@@ -6,14 +6,11 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from charmat.hilbert import (
-    GraphPair,
     adjoint,
     eig_hermitian,
     inner_product,
     matfunc_hermitian,
     norm,
-    pair_inner,
-    pair_norm,
     polarization,
 )
 
@@ -57,22 +54,6 @@ def test_inner_product_rejects_nan():
 def test_norm_positive_definite():
     assert norm([0.0, 0.0]) == 0.0
     assert norm([3.0, 4.0]) == pytest.approx(5.0)
-
-
-def test_pair_inner_pinned_example():
-    p = GraphPair(np.array([1j]), np.array([1.0]))
-    q = GraphPair(np.array([1.0]), np.array([1j]))
-    assert pair_inner(p, q) == pytest.approx(0.0)
-
-
-def test_pair_inner_matches_direct_sum_embedding():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a, b, c, d = (rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(4))
-        p, q = GraphPair(a, b), GraphPair(c, d)
-        embedded = inner_product(np.concatenate([a, b]), np.concatenate([c, d]))
-        assert pair_inner(p, q) == pytest.approx(embedded)
-        assert pair_norm(p) == pytest.approx(norm(np.concatenate([a, b])))
 
 
 def test_adjoint_is_conjugate_transpose():

@@ -21,6 +21,9 @@ from charmat.io import (
 
 HERMITIAN = np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 3.0]])
 
+#: A JSON integer beyond the float range; it must read like Infinity.
+HUGE_INT = "1" + "0" * 400
+
 
 def run_cli(*argv, env=None):
     import os
@@ -193,9 +196,11 @@ def test_load_family_names_the_fiber_and_pair(tmp_path, bad):
 
 def test_load_matrix_rejects_nonfinite(tmp_path):
     path = tmp_path / "inf.json"
-    path.write_text('{"rows": 1, "cols": 2, "data": [[1.0, 0.0], [Infinity, 0.0]]}')
-    with pytest.raises(ValueError, match="data\\[1\\]"):  # pair index
-        load_matrix(path)
+    for entry in ("[Infinity, 0.0]", f"[{HUGE_INT}, 0]", f"[0, -{HUGE_INT}]"):
+        path.write_text('{"rows": 1, "cols": 3, "data": [[1.0, 0.0], %s, [Infinity, 0]]}' % entry)
+        with pytest.raises(ValueError) as exc:
+            load_matrix(path)
+        assert str(exc.value) == f"{path}: non-finite entry at data[1]"  # first bad pair
 
 
 # ------------------------------------------------------------- family files
@@ -263,6 +268,19 @@ def test_load_family_error_catalogue(tmp_path):
 
     path.write_text(json.dumps({"grid": [0.0], "fibers": 7}))
     with pytest.raises(ParseError, match="fibers must be"):
+        load_family(path)
+
+    # integers beyond the float range are non-finite values, like Infinity
+    huge = '{"rows": 1, "cols": 1, "data": [[%s, 0]]}' % HUGE_INT
+    path.write_text('{"grid": [0.0, 1.0], "fibers": [%s, %s]}' % (json.dumps(fiber), huge))
+    with pytest.raises(ValueError, match=r"fibers\[1\]: non-finite entry at data\[0\]"):
+        load_family(path)
+    generator = '"fibers": {"kind": "dirichlet-laplacian", "n": 4}'
+    path.write_text('{"grid": [0.0, %s], %s}' % (HUGE_INT, generator))
+    with pytest.raises(ValueError, match="nodes must be finite"):
+        load_family(path)
+    path.write_text('{"grid": [0.0, 1.0], "weights": [1, -%s], %s}' % (HUGE_INT, generator))
+    with pytest.raises(ValueError, match="weights must be finite"):
         load_family(path)
 
 
@@ -374,6 +392,18 @@ def test_cli_exit_3_on_invariant_violations(tmp_path):
     assert proc.returncode == 3
     assert "cannot create output directory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+    # integers beyond the float range are non-finite entries, not tracebacks
+    mat.write_text('{"rows": 1, "cols": 1, "data": [[%s, 0]]}' % HUGE_INT)
+    fam = tmp_path / "fam.json"
+    fam.write_text('{"grid": [0.0, %s], "fibers": {"kind": "dirichlet-laplacian", "n": 4}}'
+                   % HUGE_INT)
+    for argv, message in ((("charmat", mat), "non-finite entry at data[0]"),
+                          (("verify", fam), "nodes must be finite")):
+        proc = run_cli(*argv, "--out", tmp_path / "o")
+        assert proc.returncode == 3, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_cli_exit_4_on_numerical_failure(tmp_path):
