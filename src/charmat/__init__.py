@@ -26,8 +26,10 @@ from .boundary import (
     grid_inner,
     grid_norm,
     laplacian,
+    laplacian_eigenvalues,
     rank_one_extension,
     separation_witness,
+    trapezoid_norm,
 )
 from .calculus import (
     SpectralDecomposition,
@@ -89,7 +91,7 @@ __all__ = [
     "SpectralDecomposition", "spectral_decomposition", "spectral_projection",
     "resolvent", "unitary_group", "fourier_resolvent_check", "stone_formula_check",
     "spectral_transform_check", "bounded_calculus_step_check",
-    "GridDiscretization", "grid_inner", "grid_norm", "derivative_operator",
-    "laplacian", "separation_witness", "deficiency_vector", "rank_one_extension",
-    "boundary_mismatch",
+    "GridDiscretization", "grid_inner", "grid_norm", "trapezoid_norm",
+    "derivative_operator", "laplacian", "laplacian_eigenvalues", "separation_witness",
+    "deficiency_vector", "rank_one_extension", "boundary_mismatch",
 ]

@@ -221,19 +221,21 @@ def char_matrix_fiberwise(fam: OperatorFamily):
 
 
 def _matrix_polynomial(coeffs, A: np.ndarray) -> np.ndarray:
-    # Horner evaluation; coeffs are ascending (c0 + c1 x + c2 x^2 + ...).
-    n = A.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    for c in reversed(list(coeffs)):
-        out = out @ A + c * np.eye(n)
+    # Horner evaluation; coeffs are ascending (c0 + c1 x + ... + cd x^d),
+    # d >= 1.  Starting from cd A + c(d-1) I skips the products 0 A and I A.
+    *lower, c_next, c_top = coeffs
+    I = np.eye(A.shape[0])
+    out = c_top * A + c_next * I
+    for c in reversed(lower):
+        out = out @ A + c * I
     return out
 
 
-def _modulus(A: np.ndarray) -> np.ndarray:
-    # |A| = (A* A)^(1/2), via the SVD: forming the Gram matrix and taking
-    # its square root would amplify rounding near a kernel by 1/sqrt
+def _modulus(A: np.ndarray) -> tuple[np.ndarray, float]:
+    # |A| = (A* A)^(1/2) and ||A||_2, from one SVD: forming the Gram matrix
+    # and taking its square root would amplify rounding near a kernel by 1/sqrt
     _, s, Vh = np.linalg.svd(A)
-    return adjoint(Vh) @ (s[:, None] * Vh)
+    return adjoint(Vh) @ (s[:, None] * Vh), float(s[0])
 
 
 def _is_positive(A, tol):
@@ -282,7 +284,9 @@ def decomposition_suite(
     Returns
     -------
     dict
-        Item name -> ``{"residual", "pass", "applicable", "note"}``.
+        Item name -> ``{"residual", "pass", "applicable", "note"}``.  The
+        ``modulus`` item also carries ``norm``, the assembled operator's
+        2-norm, read off the dense SVD that ``|A|`` is computed from.
     """
     A = fam.assemble()
     report = {}
@@ -299,10 +303,11 @@ def decomposition_suite(
     adj = _rel(adjoint(A) - fam.map_fibers(adjoint).assemble(), adjoint(A))
     item("adjoint", adj, adj <= tol)
 
-    # modulus commutes with assembly
-    modA = _modulus(A)
-    mod = _rel(modA - fam.map_fibers(_modulus).assemble(), modA)
+    # modulus commutes with assembly; its SVD also gives ||A||_2
+    modA, normA = _modulus(A)
+    mod = _rel(modA - fam.map_fibers(lambda F: _modulus(F)[0]).assemble(), modA)
     item("modulus", mod, mod <= tol)
+    report["modulus"]["norm"] = normA
 
     # property equivalences: assembled iff all fibers
     for name, pred in (

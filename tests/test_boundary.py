@@ -10,8 +10,10 @@ from charmat.boundary import (
     grid_inner,
     grid_norm,
     laplacian,
+    laplacian_eigenvalues,
     rank_one_extension,
     separation_witness,
+    trapezoid_norm,
 )
 from charmat.hilbert import adjoint
 
@@ -20,6 +22,7 @@ DEFECT_NORM2 = (1.0 - np.exp(-2.0)) / 2.0  # integral of e^(-2x) on [0,1]
 MISMATCH_TARGET = (1.0 - np.exp(-1.0)) / np.sqrt(DEFECT_NORM2)
 # analytic limit of the Dirichlet witness value (odd-mode series)
 WITNESS_LIMIT = 0.0757656854799805
+EPS = np.finfo(float).eps
 
 
 # ------------------------------------------------------------------- grids
@@ -179,7 +182,58 @@ def test_squared_derivative_has_spurious_low_mode():
         laplacian(gp, "dirichlet")
 
 
+@pytest.mark.parametrize("n", [100, 500, 2000])
+def test_structured_spectra_match_dense_eigvalsh(n):
+    k = 6
+    for bc in ("dirichlet", "periodic"):
+        g = GridDiscretization(n, bc)
+        L = laplacian(g, bc)
+        dense = np.linalg.eigvalsh(L)[:k]
+        # both solvers are accurate to a few eps * ||L||, with ||L|| = 4/h^2
+        atol = 4.0 * EPS * np.linalg.norm(L, 1)
+        assert_allclose(laplacian_eigenvalues(g, bc, k), dense, rtol=0, atol=atol)
+
+
+def test_laplacian_eigenvalues_validates_its_arguments():
+    g = GridDiscretization(20, "dirichlet")
+    with pytest.raises(ValueError, match="count"):
+        laplacian_eigenvalues(g, "dirichlet", 0)
+    with pytest.raises(ValueError, match="count"):
+        laplacian_eigenvalues(g, "dirichlet", 21)
+    with pytest.raises(ValueError, match="matching grid"):
+        laplacian_eigenvalues(g, "periodic", 3)
+    with pytest.raises(ValueError, match="supports"):
+        laplacian_eigenvalues(GridDiscretization(20, "free"), "free", 3)
+    assert len(laplacian_eigenvalues(g, "dirichlet", 20)) == 20
+
+
+def test_dirichlet_ground_state_error_is_second_order():
+    # lambda_1 - pi^2 ~ pi^4 h^2 / 12.  The window stops below n ~ 1e4: there
+    # the eigenvalue's own rounding error, a few eps * 4/h^2, is as large as
+    # the discretization error, and the fitted order collapses.
+    ns = np.array([500, 1000, 2000, 4000, 8000])
+    h = 1.0 / (ns + 1)
+    err = [abs(laplacian_eigenvalues(GridDiscretization(int(n), "dirichlet"), "dirichlet", 1)[0]
+               - np.pi**2) for n in ns]
+    order = np.polyfit(np.log(h), np.log(err), 1)[0]
+    assert abs(order - 2.0) <= 0.2, order
+
+
 # -------------------------------------------------------- witness and defect
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_structured_witness_matches_dense_solve(n):
+    # the dense reference's own rounding grows like eps * cond(L + I) ~ n^2,
+    # so the comparison stays at small n
+    one = np.ones(n)
+    dense = []
+    for bc in ("dirichlet", "periodic"):
+        g = GridDiscretization(n, bc)
+        u = np.linalg.solve(laplacian(g, bc) + np.eye(n), one)
+        dense.append(grid_inner(g, one, u).real)
+    assert_allclose(separation_witness(n), dense, rtol=1e-12, atol=0)
+
 
 
 def test_separation_witness_values_and_gap():
@@ -293,6 +347,26 @@ def test_mismatch_of_defect_state_hits_target():
     scale = e[0] / np.exp(-g.nodes[0])
     exact = boundary_mismatch(e, g, endpoints=(scale, scale * np.exp(-1.0)))
     assert exact == pytest.approx(MISMATCH_TARGET, abs=1e-3)
+
+
+def test_trapezoid_norm_adds_the_extrapolated_end_terms():
+    g = GridDiscretization(200, "dirichlet")
+    # constants: the interior Riemann sum gives h*n, the end terms add h
+    assert grid_norm(g, np.ones(g.n)) ** 2 == pytest.approx(1.0 - g.h, abs=1e-14)
+    assert trapezoid_norm(g, np.ones(g.n)) == pytest.approx(1.0, abs=1e-14)
+    # e^-x: second order against the integral, where the Riemann sum is first
+    raw = np.exp(-g.nodes)
+    assert abs(trapezoid_norm(g, raw) ** 2 - DEFECT_NORM2) <= g.h**2
+    gp = GridDiscretization(200, "periodic")
+    assert trapezoid_norm(gp, np.exp(-gp.nodes)) == grid_norm(gp, np.exp(-gp.nodes))
+
+
+@pytest.mark.parametrize("n", [100, 200, 2000])
+def test_normalized_mismatch_of_defect_state_is_second_order(n):
+    g = GridDiscretization(n, "dirichlet")
+    e = deficiency_vector(g)
+    mismatch = boundary_mismatch(e, g) / trapezoid_norm(g, e)
+    assert abs(mismatch - MISMATCH_TARGET) <= 2.0 * g.h**2
 
 
 def test_mismatch_prefers_explicit_endpoints():

@@ -204,6 +204,34 @@ def test_suite_polynomial_default_is_cubic_minus_two_x():
     assert _matrix_polynomial((0.0, -2.0, 0.0, 1.0), np.array([[3.0]]))[0, 0] == pytest.approx(21.0)
 
 
+def _horner_from_zero(coeffs, A):
+    # reference: Horner started from the zero matrix, as the suite used to
+    n = A.shape[0]
+    out = np.zeros((n, n), dtype=complex)
+    for c in reversed(list(coeffs)):
+        out = out @ A + c * np.eye(n)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 16, 64])
+def test_matrix_polynomial_is_bit_identical_to_horner_from_zero(n):
+    from charmat.family import SUITE_POLY, _matrix_polynomial
+
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for coeffs in (SUITE_POLY, (1.5, -2.0), (0.5, 1.0 - 1.0j, 0.0, -3.0, 2.0)):
+        assert np.array_equal(_matrix_polynomial(coeffs, A), _horner_from_zero(coeffs, A))
+
+
+def test_suite_modulus_item_carries_the_assembled_norm():
+    rng = np.random.default_rng(31)
+    fam = random_family(rng, 5, 6)
+    report = decomposition_suite(fam)
+    expected = np.linalg.norm(fam.assemble(), 2)
+    assert abs(report["modulus"]["norm"] - expected) <= 1e-14 * expected
+    assert report["modulus"]["norm"] == pytest.approx(family_norm(fam), rel=1e-12)
+
+
 def test_suite_inclusion_item():
     rng = np.random.default_rng(29)
     fam = random_family(rng, 3, 2)

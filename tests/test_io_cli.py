@@ -469,6 +469,15 @@ def test_cli_example_dirichlet_outputs(tmp_path):
     assert proc.returncode == 3  # resolution gate
 
 
+@pytest.mark.parametrize("n", [100, 200])
+def test_cli_example_dirichlet_passes_at_coarse_grids(tmp_path, n):
+    # the mismatch is measured against the trapezoid norm, so its O(h)
+    # normalization error no longer fails the smallest accepted grids
+    proc = run_cli("example-dirichlet", "--n", n, "--k", "5", "--out", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["residuals"]["mismatch_dev"] <= 2.0 / (n + 1) ** 2
+
+
 def test_cli_log_level_controls_stderr(tmp_path):
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
