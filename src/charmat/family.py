@@ -1,13 +1,14 @@
 """Direct integrals of matrix families sampled on a parameter grid.
 
-A *family* assigns one ``n x n`` complex matrix to every node of a finite
-grid of real parameters.  Its *direct integral* is the block-diagonal
-operator acting fiberwise on vector-valued sections, with the grid's
-quadrature weights supplying the discrete L2 structure.  The routines here
-verify that the characteristic matrix, adjoint, modulus, inverse and
-polynomial calculus all commute with the block-diagonal assembly, realize
-the fiberwise sum/product laws, reconstruct a family from its resolvents,
-and implement the classical truncation of sections by growth level.
+A *family* assigns one ``n x n`` real or complex matrix to every node of a
+finite grid of real parameters.  Its *direct integral* is the
+block-diagonal operator acting fiberwise on vector-valued sections, with
+the grid's quadrature weights supplying the discrete L2 structure.  The
+routines here verify that the characteristic matrix, adjoint, modulus,
+inverse and polynomial calculus all commute with the block-diagonal
+assembly, realize the fiberwise sum/product laws, reconstruct a family
+from its resolvents, and implement the classical truncation of sections by
+growth level.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .graph import char_matrix
-from .hilbert import _as_square_matrix, adjoint, is_hermitian, kernel_trivial
+from .hilbert import _as_operator, adjoint, is_hermitian, kernel_trivial
 
 __all__ = [
     "ParameterGrid",
@@ -104,26 +105,21 @@ class ParameterGrid:
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """One square matrix per grid node, all of a common fiber dimension."""
+    """One square matrix per grid node, all of a common fiber dimension.
+
+    Each fiber passes :func:`~charmat.hilbert._as_operator`: real fibers are
+    stored as ``float64``, complex ones as ``complex128``.
+    """
 
     grid: ParameterGrid
     fibers: np.ndarray
 
     def __post_init__(self):
-        fibers = np.asarray(self.fibers)
-        if fibers.ndim == 1 and fibers.dtype == object:
-            fibers = np.stack([np.asarray(f) for f in fibers])
-        elif fibers.ndim != 3:
-            fibers = np.stack([_as_square_matrix(f) for f in fibers])
-        fibers = fibers.astype(complex)
+        fibers = np.stack([_as_operator(F) for F in self.fibers])
         if fibers.shape[0] != self.grid.m:
             raise ValueError(
                 f"{fibers.shape[0]} fibers for {self.grid.m} grid nodes"
             )
-        if fibers.shape[1] != fibers.shape[2]:
-            raise ValueError("fibers must be square matrices")
-        if not np.all(np.isfinite(fibers)):
-            raise ValueError("fibers contain non-finite entries")
         object.__setattr__(self, "fibers", fibers)
 
     @property
@@ -195,7 +191,7 @@ def family_norm(fam: OperatorFamily) -> float:
     Coincides with the operator 2-norm of the assembled block diagonal (the
     discrete essential supremum of the fiber norms).
     """
-    return max(float(np.linalg.norm(F, 2)) for F in fam.fibers)
+    return float(np.linalg.norm(fam.fibers, 2, axis=(1, 2)).max())
 
 
 def char_matrix_fiberwise(fam: OperatorFamily):

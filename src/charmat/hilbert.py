@@ -1,7 +1,8 @@
 """Core Hilbert-space helpers on dense complex vectors and matrices.
 
 All routines work on finite ``numpy`` arrays with ``complex128`` (or real)
-dtype.  The inner product is linear in the *second* argument and conjugate
+dtype; :func:`_as_operator` is the one rule that casts an operator to it.
+The inner product is linear in the *second* argument and conjugate
 linear in the first, so ``inner_product(f, g) == np.vdot(f, g)``.  Unless a
 docstring says otherwise, matrix tolerances are relative to the Frobenius
 norm of the input.
@@ -42,6 +43,17 @@ def _as_square_matrix(A) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
     return A
+
+
+def _as_operator(A) -> np.ndarray:
+    """``A`` as a finite square matrix in the package's one operator dtype.
+
+    Complex input becomes ``complex128``; real, integer or bool input
+    becomes ``float64``.  A real operator thus stays real, and LAPACK's
+    real (``d*``) routines do its factorizations.
+    """
+    A = _as_square_matrix(A)
+    return A.astype(np.complex128 if np.iscomplexobj(A) else np.float64, copy=False)
 
 
 def inner_product(f, g) -> complex:

@@ -138,6 +138,40 @@ def test_family_norm_equals_assembled_operator_norm():
     assert family_norm(fam) == pytest.approx(np.linalg.norm(fam.assemble(), 2))
 
 
+def test_family_norm_equals_per_fiber_loop():
+    rng = np.random.default_rng(23)
+    for fam in (random_family(rng, 64, 16), random_family(rng, 16, 64)):
+        loop = max(float(np.linalg.norm(F, 2)) for F in fam.fibers)
+        assert family_norm(fam) == pytest.approx(loop, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "dtype, stored",
+    [(np.float64, np.float64), (np.int64, np.float64), (np.float32, np.float64),
+     (np.complex64, np.complex128), (np.complex128, np.complex128)],
+)
+def test_family_fibers_follow_the_operator_dtype_rule(dtype, stored):
+    grid = ParameterGrid(np.array([0.0, 1.0]))
+    fibers = np.array([[[1, 2], [3, 4]], [[5, 6], [7, 8]]], dtype=dtype)
+    fam = OperatorFamily(grid, fibers)
+    assert fam.fibers.dtype == stored
+    assert fam.assemble().dtype == stored
+    chars, _ = char_matrix_fiberwise(fam)
+    assert chars[0].p11.dtype == stored
+    # a list of matrices goes through the same rule
+    assert OperatorFamily(grid, list(fibers)).fibers.dtype == stored
+
+
+def test_family_rejects_nonsquare_and_nonfinite_fibers():
+    grid = ParameterGrid(np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="square"):
+        OperatorFamily(grid, np.zeros((2, 2, 3)))
+    fibers = np.zeros((2, 2, 2))
+    fibers[1, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorFamily(grid, fibers)
+
+
 def test_char_matrix_commutes_with_assembly():
     rng = np.random.default_rng(13)
     fam = random_family(rng, 4, 3)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from charmat.graph import (
+    IDENTITY_TOL,
     KERNEL_TOL,
     CharacteristicMatrix,
     adjoint_char_matrix,
@@ -12,7 +15,9 @@ from charmat.graph import (
     operator_from_char_matrix,
     verify_identities,
 )
-from charmat.hilbert import adjoint
+from charmat.hilbert import _as_operator, adjoint
+
+BLOCKS = ("p11", "p12", "p21", "p22")
 
 
 def random_operator(rng, n):
@@ -244,3 +249,88 @@ def test_suite_on_discretized_derivative_operators():
         T = derivative_operator(g, bc)
         report = verify_identities(T, char_matrix(T))
         assert report.all_pass, (bc, report.residuals)
+
+
+# ------------------------------------------------------- operator dtype rule
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+def test_real_operator_gives_real_blocks_equal_to_complex_route(n, scale):
+    T = scale * np.random.default_rng(n).standard_normal((n, n))
+    Tc = T.astype(complex)
+    tol = 1e-14 * max(1.0, np.linalg.norm(T, 2) ** 2)
+    for build in (char_matrix, char_matrix_oracle):
+        P, Pc = build(T), build(Tc)
+        assert all(getattr(P, b).dtype == np.float64 for b in BLOCKS)
+        assert all(getattr(Pc, b).dtype == np.complex128 for b in BLOCKS)
+        assert P.blockwise_distance(Pc) <= tol
+    real = verify_identities(T, char_matrix(T))
+    cplx = verify_identities(Tc, char_matrix(Tc))
+    assert real.passes == cplx.passes
+    for label, value in real.residuals.items():
+        assert abs(value - cplx.residuals[label]) <= tol, label
+
+
+@pytest.mark.parametrize(
+    "dtype, promoted",
+    [(np.int64, np.float64), (np.bool_, np.float64), (np.float32, np.float64),
+     (np.complex64, np.complex128)],
+)
+def test_operator_dtype_promotion(dtype, promoted):
+    T = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], dtype=dtype)
+    assert _as_operator(T).dtype == promoted
+    for build in (char_matrix, char_matrix_oracle):
+        P = build(T)
+        assert all(getattr(P, b).dtype == promoted for b in BLOCKS)
+        assert P.blockwise_distance(build(T.astype(promoted))) == 0.0
+    assert verify_identities(T, char_matrix(T)).all_pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    log_norm=st.floats(-8.0, 4.0),
+    is_complex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cholesky_route_matches_oracle_across_scales(n, log_norm, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    T = rng.standard_normal((n, n))
+    if is_complex:
+        T = T + 1j * rng.standard_normal((n, n))
+    norm = 10.0**log_norm
+    T *= norm / np.linalg.norm(T, 2)
+    P = char_matrix(T)
+    assert P.p11.dtype == T.dtype
+    # Up to ||T||_2 = 1e2 the bounds are the oracle tests' 1e-11 and the
+    # default IDENTITY_TOL.  Beyond it, rounding in forming T*T and in
+    # evaluating A12/A13 grows as eps*n*||T||_2^2 while both tolerances are
+    # absolute, so both scale with (||T||_2 / 1e2)^2 there; the test below
+    # pins a draw where the absolute tolerance alone fails.
+    growth = max(1.0, (norm / 1e2) ** 2)
+    assert P.blockwise_distance(char_matrix_oracle(T)) <= 1e-11 * growth
+    report = verify_identities(T, P, tol=IDENTITY_TOL * growth)
+    assert report.all_pass, report.residuals
+
+
+def test_absolute_identity_tolerance_fails_at_large_norm():
+    # Known limit of the absolute IDENTITY_TOL, which the scale-aware bounds
+    # of ROADMAP item 2 are to lift: on this real Gaussian with
+    # ||T||_2 = 10^3.75, A12 and A13 exceed 1e-10 at the default tolerance
+    # and pass at the (||T||_2 / 1e2)^2-scaled one of the test above.
+    T = np.random.default_rng(847738374).standard_normal((33, 33))
+    T *= 10.0**3.75 / np.linalg.norm(T, 2)
+    P = char_matrix(T)
+    report = verify_identities(T, P)
+    assert not report.passes["A12"] and not report.passes["A13"]
+    growth = (10.0**3.75 / 1e2) ** 2
+    assert verify_identities(T, P, tol=IDENTITY_TOL * growth).all_pass
+    assert P.blockwise_distance(char_matrix_oracle(T)) <= 1e-11 * growth
+
+
+@pytest.mark.parametrize("entry", [1e160, 1e200])
+def test_overflowing_gram_matrix_raises(entry):
+    T = np.array([[entry, 1.0], [2.0, 3.0]])
+    with pytest.raises(np.linalg.LinAlgError, match=r"Gram matrix T\*T \+ I is not finite"):
+        char_matrix(T)

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from charmat.cli import main
 from charmat.graph import char_matrix
 from charmat.io import (
+    GENERATOR_KINDS,
     ParseError,
     Report,
     file_digest,
@@ -412,6 +414,53 @@ def test_cli_exit_4_on_numerical_failure(tmp_path):
     proc = run_cli("selfadjoint", mat, "resolvent", "--z", "3+0j", "--out", tmp_path / "o")
     assert proc.returncode == 4
     assert "numerical failure" in proc.stderr
+
+
+def test_cli_exit_4_when_a_gram_matrix_overflows(tmp_path):
+    # finite entries whose squares overflow: a numerical failure naming the
+    # Gram matrix, with no numpy RuntimeWarning and no traceback
+    mat = tmp_path / "T.json"
+    save_matrix(mat, np.array([[1e200, 1.0], [2.0, 3e200]]))
+    small = tmp_path / "S.json"
+    save_matrix(small, np.array([[1.0, 0.5], [0.0, 2.0]]))
+    fam = tmp_path / "fam.json"
+    fibers = [json.loads(small.read_text()), json.loads(mat.read_text())]
+    fam.write_text(json.dumps({"grid": [0.0, 1.0], "fibers": fibers}))
+    for argv in (("charmat", mat), ("verify", fam)):
+        proc = run_cli(*argv, "--out", tmp_path / "o")
+        assert proc.returncode == 4, proc.stderr
+        assert "numerical failure: Gram matrix T*T + I is not finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_cli_verify_real_generator_matches_complex_cast(tmp_path, capsys, kind):
+    # the Laplacian generators stay real (the derivatives (1/i) d/dx are
+    # complex); the same fibers written as complex matrix files give the
+    # same report keys, notes and pass flags
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"grid": [0.0, 0.5, 1.0], "fibers": {"kind": kind, "n": 12}}))
+    fam = load_family(gen)
+    assert fam.fibers.dtype == (np.float64 if kind.endswith("laplacian") else np.complex128)
+    save_matrix(tmp_path / "F.json", fam.fibers[0])
+    fiber = json.loads((tmp_path / "F.json").read_text())
+    cast = tmp_path / "cast.json"
+    cast.write_text(json.dumps({"grid": [0.0, 0.5, 1.0], "fibers": [fiber] * 3}))
+    assert load_family(cast).fibers.dtype == np.complex128
+
+    blobs = []
+    for path in (gen, cast):
+        assert main(["verify", str(path), "--out", str(tmp_path / "o")]) == 0
+        blobs.append(json.loads(capsys.readouterr().out))
+    real, cplx = blobs
+    assert real["residuals"].keys() == cplx["residuals"].keys()
+    assert real["tolerances"] == cplx["tolerances"]
+    assert real["notes"] == cplx["notes"]
+    assert real["pass"] is cplx["pass"] is True
+    for label, tol in real["tolerances"].items():
+        assert real["residuals"][label] <= tol and cplx["residuals"][label] <= tol
+        assert abs(real["residuals"][label] - cplx["residuals"][label]) <= tol
 
 
 def test_cli_seed_makes_reports_identical(tmp_path):
