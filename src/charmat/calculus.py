@@ -8,6 +8,13 @@ resolvent jumps reproduces the spectral projection, and the spectral sum
 reproduces the group.  Each ``*_check`` function returns the absolute
 deviation between the two routes; nothing is asserted here, so callers can
 pin their own tolerances.
+
+Memory: each check factors its matrix once (one
+:func:`~charmat.hilbert.eig_hermitian`) and holds O(n^2) numbers besides;
+the quadratures evaluate their integrands block by block, at most
+``_BLOCK_BUDGET`` (2**20) values at a time, so their ``steps`` cost only
+time.  Only :func:`spectral_decomposition`, which returns one ``n x n``
+projector per distinct eigenvalue, needs more.
 """
 
 from __future__ import annotations
@@ -41,6 +48,10 @@ __all__ = [
 #: merged into a single eigenspace.
 CLUSTER_TOL = 1e-8
 
+#: Integrand values (nodes times eigenvalues) that a quadrature evaluates
+#: at once; it bounds the working set of the Stone and Fourier checks.
+_BLOCK_BUDGET = 2**20
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -60,47 +71,64 @@ class SpectralDecomposition:
         return self.projectors.shape[1]
 
 
+def _cluster_means(w: np.ndarray, cluster_tol: float | None = None) -> np.ndarray:
+    """Each ascending eigenvalue in ``w`` replaced by the mean of its cluster.
+
+    Neighbours closer than ``cluster_tol`` (default: ``CLUSTER_TOL`` times
+    the spectral radius plus one) share a cluster.  Clusters are separated
+    by more than ``cluster_tol``, so the means strictly increase from one
+    cluster to the next.
+    """
+    if cluster_tol is None:
+        cluster_tol = CLUSTER_TOL * (float(np.abs(w).max(initial=0.0)) + 1.0)
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > cluster_tol) + 1, [len(w)]))
+    means = [w[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])]
+    return np.repeat(np.asarray(means, dtype=w.dtype), np.diff(bounds))
+
+
+def _rank_below(w: np.ndarray, lam: float) -> int:
+    """Number of ascending eigenvalues whose cluster mean is at most ``lam``."""
+    return int(np.searchsorted(_cluster_means(w), lam, side="right"))
+
+
 def spectral_decomposition(T, cluster_tol: float | None = None) -> SpectralDecomposition:
     """Eigenvalues and eigenprojections of a Hermitian matrix.
 
     Eigenvalues closer than ``cluster_tol`` (default: ``1e-8`` times the
     spectral radius plus one) are merged into a single eigenspace, so that
     true degeneracies split only by rounding come out as one projector.
+    The result holds one ``n x n`` projector per distinct eigenvalue, so it
+    takes O(n^3) memory when the spectrum is simple; the checks in this
+    module never form it.
     """
     w, V = eig_hermitian(T)
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_TOL * (float(np.abs(w).max(initial=0.0)) + 1.0)
-
-    values, projectors, mults = [], [], []
-    start = 0
-    for stop in range(1, len(w) + 1):
-        if stop == len(w) or w[stop] - w[stop - 1] > cluster_tol:
-            block = V[:, start:stop]
-            values.append(w[start:stop].mean())
-            projectors.append(block @ block.conj().T)
-            mults.append(stop - start)
-            start = stop
-    return SpectralDecomposition(
-        eigenvalues=np.array(values),
-        projectors=np.stack(projectors),
-        multiplicities=np.array(mults),
+    values, starts, mults = np.unique(
+        _cluster_means(w, cluster_tol), return_index=True, return_counts=True
     )
+    n = V.shape[0]
+    projectors = np.empty((len(values), n, n), dtype=V.dtype)
+    for k, (start, mult) in enumerate(zip(starts, mults)):
+        block = V[:, start : start + mult]
+        np.matmul(block, block.conj().T, out=projectors[k])
+    return SpectralDecomposition(eigenvalues=values, projectors=projectors, multiplicities=mults)
 
 
 def spectral_projection(T, lam: float) -> np.ndarray:
     """Right-continuous spectral projection of ``T`` at height ``lam``.
 
-    Sums the eigenprojections of all eigenvalues less than or equal to
+    Projects onto the eigenspaces of all (clustered, as in
+    :func:`spectral_decomposition`) eigenvalues less than or equal to
     ``lam`` (an eigenvalue equal to ``lam`` is *included*).  Below the
     spectrum the result is the zero matrix; at or above the top of the
-    spectrum it is the identity.
+    spectrum it is the identity.  It is one product ``Vs Vs*`` of the
+    included eigenvector columns ``Vs``.
+
+    The dtype follows the package's operator rule: ``float64`` for real
+    ``T``, ``complex128`` for complex ``T``.
     """
-    dec = spectral_decomposition(T)
-    out = np.zeros((dec.dim, dec.dim), dtype=complex)
-    for value, proj in zip(dec.eigenvalues, dec.projectors):
-        if value <= lam:
-            out += proj
-    return out
+    w, V = eig_hermitian(T)
+    Vs = V[:, : _rank_below(w, lam)]
+    return Vs @ Vs.conj().T
 
 
 def resolvent(T, z: complex) -> np.ndarray:
@@ -123,8 +151,33 @@ def unitary_group(T, s: float) -> np.ndarray:
     return matfunc_hermitian(T, lambda w: np.exp(1j * s * w))
 
 
-def _trapezoid(vals: np.ndarray, h: float) -> complex:
-    return h * (0.5 * (vals[0] + vals[-1]) + vals[1:-1].sum())
+def _blocked_trapezoid(integrand, start: float, stop: float, steps: int, width: int) -> complex:
+    """Trapezoid rule on ``steps`` uniform subintervals of ``[start, stop]``.
+
+    ``integrand`` maps a 1-d array of nodes to the integrand's values there,
+    at a cost of ``width`` values per node.  The nodes come in blocks of
+    ``max(1, _BLOCK_BUDGET // width)``, each generated as
+    ``start + k * step`` with the last node set to ``stop``, which is
+    ``np.linspace(start, stop, steps + 1)`` bit for bit; the sum runs block
+    by block, so memory does not depend on ``steps``.  The weight is the
+    spacing of the first two nodes, as in the one-shot rule.
+    """
+    step = (stop - start) / steps
+    spacing = (stop if steps == 1 else start + step) - start
+    rows = max(1, _BLOCK_BUDGET // width)
+    total = 0.0
+    for first in range(0, steps + 1, rows):
+        k = np.arange(first, min(first + rows, steps + 1))
+        nodes = start + k * step
+        if k[-1] == steps:
+            nodes[-1] = stop
+        vals = integrand(nodes)
+        if first == 0:
+            vals[0] *= 0.5
+        if k[-1] == steps:
+            vals[-1] *= 0.5
+        total += vals.sum()
+    return spacing * total
 
 
 def fourier_resolvent_check(
@@ -140,7 +193,9 @@ def fourier_resolvent_check(
     truncated at ``smax`` and evaluated with the trapezoid rule on ``steps``
     uniform subintervals, so the returned deviation is dominated by the
     truncation tail ``~ e^(-Im z * smax)`` once the quadrature resolves the
-    oscillation.
+    oscillation.  The exact side is one LU solve of ``(T - z) x = g``.
+    Memory is O(n^2 + _BLOCK_BUDGET) whatever ``steps`` is; more steps cost
+    only time.
 
     Returns
     -------
@@ -152,14 +207,19 @@ def fourier_resolvent_check(
         raise ValueError("z must lie in the upper half plane")
     if smax <= 0 or steps < 1:
         raise ValueError("smax must be positive and steps at least 1")
+    T = _as_square_matrix(T)
     f = _as_vector(f)
     g = _as_vector(g)
     w, V = eig_hermitian(T)
     c = np.conj(V.conj().T @ f) * (V.conj().T @ g)
-    s = np.linspace(0.0, smax, steps + 1)
-    vals = 1j * (np.exp(1j * np.outer(s, z - w)) @ c)
-    quad = _trapezoid(vals, s[1] - s[0])
-    exact = inner_product(f, resolvent(T, z) @ g)
+
+    def integrand(s):
+        phase = np.outer(s, z - w)
+        phase *= 1j
+        return np.exp(phase, out=phase) @ c
+
+    quad = 1j * _blocked_trapezoid(integrand, 0.0, smax, steps, len(w))
+    exact = inner_product(f, np.linalg.solve(T - z * np.eye(len(T)), g))
     return float(abs(quad - exact))
 
 
@@ -191,6 +251,8 @@ def stone_formula_check(
     steps : int, optional
         Trapezoid subintervals; the default resolves Poisson kernels of
         width down to roughly the spectral diameter divided by ``steps``.
+        Memory is O(n^2 + _BLOCK_BUDGET) whatever ``steps`` is; more steps
+        cost only time.
 
     Returns
     -------
@@ -212,12 +274,22 @@ def stone_formula_check(
             "shift delta"
         )
     c = np.conj(V.conj().T @ f) * (V.conj().T @ g)
-    lo = float(w.min()) - 1.0
-    u = np.linspace(lo, endpoint, steps + 1)
-    # (2 pi i)^-1 [R(u+ie) - R(u-ie)] has the Poisson kernel as its symbol
-    kernel = (epsilon / np.pi) / ((w[None, :] - u[:, None]) ** 2 + epsilon**2)
-    quad = _trapezoid(kernel @ c, u[1] - u[0])
-    exact = inner_product(f, spectral_projection(T, lam) @ g)
+    # the kernel is real: multiplying it by c's two real parts avoids the
+    # complex copy of each block that a complex product would make
+    parts = np.column_stack((c.real, c.imag))
+
+    def integrand(u):
+        # (2 pi i)^-1 [R(u+ie) - R(u-ie)] has the Poisson kernel as its symbol
+        kernel = np.subtract.outer(u, w)
+        np.square(kernel, out=kernel)
+        kernel += epsilon**2
+        np.divide(epsilon / np.pi, kernel, out=kernel)
+        vals = kernel @ parts
+        return vals[:, 0] + 1j * vals[:, 1]
+
+    quad = _blocked_trapezoid(integrand, float(w.min()) - 1.0, endpoint, steps, len(w))
+    # (f, E(lam) g) is the sum of c over the eigenvalues E(lam) keeps
+    exact = complex(c[: _rank_below(w, lam)].sum())
     return float(abs(quad - exact))
 
 
@@ -230,12 +302,12 @@ def spectral_transform_check(T, s: float, f, g) -> float:
     """
     f = _as_vector(f)
     g = _as_vector(g)
-    dec = spectral_decomposition(T)
-    lhs = sum(
-        np.exp(1j * s * value) * inner_product(f, proj @ g)
-        for value, proj in zip(dec.eigenvalues, dec.projectors)
-    )
-    rhs = inner_product(f, unitary_group(T, s) @ g)
+    w, V = eig_hermitian(T)
+    a = V.conj().T @ f
+    b = V.conj().T @ g
+    lhs = complex(np.sum(np.exp(1j * s * _cluster_means(w)) * np.conj(a) * b))
+    group = (V * np.exp(1j * s * w)) @ V.conj().T
+    rhs = inner_product(f, group @ g)
     return float(abs(lhs - rhs))
 
 

@@ -337,6 +337,9 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3

@@ -104,9 +104,10 @@ def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Return the symmetrized matrix ``(A + A*)/2`` or raise.
 
     The input must pass :func:`is_hermitian` with ``tol``; the tiny skew
-    part is silently discarded.
+    part is silently discarded.  The result has the dtype of
+    :func:`_as_operator`.
     """
-    A = _as_square_matrix(A)
+    A = _as_operator(A)
     if not is_hermitian(A, tol):
         dev = np.linalg.norm(A - A.conj().T, "fro") / max(np.linalg.norm(A, "fro"), 1.0)
         raise ValueError(

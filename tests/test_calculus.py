@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from charmat import calculus
 from charmat.calculus import (
     bounded_calculus_step_check,
     fourier_resolvent_check,
@@ -19,6 +20,12 @@ FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 def random_hermitian(rng, n):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (A + A.conj().T) / 2.0
+
+
+def random_vectors(rng, n):
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return f, g
 
 
 # ------------------------------------------------------------ decomposition
@@ -90,6 +97,27 @@ def test_projection_is_monotone_in_lambda():
         assert_allclose(P @ prev, prev, atol=1e-10)
         prev = P
     assert_allclose(prev, np.eye(5), atol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_projection_is_the_sum_of_decomposition_projectors(dtype):
+    # a cluster lam +- 1e-12 straddles lam: it is kept or dropped whole, by
+    # its mean, exactly as the decomposition's eigenvalue is judged
+    rng = np.random.default_rng(41)
+    lam = 0.3
+    Q, _ = np.linalg.qr(random_hermitian(rng, 6) if dtype is complex
+                        else rng.standard_normal((6, 6)))
+    w = np.array([lam - 2.0, lam - 1e-12, lam + 1e-12, lam + 1.0, lam + 1.0, lam + 4.0])
+    T = (Q * w) @ Q.conj().T
+    T = (T + T.conj().T) / 2.0
+    dec = spectral_decomposition(T)
+    assert list(dec.multiplicities) == [1, 2, 2, 1]
+    for level in (lam - 3.0, lam - 1e-12, lam, lam + 1e-12, lam + 1.0, lam + 5.0):
+        P = spectral_projection(T, level)
+        assert P.dtype == np.dtype(dtype)
+        keep = dec.eigenvalues <= level
+        assert_allclose(P, dec.projectors[keep].sum(axis=0), atol=1e-12)
+        assert np.trace(P).real == pytest.approx(dec.multiplicities[keep].sum(), abs=1e-12)
 
 
 # -------------------------------------------------------------- resolvents
@@ -207,6 +235,86 @@ def test_spectral_transform_is_exact():
     g = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     for s in (0.0, 1.0, -3.7):
         assert spectral_transform_check(T, s, f, g) <= 1e-10
+
+
+# ------------------------------------------- blocked quadrature and memory
+
+
+def one_shot_stone(T, lam, f, g, epsilon, delta, steps):
+    """Stone quadrature and exact side on the full node array at once."""
+    w, V = np.linalg.eigh(T)
+    c = np.conj(V.conj().T @ f) * (V.conj().T @ g)
+    u = np.linspace(w.min() - 1.0, lam + delta, steps + 1)
+    vals = ((epsilon / np.pi) / ((w[None, :] - u[:, None]) ** 2 + epsilon**2)) @ c
+    quad = (u[1] - u[0]) * (0.5 * (vals[0] + vals[-1]) + vals[1:-1].sum())
+    return quad, np.vdot(f, spectral_projection(T, lam) @ g)
+
+
+def one_shot_fourier(T, z, f, g, smax, steps):
+    """Fourier quadrature and exact side on the full node array at once."""
+    w, V = np.linalg.eigh(T)
+    c = np.conj(V.conj().T @ f) * (V.conj().T @ g)
+    s = np.linspace(0.0, smax, steps + 1)
+    vals = 1j * (np.exp(1j * np.outer(s, z - w)) @ c)
+    quad = (s[1] - s[0]) * (0.5 * (vals[0] + vals[-1]) + vals[1:-1].sum())
+    return quad, np.vdot(f, resolvent(T, z) @ g)
+
+
+# (steps, rows per block) for n = 5: one subinterval; steps + 1 = 11 not a
+# multiple of the 3 rows; one row per block
+BLOCKINGS = [(1, 4), (10, 3), (10, 1)]
+
+
+@pytest.mark.parametrize("steps, rows", BLOCKINGS)
+def test_blocked_quadratures_match_one_shot_trapezoid(monkeypatch, steps, rows):
+    rng = np.random.default_rng(45)
+    n = 5
+    Q, _ = np.linalg.qr(random_hermitian(rng, n))
+    T = (Q * np.array([-2.0, -1.0, 0.5, 1.5, 3.0])) @ Q.conj().T
+    f, g = random_vectors(rng, n)
+    lam = 0.5  # the endpoint lam + delta = 1.0 clears every eigenvalue by 0.5
+    monkeypatch.setattr(calculus, "_BLOCK_BUDGET", rows * n)
+    quad, exact = one_shot_stone(T, lam, f, g, 0.25, 0.5, steps)
+    dev = stone_formula_check(T, lam, f, g, epsilon=0.25, delta=0.5, steps=steps)
+    assert dev == pytest.approx(abs(quad - exact), abs=1e-13 * max(abs(quad), abs(exact)))
+    quad, exact = one_shot_fourier(T, 0.5 + 1.0j, f, g, 3.0, steps)
+    dev = fourier_resolvent_check(T, 0.5 + 1.0j, f, g, smax=3.0, steps=steps)
+    assert dev == pytest.approx(abs(quad - exact), abs=1e-13 * max(abs(quad), abs(exact)))
+
+
+@pytest.mark.parametrize("steps, rows", BLOCKINGS + [(40_000, 4096), (7, 100)])
+@pytest.mark.parametrize("start, stop", [(0.0, 20.0), (-3.7, 0.01), (-1e3, 1.0 / 3.0)])
+def test_block_nodes_are_linspace(monkeypatch, steps, rows, start, stop):
+    monkeypatch.setattr(calculus, "_BLOCK_BUDGET", rows)
+    blocks = []
+
+    def integrand(x):
+        blocks.append(x.copy())
+        return np.zeros(len(x))
+
+    calculus._blocked_trapezoid(integrand, start, stop, steps, 1)
+    assert all(len(b) <= rows for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), np.linspace(start, stop, steps + 1))
+
+
+def test_calculus_memory_is_bounded(traced_peak_mb):
+    rng = np.random.default_rng(49)
+    T = random_hermitian(rng, 200)
+    f, g = random_vectors(rng, 200)
+    lam = float(np.median(np.linalg.eigvalsh(T)))
+    # one-shot quadratures and a stack of projectors held 307, 245 and 245 MB here
+    assert traced_peak_mb(stone_formula_check, T, lam, f, g, 1e-3, 1e-4) <= 40
+    assert traced_peak_mb(fourier_resolvent_check, T, 2j, f, g, 20.0) <= 40
+    assert traced_peak_mb(spectral_projection, T, lam) <= 8
+
+
+def test_fourier_steps_cost_no_memory(traced_peak_mb):
+    rng = np.random.default_rng(53)
+    T = random_hermitian(rng, 50)
+    f, g = random_vectors(rng, 50)
+    peaks = [traced_peak_mb(fourier_resolvent_check, T, 2j, f, g, 20.0, steps)
+             for steps in (40_000, 400_000)]
+    assert abs(peaks[1] - peaks[0]) <= 2
 
 
 # ------------------------------------------------------------ step calculus

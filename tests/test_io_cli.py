@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from charmat import cli
 from charmat.cli import main
 from charmat.graph import char_matrix
 from charmat.io import (
@@ -414,6 +415,29 @@ def test_cli_exit_4_on_numerical_failure(tmp_path):
     proc = run_cli("selfadjoint", mat, "resolvent", "--z", "3+0j", "--out", tmp_path / "o")
     assert proc.returncode == 4
     assert "numerical failure" in proc.stderr
+
+
+@pytest.mark.parametrize("command, kernel", [
+    ("charmat", "char_matrix"),
+    ("verify", "char_matrix_fiberwise"),
+    ("selfadjoint", "stone_formula_check"),
+])
+def test_cli_exit_4_when_out_of_memory(tmp_path, monkeypatch, capsys, command, kernel):
+    # an allocation numpy cannot make is a numerical failure, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(cli, kernel, exhausted)
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"grid": [0.0, 1.0], "fibers": {"kind": "dirichlet-laplacian", "n": 4}}))
+    argv = {"charmat": [str(mat)], "verify": [str(fam)],
+            "selfadjoint": [str(mat), "stone", "--lam", "2"]}[command]
+    assert main([command, *argv, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure: out of memory: Unable to allocate 8.00 EiB" in err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_cli_exit_4_when_a_gram_matrix_overflows(tmp_path):
