@@ -23,7 +23,6 @@ from .boundary import (
     boundary_mismatch,
     deficiency_vector,
     derivative_operator,
-    grid_inner,
     grid_norm,
     laplacian,
     laplacian_eigenvalues,
@@ -32,7 +31,6 @@ from .boundary import (
     trapezoid_norm,
 )
 from .calculus import (
-    SpectralDecomposition,
     bounded_calculus_step_check,
     fourier_resolvent_check,
     resolvent,
@@ -48,9 +46,7 @@ from .family import (
     ParameterGrid,
     char_matrix_fiberwise,
     decomposition_suite,
-    family_inner,
     family_norm,
-    family_vector_norm,
     lennon_product,
     lennon_sum,
     resolvent_limit_check,
@@ -73,25 +69,23 @@ from .hilbert import (
     inner_product,
     matfunc_hermitian,
     norm,
-    polarization,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "inner_product", "norm", "adjoint", "eig_hermitian", "matfunc_hermitian",
-    "polarization",
     "CharacteristicMatrix", "IdentityReport", "char_matrix", "char_matrix_oracle",
     "verify_identities", "adjoint_char_matrix", "inverse_char_matrix",
     "operator_from_char_matrix",
-    "ParameterGrid", "OperatorFamily", "FamilyVector", "family_inner",
-    "family_vector_norm", "family_norm", "char_matrix_fiberwise",
+    "ParameterGrid", "OperatorFamily", "FamilyVector", "family_norm",
+    "char_matrix_fiberwise",
     "decomposition_suite", "lennon_sum", "lennon_product", "resolvent_reconstruct",
     "resolvent_limit_check", "truncate_family_vector",
-    "SpectralDecomposition", "spectral_decomposition", "spectral_projection",
+    "spectral_decomposition", "spectral_projection",
     "resolvent", "unitary_group", "fourier_resolvent_check", "stone_formula_check",
     "spectral_transform_check", "bounded_calculus_step_check",
-    "GridDiscretization", "grid_inner", "grid_norm", "trapezoid_norm",
+    "GridDiscretization", "grid_norm", "trapezoid_norm",
     "derivative_operator", "laplacian", "laplacian_eigenvalues", "separation_witness",
     "deficiency_vector", "rank_one_extension", "boundary_mismatch",
 ]

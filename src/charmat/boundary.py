@@ -25,8 +25,8 @@ eigenvalues are the DFT of its first column, so an FFT diagonalizes it).
 Both cost O(n log n) or O(n k) instead of the O(n^3) of a dense solver.
 
 All grids are uniform.  Discretized functions use the quadrature inner
-product ``h * sum(conj(u) * v)``, which makes ``grid_inner`` a Riemann sum
-for the integral inner product.
+product ``h * sum(conj(u) * v)``, a Riemann sum for the integral inner
+product.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import scipy.linalg
 __all__ = [
     "BOUNDARY_CONDITIONS",
     "GridDiscretization",
-    "grid_inner",
     "grid_norm",
     "trapezoid_norm",
     "derivative_operator",
@@ -89,7 +88,7 @@ class GridDiscretization:
         return np.arange(1, self.n + 1) * self.h
 
 
-def grid_inner(g: GridDiscretization, u, v) -> complex:
+def _grid_inner(g: GridDiscretization, u, v) -> complex:
     """Quadrature inner product ``h * sum(conj(u) * v)``."""
     u = np.asarray(u)
     v = np.asarray(v)
@@ -99,8 +98,8 @@ def grid_inner(g: GridDiscretization, u, v) -> complex:
 
 
 def grid_norm(g: GridDiscretization, u) -> float:
-    """Norm induced by :func:`grid_inner`."""
-    return float(np.sqrt(grid_inner(g, u, u).real))
+    """Norm of the quadrature inner product ``h * sum(conj(u) * v)``."""
+    return float(np.sqrt(_grid_inner(g, u, u).real))
 
 
 def _extrapolated_endpoints(g: GridDiscretization, u: np.ndarray):
@@ -303,7 +302,7 @@ def separation_witness(n: int) -> tuple[float, float]:
     gp = GridDiscretization(n, "periodic")
     uP = np.fft.ifft(np.fft.fft(one) / (_periodic_symbol(gp) + 1.0)).real
 
-    return float(grid_inner(gd, one, uD).real), float(grid_inner(gp, one, uP).real)
+    return float(_grid_inner(gd, one, uD).real), float(_grid_inner(gp, one, uP).real)
 
 
 def deficiency_vector(g: GridDiscretization) -> np.ndarray:

@@ -279,7 +279,8 @@ def cmd_selfadjoint(args, outdir: str) -> Report:
                    _tol(args, IDENTITY_TOL))
         report.add("projection_hermitian", np.linalg.norm(E - adjoint(E), "fro"),
                    _tol(args, IDENTITY_TOL))
-        report.notes["rank"] = repr(float(np.real(np.trace(E))))
+        # the trace of an orthogonal projection is its rank, up to rounding
+        report.notes["rank"] = str(round(float(np.real(np.trace(E)))))
     elif sub == "group":
         s = need("s")
         U = unitary_group(T, s)

@@ -1,14 +1,18 @@
 """Direct integrals of matrix families sampled on a parameter grid.
 
 A *family* assigns one ``n x n`` real or complex matrix to every node of a
-finite grid of real parameters.  Its *direct integral* is the
-block-diagonal operator acting fiberwise on vector-valued sections, with
-the grid's quadrature weights supplying the discrete L2 structure.  The
-routines here verify that the characteristic matrix, adjoint, modulus,
-inverse and polynomial calculus all commute with the block-diagonal
-assembly, realize the fiberwise sum/product laws, reconstruct a family
-from its resolvents, and implement the classical truncation of sections by
-growth level.
+finite grid of real parameters; the fibers are stored as one ``(m, n, n)``
+stack.  Its *direct integral* is the block-diagonal operator acting
+fiberwise on vector-valued sections, with the grid's quadrature weights
+supplying the discrete L2 structure.  The routines here verify that the
+characteristic matrix, adjoint, modulus, inverse and polynomial calculus
+all commute with the block-diagonal assembly, realize the fiberwise
+sum/product laws, reconstruct a family from its resolvents, and implement
+the classical truncation of sections by growth level.
+
+Fiberwise constructions run once on the stack with numpy's batched linear
+algebra, and each is compared in place with the diagonal blocks of the
+assembled one, so no second dense block-diagonal matrix is formed.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graph import char_matrix
 from .hilbert import _as_operator, adjoint, is_hermitian, kernel_trivial
@@ -25,8 +28,6 @@ __all__ = [
     "ParameterGrid",
     "OperatorFamily",
     "FamilyVector",
-    "family_inner",
-    "family_vector_norm",
     "family_norm",
     "char_matrix_fiberwise",
     "decomposition_suite",
@@ -98,9 +99,8 @@ class ParameterGrid:
         return len(self.nodes)
 
     def matches(self, other: "ParameterGrid") -> bool:
-        return np.array_equal(self.nodes, other.nodes) and np.array_equal(
-            self.weights, other.weights
-        )
+        return (np.array_equal(self.nodes, other.nodes)
+                and np.array_equal(self.weights, other.weights))
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,7 @@ class OperatorFamily:
     def __post_init__(self):
         fibers = np.stack([_as_operator(F) for F in self.fibers])
         if fibers.shape[0] != self.grid.m:
-            raise ValueError(
-                f"{fibers.shape[0]} fibers for {self.grid.m} grid nodes"
-            )
+            raise ValueError(f"{fibers.shape[0]} fibers for {self.grid.m} grid nodes")
         object.__setattr__(self, "fibers", fibers)
 
     @property
@@ -134,11 +132,10 @@ class OperatorFamily:
 
     def assemble(self) -> np.ndarray:
         """Block-diagonal matrix with the fibers along the diagonal."""
-        return scipy.linalg.block_diag(*self.fibers)
-
-    def map_fibers(self, fn) -> "OperatorFamily":
-        """New family with ``fn`` applied to every fiber."""
-        return OperatorFamily(self.grid, np.stack([fn(F) for F in self.fibers]))
+        m, n = self.m, self.n
+        out = np.zeros((m, n, m, n), dtype=self.fibers.dtype)
+        out[np.arange(m), :, np.arange(m), :] = self.fibers
+        return out.reshape(m * n, m * n)
 
     def apply(self, f: "FamilyVector") -> "FamilyVector":
         """Act fiberwise: ``(T f)(t_k) = T(t_k) f(t_k)``.
@@ -161,28 +158,11 @@ class FamilyVector:
     def __post_init__(self):
         sections = np.asarray(self.sections, dtype=complex)
         if sections.ndim != 2 or sections.shape[0] != self.grid.m:
-            raise ValueError(
-                f"sections must be (m, n) with m = {self.grid.m}, got {sections.shape}"
-            )
+            raise ValueError(f"sections must be (m, n) with m = {self.grid.m}, "
+                             f"got {sections.shape}")
         if not np.all(np.isfinite(sections)):
             raise ValueError("sections contain non-finite entries")
         object.__setattr__(self, "sections", sections)
-
-
-def family_inner(f: FamilyVector, g: FamilyVector) -> complex:
-    """Weighted L2 inner product ``sum_k w_k (f_k, g_k)`` of two sections.
-
-    Conjugate linear in ``f``, linear in ``g``; positive definite because
-    all weights are positive.
-    """
-    if not f.grid.matches(g.grid):
-        raise ValueError("sections live on different grids")
-    return complex(np.sum(f.grid.weights * np.sum(np.conj(f.sections) * g.sections, axis=1)))
-
-
-def family_vector_norm(f: FamilyVector) -> float:
-    """Norm induced by :func:`family_inner`."""
-    return float(np.sqrt(family_inner(f, f).real))
 
 
 def family_norm(fam: OperatorFamily) -> float:
@@ -192,6 +172,14 @@ def family_norm(fam: OperatorFamily) -> float:
     discrete essential supremum of the fiber norms).
     """
     return float(np.linalg.norm(fam.fibers, 2, axis=(1, 2)).max())
+
+
+def _block_gap(whole: np.ndarray, blocks: np.ndarray) -> float:
+    """``||whole - block_diag(*blocks)||_F``; overwrites ``whole``, which the caller owns."""
+    m, n, _ = blocks.shape
+    tiles = whole.reshape(m, n, m, n)
+    tiles[np.arange(m), :, np.arange(m), :] -= blocks
+    return float(np.linalg.norm(tiles))
 
 
 def char_matrix_fiberwise(fam: OperatorFamily):
@@ -209,45 +197,38 @@ def char_matrix_fiberwise(fam: OperatorFamily):
     """
     chars = [char_matrix(F) for F in fam.fibers]
     total = char_matrix(fam.assemble())
-    residuals = {}
-    for b in ("p11", "p12", "p21", "p22"):
-        stacked = scipy.linalg.block_diag(*[getattr(c, b) for c in chars])
-        residuals[b] = float(np.linalg.norm(getattr(total, b) - stacked, "fro"))
+    residuals = {b: _block_gap(getattr(total, b), np.stack([getattr(c, b) for c in chars]))
+                 for b in ("p11", "p12", "p21", "p22")}
     return chars, residuals
 
 
 def _matrix_polynomial(coeffs, A: np.ndarray) -> np.ndarray:
-    # Horner evaluation; coeffs are ascending (c0 + c1 x + ... + cd x^d),
-    # d >= 1.  Starting from cd A + c(d-1) I skips the products 0 A and I A.
+    # Horner evaluation on a matrix or an (m, n, n) stack; coeffs are ascending
+    # (c0 + c1 x + ... + cd x^d), d >= 1.  Starting from cd A + c(d-1) I skips
+    # the products 0 A and I A.
     *lower, c_next, c_top = coeffs
-    I = np.eye(A.shape[0])
+    I = np.eye(A.shape[-1])
     out = c_top * A + c_next * I
     for c in reversed(lower):
         out = out @ A + c * I
     return out
 
 
-def _modulus(A: np.ndarray) -> tuple[np.ndarray, float]:
-    # |A| = (A* A)^(1/2) and ||A||_2, from one SVD: forming the Gram matrix
-    # and taking its square root would amplify rounding near a kernel by 1/sqrt
-    _, s, Vh = np.linalg.svd(A)
-    return adjoint(Vh) @ (s[:, None] * Vh), float(s[0])
+def _spectral(V: np.ndarray, d: np.ndarray, Vh: np.ndarray) -> np.ndarray:
+    # V diag(d) Vh, for a matrix or an (m, n, n) stack
+    return (V * d[..., None, :]) @ Vh
 
 
-def _is_positive(A, tol):
-    if not is_hermitian(A, tol):
-        return False
-    w = np.linalg.eigvalsh((A + adjoint(A)) / 2.0)
-    return bool(w.min() >= -tol * max(1.0, abs(w).max()))
+def _nonnegative(w: np.ndarray, tol: float) -> np.ndarray:
+    # every eigenvalue of a row of w is >= -tol * max(1, max |w|) of its row
+    return w.min(axis=-1) >= -tol * np.maximum(1.0, np.abs(w).max(axis=-1))
 
 
-def _is_normal(A, tol):
-    scale = max(1.0, np.linalg.norm(A, "fro") ** 2)
-    return np.linalg.norm(A @ adjoint(A) - adjoint(A) @ A, "fro") <= tol * scale
-
-
-def _rel(diff: np.ndarray, ref: np.ndarray) -> float:
-    return float(np.linalg.norm(diff, "fro") / max(1.0, np.linalg.norm(ref, "fro")))
+def _is_normal(A: np.ndarray, tol: float) -> np.ndarray:
+    # ||A A* - A* A||_F <= tol * max(1, ||A||_F^2), per matrix of a stack
+    Ah = adjoint(A)
+    dev = np.linalg.norm(A @ Ah - Ah @ A, axis=(-2, -1))
+    return dev <= tol * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)) ** 2)
 
 
 def decomposition_suite(
@@ -277,71 +258,96 @@ def decomposition_suite(
     Precondition violations do not raise; the affected item carries
     ``applicable: False`` and a note.
 
+    The assembled ``A`` is factored once when it equals its adjoint: one
+    ``eigh``, ``A = V diag(w) V*``, gives ``|A| = V |w| V*``, ``||A||_2 =
+    max |w|``, positivity and ``A^-1 = V w^-1 V*``.  Any other ``A`` gets
+    one ``svd`` for ``|A|`` and ``||A||_2`` and an LU ``inv`` (the SVD's
+    inverse is no faster and holds one more dense matrix).  That includes
+    an ``A`` Hermitian only to ``CLASSIFY_TOL``, as ``(A + A*)/2`` can miss
+    its singular values by its skew part; it adds one ``eigvalsh`` of
+    ``(A + A*)/2`` for positivity.  The fibers get each factorization once,
+    on the stack.  ``normal`` stays a product test: Hermitian to a
+    tolerance does not imply normal to it.
+
     Returns
     -------
     dict
         Item name -> ``{"residual", "pass", "applicable", "note"}``.  The
         ``modulus`` item also carries ``norm``, the assembled operator's
-        2-norm, read off the dense SVD that ``|A|`` is computed from.
+        2-norm, read off the factorization that ``|A|`` is computed from.
     """
     A = fam.assemble()
+    F = fam.fibers
     report = {}
 
     def item(name, residual, ok, applicable=True, note=""):
-        report[name] = {
-            "residual": float(residual),
-            "pass": bool(ok),
-            "applicable": applicable,
-            "note": note,
-        }
+        report[name] = {"residual": float(residual), "pass": bool(ok),
+                        "applicable": applicable, "note": note}
 
-    # adjoint commutes with assembly
-    adj = _rel(adjoint(A) - fam.map_fibers(adjoint).assemble(), adjoint(A))
-    item("adjoint", adj, adj <= tol)
+    def commutes(name, whole, fibers):
+        # whole: the construction on A, a fresh array that _block_gap overwrites
+        scale = max(1.0, np.linalg.norm(whole))
+        resid = _block_gap(whole, fibers) / scale
+        item(name, resid, resid <= tol)
 
-    # modulus commutes with assembly; its SVD also gives ||A||_2
-    modA, normA = _modulus(A)
-    mod = _rel(modA - fam.map_fibers(lambda F: _modulus(F)[0]).assemble(), modA)
-    item("modulus", mod, mod <= tol)
-    report["modulus"]["norm"] = normA
-
-    # property equivalences: assembled iff all fibers
-    for name, pred in (
-        ("selfadjoint", is_hermitian),
-        ("positive", _is_positive),
-        ("normal", _is_normal),
-    ):
-        whole = pred(A, CLASSIFY_TOL)
-        fiberwise = all(pred(F, CLASSIFY_TOL) for F in fam.fibers)
+    def classified(name, whole, fiberwise):
+        whole, fiberwise = bool(whole), bool(fiberwise)
         item(name, 0.0 if whole == fiberwise else 1.0, whole == fiberwise,
              note=f"assembled={whole}, all_fibers={fiberwise}")
 
+    commutes("adjoint", adjoint(A).copy(), adjoint(F))
+
+    # each dense factor and product is dropped after the item that uses it;
+    # |A| comes from a factorization of A, as sqrt(A* A) loses accuracy near a kernel
+    hermitian = is_hermitian(A, CLASSIFY_TOL)
+    exact = np.array_equal(A, adjoint(A))
+    sf, Vhf = np.linalg.svd(F)[1:]
+    modF = _spectral(adjoint(Vhf), sf, Vhf)
+    if exact:
+        w, V = np.linalg.eigh(A)
+        commutes("modulus", _spectral(V, np.abs(w), adjoint(V)), modF)
+        report["modulus"]["norm"] = float(np.abs(w).max())
+    else:
+        s, Vh = np.linalg.svd(A)[1:]
+        commutes("modulus", _spectral(adjoint(Vh), s, Vh), modF)
+        report["modulus"]["norm"] = float(s[0])
+        del Vh
+        if hermitian:
+            w = np.linalg.eigvalsh((A + adjoint(A)) / 2.0)
+
+    # property equivalences: assembled iff all fibers
+    fiber_hermitian = [is_hermitian(G, CLASSIFY_TOL) for G in F]
+    fiber_positive = _nonnegative(np.linalg.eigvalsh((F + adjoint(F)) / 2.0), CLASSIFY_TOL)
+    fiber_normal = _is_normal(F, CLASSIFY_TOL).all()
+    classified("selfadjoint", hermitian, all(fiber_hermitian))
+    classified("positive", hermitian and _nonnegative(w, CLASSIFY_TOL),
+               (fiber_positive & fiber_hermitian).all())
+    classified("normal", _is_normal(A, CLASSIFY_TOL), fiber_normal)
+
     # inverse commutes with assembly, when defined
-    if all(kernel_trivial(F, tol=CLASSIFY_TOL)[0] for F in fam.fibers):
-        invA = np.linalg.inv(A)
-        inv = _rel(invA - fam.map_fibers(np.linalg.inv).assemble(), invA)
-        item("inverse", inv, inv <= tol)
+    if all(kernel_trivial(G, tol=CLASSIFY_TOL)[0] for G in F):
+        invA = _spectral(V, 1.0 / w, adjoint(V)) if exact else np.linalg.inv(A)
+        commutes("inverse", invA, np.linalg.inv(F))
     else:
         item("inverse", 0.0, True, applicable=False,
              note="skipped: some fiber is not injective")
+    if exact:
+        del V
 
-    # polynomial calculus commutes with assembly
-    pA = _matrix_polynomial(SUITE_POLY, A)
-    pfibers = fam.map_fibers(lambda F: _matrix_polynomial(SUITE_POLY, F))
-    presid = _rel(pA - pfibers.assemble(), pA)
-    note = "" if all(_is_normal(F, CLASSIFY_TOL) for F in fam.fibers) else \
-        "some fiber is not normal; the block identity still holds for plain polynomials"
-    item("polynomial", presid, presid <= tol, note=note)
+    commutes("polynomial", _matrix_polynomial(SUITE_POLY, A), _matrix_polynomial(SUITE_POLY, F))
+    if not fiber_normal:
+        report["polynomial"]["note"] = \
+            "some fiber is not normal; the block identity still holds for plain polynomials"
 
     if other is not None:
         if other.grid.m != fam.m or other.n != fam.n:
             item("inclusion", 1.0, False, applicable=False, note="shape mismatch")
         else:
-            fiber_eq = all(
-                np.linalg.norm(F - G, "fro") <= CLASSIFY_TOL * max(1.0, np.linalg.norm(F, "fro"))
-                for F, G in zip(fam.fibers, other.fibers)
-            )
-            whole_eq = _rel(A - other.assemble(), A) <= CLASSIFY_TOL
+            G = other.fibers
+            fiber_eq = bool(np.all(np.linalg.norm(F - G, axis=(1, 2)) <= CLASSIFY_TOL
+                                   * np.maximum(1.0, np.linalg.norm(F, axis=(1, 2)))))
+            whole_eq = _block_gap(A.astype(np.result_type(A, G)), G) \
+                / max(1.0, np.linalg.norm(A)) <= CLASSIFY_TOL
             item("inclusion", 0.0 if fiber_eq == whole_eq else 1.0, fiber_eq == whole_eq,
                  note=f"fiberwise={fiber_eq}, assembled={whole_eq}")
 
@@ -395,8 +401,7 @@ def resolvent_reconstruct(res: OperatorFamily, alpha) -> OperatorFamily:
             Rinv = np.linalg.inv(R)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
-                f"resolvent fiber {k} is singular and cannot be inverted"
-            ) from exc
+                f"resolvent fiber {k} is singular and cannot be inverted") from exc
         fibers.append(alpha[k] * I + Rinv)
     return OperatorFamily(res.grid, np.stack(fibers))
 
@@ -442,19 +447,13 @@ def resolvent_limit_check(
                 raise ValueError(f"fiber {k} is not Hermitian")
 
     I = np.eye(limit.n)
-    R_lim = [np.linalg.inv(F - z * I) for F in limit.fibers]
-    gaps = np.empty((len(seq), limit.m))
-    for j, fam in enumerate(seq):
-        for k, F in enumerate(fam.fibers):
-            gaps[j, k] = np.linalg.norm(np.linalg.inv(F - z * I) - R_lim[k], 2)
+    R_lim = np.linalg.inv(limit.fibers - z * I)
+    gaps = np.stack([np.linalg.norm(np.linalg.inv(fam.fibers - z * I) - R_lim, 2, axis=(1, 2))
+                     for fam in seq])
 
-    half = len(seq) // 2
+    tail = gaps[len(seq) // 2:]
     slack = 1e-12
-    converged = np.array([
-        gaps[-1, k] <= tol
-        and np.all(np.diff(gaps[half:, k]) <= slack + 1e-9 * gaps[half:-1, k])
-        for k in range(limit.m)
-    ])
+    converged = (gaps[-1] <= tol) & np.all(np.diff(tail, axis=0) <= slack + 1e-9 * tail[:-1], axis=0)
     return {
         "gaps": gaps,
         "converged": converged,

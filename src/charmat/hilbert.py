@@ -20,7 +20,6 @@ __all__ = [
     "adjoint",
     "eig_hermitian",
     "matfunc_hermitian",
-    "polarization",
 ]
 
 #: Relative Frobenius tolerance up to which a matrix counts as Hermitian.
@@ -82,11 +81,11 @@ def norm(f) -> float:
 
 
 def adjoint(A) -> np.ndarray:
-    """Conjugate transpose of a matrix."""
+    """Conjugate transpose of a matrix, or of each matrix of an ``(..., n, n)`` stack."""
     A = np.asarray(A)
-    if A.ndim != 2:
+    if A.ndim < 2:
         raise ValueError(f"expected a matrix, got shape {A.shape}")
-    return A.conj().T
+    return np.swapaxes(A.conj(), -1, -2)
 
 
 def is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
@@ -194,32 +193,3 @@ def _apply_scalar_function(F: Callable, w: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array([F(x) for x in w])
-
-
-def polarization(q: Callable[[np.ndarray], complex], k1, k2) -> complex:
-    """Recover the sesquilinear form ``(k1, A k2)`` from its quadratic form.
-
-    Parameters
-    ----------
-    q : callable
-        Quadratic form ``q(k) = (k, A k)`` of a linear operator ``A``.
-    k1, k2 : array_like
-        Vectors of equal length.
-
-    Returns
-    -------
-    complex
-        ``(q(k1+k2) - q(k1-k2) + 1j*q(k1-1j*k2) - 1j*q(k1+1j*k2)) / 4``,
-        which equals ``(k1, A k2)`` for the inner-product convention used
-        throughout (linear in the second argument).
-    """
-    k1 = _as_vector(k1).astype(complex)
-    k2 = _as_vector(k2).astype(complex)
-    if k1.shape != k2.shape:
-        raise ValueError(f"dimension mismatch: {k1.shape} vs {k2.shape}")
-    return (
-        q(k1 + k2)
-        - q(k1 - k2)
-        + 1j * q(k1 - 1j * k2)
-        - 1j * q(k1 + 1j * k2)
-    ) / 4.0

@@ -7,7 +7,6 @@ from charmat.boundary import (
     boundary_mismatch,
     deficiency_vector,
     derivative_operator,
-    grid_inner,
     grid_norm,
     laplacian,
     laplacian_eigenvalues,
@@ -15,6 +14,7 @@ from charmat.boundary import (
     separation_witness,
     trapezoid_norm,
 )
+from charmat.boundary import _grid_inner
 from charmat.hilbert import adjoint
 
 # closed-form reference values for the exponential defect state
@@ -52,10 +52,10 @@ def test_grid_inner_is_riemann_sum():
     g = GridDiscretization(1000, "dirichlet")
     u = np.exp(g.nodes)
     # h * sum e^(2x) approximates (e^2 - 1)/2
-    assert grid_inner(g, u, u).real == pytest.approx((np.e**2 - 1) / 2, rel=2e-3)
+    assert _grid_inner(g, u, u).real == pytest.approx((np.e**2 - 1) / 2, rel=2e-3)
     assert grid_norm(g, np.ones(g.n)) == pytest.approx(np.sqrt(g.h * g.n))
     with pytest.raises(ValueError, match="grid size"):
-        grid_inner(g, np.ones(3), np.ones(g.n))
+        _grid_inner(g, np.ones(3), np.ones(g.n))
 
 
 # ---------------------------------------------------------- first derivative
@@ -231,7 +231,7 @@ def test_structured_witness_matches_dense_solve(n):
     for bc in ("dirichlet", "periodic"):
         g = GridDiscretization(n, bc)
         u = np.linalg.solve(laplacian(g, bc) + np.eye(n), one)
-        dense.append(grid_inner(g, one, u).real)
+        dense.append(_grid_inner(g, one, u).real)
     assert_allclose(separation_witness(n), dense, rtol=1e-12, atol=0)
 
 

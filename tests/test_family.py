@@ -8,9 +8,7 @@ from charmat.family import (
     ParameterGrid,
     char_matrix_fiberwise,
     decomposition_suite,
-    family_inner,
     family_norm,
-    family_vector_norm,
     lennon_product,
     lennon_sum,
     resolvent_limit_check,
@@ -63,33 +61,7 @@ def test_single_node_grid_has_unit_weight():
     assert_allclose(grid.weights, [1.0])
 
 
-# ------------------------------------------------- sections and inner product
-
-
-def test_family_inner_conjugate_symmetry_and_positivity():
-    rng = np.random.default_rng(3)
-    grid = ParameterGrid(np.linspace(0.0, 1.0, 5))
-    f = random_sections(rng, grid, 3)
-    g = random_sections(rng, grid, 3)
-    assert family_inner(f, g) == pytest.approx(np.conj(family_inner(g, f)))
-    assert family_inner(f, f).real > 0
-    assert abs(family_inner(f, f).imag) <= 1e-14
-
-
-def test_family_inner_matches_weighted_sum_by_hand():
-    grid = ParameterGrid(np.array([0.0, 1.0]), weights=np.array([2.0, 3.0]))
-    f = FamilyVector(grid, np.array([[1.0], [1j]]))
-    g = FamilyVector(grid, np.array([[1.0], [2.0]]))
-    # 2*(1,1) + 3*(i,2) = 2 + 3*(-i)*2 = 2 - 6i
-    assert family_inner(f, g) == pytest.approx(2.0 - 6.0j)
-    assert family_vector_norm(f) == pytest.approx(np.sqrt(5.0))
-
-
-def test_family_inner_requires_matching_grids():
-    f = FamilyVector(ParameterGrid(np.array([0.0, 1.0])), np.ones((2, 2)))
-    g = FamilyVector(ParameterGrid(np.array([0.0, 2.0])), np.ones((2, 2)))
-    with pytest.raises(ValueError, match="grid"):
-        family_inner(f, g)
+# ---------------------------------------------------------------- sections
 
 
 def test_sections_reject_wrong_shape_and_nonfinite():
@@ -278,6 +250,79 @@ def test_suite_inclusion_item():
     assert "fiberwise=False" in report["inclusion"]["note"]
 
 
+def _nearly_hermitian_family():
+    # Hermitian to CLASSIFY_TOL but not exactly: the eigenvalues of its
+    # Hermitian part miss its top singular value 1 + eps by eps > 1e-10
+    n, eps = 16, 1.2e-10
+    F = np.diag([1.0, -1.0] + [0.9] * (n - 2))
+    F[0, 1], F[1, 0] = eps, -eps
+    return OperatorFamily(ParameterGrid(np.linspace(0.0, 1.0, 3)), np.stack([F] * 3))
+
+
+@pytest.mark.parametrize("kind, assembled", [
+    ("hermitian", ["eigh"]),
+    ("random", ["inv", "svd"]),
+    ("nearly-hermitian", ["eigvalsh", "inv", "svd"]),
+])
+def test_suite_factors_the_assembled_matrix_once(monkeypatch, kind, assembled):
+    rng = np.random.default_rng(53)
+    fam = _nearly_hermitian_family() if kind == "nearly-hermitian" else \
+        random_family(rng, 4, 5, hermitian=kind == "hermitian")
+    m, n = fam.m, fam.n
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh", "inv"):
+        def record(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+    report = decomposition_suite(fam)
+    assert all(item["pass"] for item in report.values())
+    assert report["inverse"]["applicable"]
+    assert sorted(name for name, shape in calls if shape == (m * n, m * n)) == assembled
+    # the fiber side: one batched call per construction, none per fiber but
+    # the injectivity gate's singular values
+    assert sorted(name for name, shape in calls if shape == (m, n, n)) == ["eigvalsh", "inv", "svd"]
+    assert {name for name, shape in calls if shape == (n, n)} == {"svd"}
+
+
+def test_suite_normal_stays_a_product_test():
+    # Hermitian within CLASSIFY_TOL, yet not normal within it: a
+    # "Hermitian implies normal" shortcut would misreport this fiber
+    A = np.diag([1.0, -1.0]) + 0.45e-10 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    fam = OperatorFamily(ParameterGrid(np.array([0.0])), A[None])
+    report = decomposition_suite(fam)
+    assert report["selfadjoint"]["note"] == "assembled=True, all_fibers=True"
+    assert report["normal"]["note"] == "assembled=False, all_fibers=False"
+
+
+def test_suite_norm_is_exact_for_a_nearly_hermitian_family():
+    fam = _nearly_hermitian_family()
+    report = decomposition_suite(fam)
+    assert report["selfadjoint"]["note"] == "assembled=True, all_fibers=True"
+    assert report["positive"]["note"] == "assembled=False, all_fibers=False"
+    assert abs(report["modulus"]["norm"] - family_norm(fam)) <= 1e-15
+    assert all(item["pass"] for item in report.values())
+
+
+def test_suite_memory_is_bounded(traced_peak_mb):
+    # the peak counts A, one dense factor and the products formed from it
+    rng = np.random.default_rng(59)
+    fam = random_family(rng, 32, 16)
+    assembled_mb = fam.assemble().nbytes / 2**20
+    assert traced_peak_mb(decomposition_suite, fam) <= 6.5 * assembled_mb
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_block_gap_is_the_dense_difference(order):
+    from charmat.family import _block_gap
+
+    rng = np.random.default_rng(61)
+    blocks = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    W = np.asarray(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)), order=order)
+    dense = np.linalg.norm(W - OperatorFamily(ParameterGrid(np.arange(3.0)), blocks).assemble())
+    assert _block_gap(W.copy(order=order), blocks) == pytest.approx(dense, rel=1e-15)
+
+
 # ------------------------------------------------------------- sum/product
 
 
@@ -407,8 +452,9 @@ def test_truncation_distance_is_monotone_in_level():
     dists = []
     for level in levels:
         cut = truncate_family_vector(fam, f, level)
-        diff = FamilyVector(f.grid, f.sections - cut.sections)
-        dists.append(family_vector_norm(diff))
+        diff = f.sections - cut.sections
+        # weighted L2 norm sqrt(sum_k w_k ||f_k - cut_k||^2)
+        dists.append(np.sqrt(np.sum(f.grid.weights * np.sum(np.abs(diff) ** 2, axis=1))))
     assert all(b <= a + 1e-14 for a, b in zip(dists, dists[1:]))
     assert dists[-1] == pytest.approx(0.0, abs=1e-14)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -11,7 +11,6 @@ from charmat.hilbert import (
     inner_product,
     matfunc_hermitian,
     norm,
-    polarization,
 )
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -62,6 +61,17 @@ def test_adjoint_is_conjugate_transpose():
     assert_allclose(adjoint(adjoint(A)), A)
 
 
+def test_adjoint_of_a_stack_is_taken_matrix_by_matrix():
+    rng = np.random.default_rng(2)
+    S = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    out = adjoint(S)
+    assert out.shape == S.shape
+    for k in range(3):
+        assert np.array_equal(out[k], S[k].conj().T)
+    with pytest.raises(ValueError, match="matrix"):
+        adjoint(np.ones(3))
+
+
 def test_eig_hermitian_reconstructs():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -94,31 +104,3 @@ def test_matfunc_accepts_scalar_only_function():
     A = np.diag([1.0, 4.0])
     F = lambda x: float(x) ** 0.5  # not vectorized
     assert_allclose(matfunc_hermitian(A, F), np.diag([1.0, 2.0]), atol=1e-12)
-
-
-def test_polarization_pinned_scalar():
-    # quadratic form of multiplication by 0.2
-    q = lambda k: 0.2 * inner_product(k, k)
-    assert polarization(q, np.array([1.0]), np.array([1.0])) == pytest.approx(0.2)
-
-
-def test_polarization_recovers_matrix_elements():
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    q = lambda k: inner_product(k, A @ k)
-    for _ in range(10):
-        k1 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        k2 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        expected = inner_product(k1, A @ k2)
-        assert abs(polarization(q, k1, k2) - expected) <= 1e-10 * (1 + abs(expected))
-
-
-@settings(max_examples=25)
-@given(complex_vectors(3), complex_vectors(3))
-def test_polarization_identity_operator(k1, k2):
-    q = lambda k: inner_product(k, k)
-    expected = inner_product(k1, k2)
-    # the four quadratic terms are O(max-norm squared), so cancellation
-    # error scales the same way
-    scale = max(np.linalg.norm(k1), np.linalg.norm(k2)) ** 2
-    assert abs(polarization(q, k1, k2) - expected) <= 1e-12 * (1.0 + scale)

@@ -562,3 +562,21 @@ def test_cli_log_level_controls_stderr(tmp_path):
     bogus = run_cli("charmat", mat, "--out", tmp_path / "b", env={"CHARMAT_LOG": "loud"})
     assert bogus.returncode == 0
     assert "unknown CHARMAT_LOG" in bogus.stderr
+
+
+def test_cli_projection_rank_note_is_the_integer_rank(tmp_path, capsys):
+    # the note counts the eigenvalues <= lam; the trace of the projection
+    # it comes from carries rounding (e.g. 2.9999999999999996 for rank 3)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    H = (X + X.conj().T) / 2.0
+    mat = tmp_path / "H.json"
+    save_matrix(mat, H)
+    w = np.linalg.eigvalsh(H)
+    # one height below the spectrum, one between each pair, one above it
+    heights = [w[0] - 1.0, *((w[:-1] + w[1:]) / 2.0), w[-1] + 1.0]
+    for lam in heights:
+        argv = ["selfadjoint", str(mat), "projection", "--lam", repr(float(lam))]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["notes"]["rank"] == str(int(np.sum(w <= lam)))
