@@ -1,7 +1,9 @@
 """Discretized first-derivative operators on [0,1] under three boundary laws.
 
 The operator ``(1/i) d/dx`` becomes genuinely different objects depending
-on its boundary conditions, and finite differences reproduce the hierarchy:
+on its boundary conditions, and finite differences reproduce the hierarchy
+(each :class:`GridDiscretization` carries its law, which every operator here
+reads from the grid):
 
 - ``dirichlet``: central differences with zero ghost values at both ends.
   Hermitian; the minimal, maximally constrained realization.
@@ -36,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .hilbert import _as_operator, _as_vector
+
 __all__ = [
     "BOUNDARY_CONDITIONS",
     "GridDiscretization",
@@ -58,9 +62,10 @@ MIN_NODES = 3
 
 @dataclass(frozen=True)
 class GridDiscretization:
-    """Uniform sample grid on [0,1] for one boundary condition.
+    """Uniform sample grid on [0,1] that carries one boundary law.
 
-    For ``dirichlet`` and ``free`` the ``n`` nodes are the interior points
+    Every operator of this module realizes the law ``bc`` on the grid.  For
+    ``dirichlet`` and ``free`` the ``n`` nodes are the interior points
     ``k/(n+1)``, ``k = 1..n`` (the endpoints carry the boundary data and are
     not sampled).  For ``periodic`` the nodes are ``k/n``, ``k = 0..n-1``
     (the right endpoint is identified with the left).  Every node carries
@@ -128,42 +133,22 @@ def trapezoid_norm(g: GridDiscretization, u) -> float:
     return float(np.sqrt(sq))
 
 
-def derivative_operator(g: GridDiscretization, bc: str) -> np.ndarray:
-    """Matrix of ``(1/i) d/dx`` on the grid under the given boundary law.
+def derivative_operator(g: GridDiscretization) -> np.ndarray:
+    """Matrix of ``(1/i) d/dx`` on the grid under the grid's law ``g.bc``.
 
-    Parameters
-    ----------
-    g : GridDiscretization
-        Sample grid; its type must be compatible with ``bc`` (``dirichlet``
-        and ``free`` share the interior grid, ``periodic`` needs the
-        periodic grid).
-    bc : {'dirichlet', 'periodic', 'free'}
-        Boundary condition; see the module docstring.
-
-    Returns
-    -------
-    numpy.ndarray
-        Complex ``n x n`` matrix.  Exactly Hermitian for ``dirichlet`` and
-        ``periodic``; intentionally non-Hermitian for ``free``.
+    A complex ``n x n`` matrix: exactly Hermitian for ``dirichlet`` and
+    ``periodic``, intentionally non-Hermitian for ``free``.
     """
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    interior_grid = g.bc in ("dirichlet", "free")
-    if bc == "periodic" and interior_grid:
-        raise ValueError("periodic stencil requires a periodic grid")
-    if bc != "periodic" and not interior_grid:
-        raise ValueError(f"{bc!r} stencil requires an interior grid")
-
     n, h = g.n, g.h
     c = 1.0 / (2.0 * h)
     D = np.zeros((n, n))
     idx = np.arange(n - 1)
     D[idx, idx + 1] = c
     D[idx + 1, idx] = -c
-    if bc == "periodic":
+    if g.bc == "periodic":
         D[0, -1] = -c
         D[-1, 0] = c
-    elif bc == "free":
+    elif g.bc == "free":
         # one-sided first-order differences at the two ends
         D[0, 0] = -1.0 / h
         D[0, 1] = 1.0 / h
@@ -173,54 +158,43 @@ def derivative_operator(g: GridDiscretization, bc: str) -> np.ndarray:
     return D / 1j
 
 
-def _check_laplacian(g: GridDiscretization, bc: str) -> None:
-    if bc not in ("dirichlet", "periodic"):
-        raise ValueError("laplacian supports 'dirichlet' and 'periodic' only")
-    if (bc == "periodic") != (g.bc == "periodic"):
-        raise ValueError(f"{bc!r} stencil requires a matching grid type")
+def _check_laplacian(g: GridDiscretization) -> None:
+    if g.bc == "free":
+        raise ValueError("laplacian supports 'dirichlet' and 'periodic' grids only")
 
 
-def laplacian(g: GridDiscretization, bc: str) -> np.ndarray:
-    """Second-order operator ``-d^2/dx^2`` on the grid.
+def laplacian(g: GridDiscretization) -> np.ndarray:
+    """Second-order operator ``-d^2/dx^2`` on the grid, under its law ``g.bc``.
 
     Uses the direct ``(-1, 2, -1)/h^2`` stencil, which is Hermitian
     positive semidefinite and has the expected spectrum: the Dirichlet
     eigenvalues converge to ``(k pi)^2`` and the periodic kernel is exactly
     the constants with next eigenvalue pair near ``4 pi^2``.
 
-    Parameters
-    ----------
-    g : GridDiscretization
-        Sample grid compatible with ``bc``.
-    bc : {'dirichlet', 'periodic'}
-        Boundary condition.
-
-    Returns
-    -------
-    numpy.ndarray
-        Real symmetric ``n x n`` matrix.
+    Returns a real symmetric ``n x n`` matrix for a ``dirichlet`` or
+    ``periodic`` grid; a ``free`` grid raises ``ValueError``.
     """
-    _check_laplacian(g, bc)
+    _check_laplacian(g)
     n, h = g.n, g.h
     L = np.zeros((n, n))
     np.fill_diagonal(L, 2.0)
     idx = np.arange(n - 1)
     L[idx, idx + 1] = -1.0
     L[idx + 1, idx] = -1.0
-    if bc == "periodic":
+    if g.bc == "periodic":
         L[0, -1] = -1.0
         L[-1, 0] = -1.0
     return L / h**2
 
 
 def _dirichlet_bands(g: GridDiscretization) -> tuple[np.ndarray, np.ndarray]:
-    # diagonal and off-diagonal of laplacian(g, "dirichlet"), entry for entry
+    # diagonal and off-diagonal of laplacian(g) on a dirichlet grid, entry for entry
     h = g.h
     return np.full(g.n, 2.0 / h**2), np.full(g.n - 1, -1.0 / h**2)
 
 
 def _periodic_symbol(g: GridDiscretization) -> np.ndarray:
-    # eigenvalues of the circulant laplacian(g, "periodic") in DFT order:
+    # eigenvalues of the circulant laplacian(g) on a periodic grid in DFT order:
     # the DFT of its (real, symmetric) first column
     col = np.zeros(g.n)
     col[0] = 2.0
@@ -228,7 +202,7 @@ def _periodic_symbol(g: GridDiscretization) -> np.ndarray:
     return np.fft.fft(col / g.h**2).real
 
 
-def laplacian_eigenvalues(g: GridDiscretization, bc: str, count: int) -> np.ndarray:
+def laplacian_eigenvalues(g: GridDiscretization, count: int) -> np.ndarray:
     """The ``count`` lowest eigenvalues of :func:`laplacian`, ascending.
 
     Uses the structure instead of the dense matrix: LAPACK bisection
@@ -242,9 +216,7 @@ def laplacian_eigenvalues(g: GridDiscretization, bc: str, count: int) -> np.ndar
     Parameters
     ----------
     g : GridDiscretization
-        Sample grid compatible with ``bc``.
-    bc : {'dirichlet', 'periodic'}
-        Boundary condition.
+        A ``dirichlet`` or ``periodic`` grid.
     count : int
         Number of eigenvalues, ``1 <= count <= g.n``.
 
@@ -253,10 +225,10 @@ def laplacian_eigenvalues(g: GridDiscretization, bc: str, count: int) -> np.ndar
     numpy.ndarray
         Real array of length ``count``.
     """
-    _check_laplacian(g, bc)
+    _check_laplacian(g)
     if not 1 <= count <= g.n:
         raise ValueError(f"count must lie in [1, {g.n}], got {count}")
-    if bc == "dirichlet":
+    if g.bc == "dirichlet":
         d, e = _dirichlet_bands(g)
         return scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
     return np.sort(_periodic_symbol(g))[:count]
@@ -354,33 +326,29 @@ def rank_one_extension(T1, e, weight: float = 1.0) -> tuple[np.ndarray, np.ndarr
     Returns
     -------
     (K, T2) : tuple of numpy.ndarray
+        ``float64`` when ``T1`` and ``e`` are both real, else ``complex128``.
+        A non-square or non-finite input raises ``ValueError``.
     """
-    T1 = np.asarray(T1, dtype=complex)
-    e = np.asarray(e, dtype=complex)
-    if T1.ndim != 2 or T1.shape[0] != T1.shape[1]:
-        raise ValueError("T1 must be square")
+    T1 = _as_operator(T1)
+    e = _as_vector(e)
+    e = e.astype(np.complex128 if np.iscomplexobj(e) else np.float64, copy=False)
     if e.shape != (T1.shape[0],):
         raise ValueError("e must match T1 in dimension")
     nrm2 = weight * float(np.vdot(e, e).real)
-    if abs(nrm2 - 1.0) > 1e-10:
+    if not abs(nrm2 - 1.0) <= 1e-10:
         raise ValueError(f"e must be normalized: weighted norm^2 = {nrm2!r}")
     K = np.eye(len(e)) + weight * np.outer(e, e.conj())
     return K, K @ T1
 
 
-def boundary_mismatch(e, g: GridDiscretization, endpoints=None) -> float:
+def boundary_mismatch(e, g: GridDiscretization) -> float:
     """How far a sampled function is from satisfying periodic matching.
 
-    Returns ``|e(0) - e(1)|``.  The endpoint values come from, in order of
-    preference:
-
-    - ``endpoints=(v0, v1)`` when the caller knows the analytic extension
-      of the sampled function to ``x = 0`` and ``x = 1``;
-    - the periodic identification for periodic grids (node 0 *is* ``x = 0``
-      and also represents ``x = 1``), under which every periodic-grid
-      vector matches exactly;
-    - linear extrapolation from the two nodes nearest each end, accurate to
-      O(h^2) for smooth samples.
+    Returns ``|e(0) - e(1)|``.  On a periodic grid node 0 *is* ``x = 0`` and
+    also represents ``x = 1``, so every periodic-grid vector matches
+    exactly.  On an interior grid the endpoint values are extrapolated
+    linearly from the two nodes nearest each end, accurate to O(h^2) for
+    smooth samples.
 
     A vanishing mismatch is the discrete trace of membership in the
     periodic operator's domain; the defect state ``e^(-x)``, normalized in
@@ -390,9 +358,6 @@ def boundary_mismatch(e, g: GridDiscretization, endpoints=None) -> float:
     e = np.asarray(e)
     if e.shape != (g.n,):
         raise ValueError("vector must match the grid size")
-    if endpoints is not None:
-        v0, v1 = endpoints
-        return float(abs(v0 - v1))
     if g.bc == "periodic":
         return 0.0
     v0, v1 = _extrapolated_endpoints(g, e)

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
-    _apply_scalar_function,
     _as_square_matrix,
     _as_vector,
+    _spectral,
+    adjoint,
     eig_hermitian,
     inner_product,
-    matfunc_hermitian,
 )
 
 __all__ = [
@@ -66,22 +66,16 @@ class SpectralDecomposition:
     projectors: np.ndarray
     multiplicities: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.projectors.shape[1]
 
-
-def _cluster_means(w: np.ndarray, cluster_tol: float | None = None) -> np.ndarray:
+def _cluster_means(w: np.ndarray) -> np.ndarray:
     """Each ascending eigenvalue in ``w`` replaced by the mean of its cluster.
 
-    Neighbours closer than ``cluster_tol`` (default: ``CLUSTER_TOL`` times
-    the spectral radius plus one) share a cluster.  Clusters are separated
-    by more than ``cluster_tol``, so the means strictly increase from one
-    cluster to the next.
+    Neighbours closer than ``CLUSTER_TOL`` times the spectral radius plus
+    one share a cluster.  Clusters are separated by more than that width,
+    so the means strictly increase from one cluster to the next.
     """
-    if cluster_tol is None:
-        cluster_tol = CLUSTER_TOL * (float(np.abs(w).max(initial=0.0)) + 1.0)
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > cluster_tol) + 1, [len(w)]))
+    width = CLUSTER_TOL * (float(np.abs(w).max(initial=0.0)) + 1.0)
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > width) + 1, [len(w)]))
     means = [w[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])]
     return np.repeat(np.asarray(means, dtype=w.dtype), np.diff(bounds))
 
@@ -91,11 +85,11 @@ def _rank_below(w: np.ndarray, lam: float) -> int:
     return int(np.searchsorted(_cluster_means(w), lam, side="right"))
 
 
-def spectral_decomposition(T, cluster_tol: float | None = None) -> SpectralDecomposition:
+def spectral_decomposition(T) -> SpectralDecomposition:
     """Eigenvalues and eigenprojections of a Hermitian matrix.
 
-    Eigenvalues closer than ``cluster_tol`` (default: ``1e-8`` times the
-    spectral radius plus one) are merged into a single eigenspace, so that
+    Eigenvalues closer than ``CLUSTER_TOL`` (``1e-8``) times the spectral
+    radius plus one are merged into a single eigenspace, so that
     true degeneracies split only by rounding come out as one projector.
     The result holds one ``n x n`` projector per distinct eigenvalue, so it
     takes O(n^3) memory when the spectrum is simple; the checks in this
@@ -103,7 +97,7 @@ def spectral_decomposition(T, cluster_tol: float | None = None) -> SpectralDecom
     """
     w, V = eig_hermitian(T)
     values, starts, mults = np.unique(
-        _cluster_means(w, cluster_tol), return_index=True, return_counts=True
+        _cluster_means(w), return_index=True, return_counts=True
     )
     n = V.shape[0]
     projectors = np.empty((len(values), n, n), dtype=V.dtype)
@@ -148,7 +142,8 @@ def resolvent(T, z: complex) -> np.ndarray:
 
 def unitary_group(T, s: float) -> np.ndarray:
     """The unitary ``exp(i s T)`` of a Hermitian matrix ``T``."""
-    return matfunc_hermitian(T, lambda w: np.exp(1j * s * w))
+    w, V = eig_hermitian(T)
+    return _spectral(V, np.exp(1j * s * w), adjoint(V))
 
 
 def _blocked_trapezoid(integrand, start: float, stop: float, steps: int, width: int) -> complex:
@@ -159,11 +154,10 @@ def _blocked_trapezoid(integrand, start: float, stop: float, steps: int, width: 
     ``max(1, _BLOCK_BUDGET // width)``, each generated as
     ``start + k * step`` with the last node set to ``stop``, which is
     ``np.linspace(start, stop, steps + 1)`` bit for bit; the sum runs block
-    by block, so memory does not depend on ``steps``.  The weight is the
-    spacing of the first two nodes, as in the one-shot rule.
+    by block, so memory does not depend on ``steps``.  Every node weighs
+    ``step`` (half at the ends), so the weights sum to ``stop - start``.
     """
     step = (stop - start) / steps
-    spacing = (stop if steps == 1 else start + step) - start
     rows = max(1, _BLOCK_BUDGET // width)
     total = 0.0
     for first in range(0, steps + 1, rows):
@@ -177,7 +171,7 @@ def _blocked_trapezoid(integrand, start: float, stop: float, steps: int, width: 
         if k[-1] == steps:
             vals[-1] *= 0.5
         total += vals.sum()
-    return spacing * total
+    return step * total
 
 
 def fourier_resolvent_check(
@@ -303,12 +297,23 @@ def spectral_transform_check(T, s: float, f, g) -> float:
     f = _as_vector(f)
     g = _as_vector(g)
     w, V = eig_hermitian(T)
-    a = V.conj().T @ f
-    b = V.conj().T @ g
+    Vh = adjoint(V)
+    a = Vh @ f
+    b = Vh @ g
     lhs = complex(np.sum(np.exp(1j * s * _cluster_means(w)) * np.conj(a) * b))
-    group = (V * np.exp(1j * s * w)) @ V.conj().T
-    rhs = inner_product(f, group @ g)
+    rhs = inner_product(f, _spectral(V, np.exp(1j * s * w), Vh) @ g)
     return float(abs(lhs - rhs))
+
+
+def _apply_scalar_function(F, w: np.ndarray) -> np.ndarray:
+    """Evaluate ``F`` on an eigenvalue array, vectorized or element by element."""
+    try:
+        fw = np.asarray(F(w))
+        if fw.shape == w.shape:
+            return fw
+    except (TypeError, ValueError):
+        pass
+    return np.array([F(x) for x in w])
 
 
 def bounded_calculus_step_check(T, F, Fsteps) -> dict:
@@ -326,10 +331,11 @@ def bounded_calculus_step_check(T, F, Fsteps) -> dict:
         ``op_errors`` and ``sup_distances`` as aligned 1-d arrays.
     """
     w, V = eig_hermitian(T)
+    Vh = adjoint(V)
 
     def apply(fn):
         fw = _apply_scalar_function(fn, w)
-        return (V * fw) @ V.conj().T, fw
+        return _spectral(V, fw, Vh), fw
 
     FT, Fw = apply(F)
     op_errors, sup_distances = [], []
@@ -341,3 +347,4 @@ def bounded_calculus_step_check(T, F, Fsteps) -> dict:
         "op_errors": np.array(op_errors),
         "sup_distances": np.array(sup_distances),
     }
+

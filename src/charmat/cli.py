@@ -17,9 +17,10 @@ Four commands, all emitting a machine-readable report (JSON on stdout and
 Exit codes: 0 all residuals within tolerance, 1 residual failure, 2 parse
 error, 3 invariant or flag violation, 4 numerical failure.  The
 ``CHARMAT_LOG`` environment variable (``error``, ``info``, ``debug``)
-controls log verbosity.  ``--tol`` overrides every residual tolerance at
-once; ``--seed`` makes the randomized probe vectors of the quadrature
-subcommands reproducible.
+controls log verbosity.  ``--tol`` overrides every residual tolerance but
+those of the yes/no verdicts (``A8``, ``suite_selfadjoint``,
+``suite_positive``, ``suite_normal``), which stay 0; ``--seed`` makes the
+randomized probe vectors of the quadrature subcommands reproducible.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None,
-                   help="override every residual tolerance")
+                   help="override every residual tolerance except the yes/no verdicts")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for randomized probe vectors")
     p.add_argument("--out", default=".", help="output directory (default: .)")
@@ -193,7 +194,10 @@ def cmd_verify(args, outdir: str) -> Report:
     suite = decomposition_suite(fam, tol=_tol(args, SUITE_TOL))
     for name, item in suite.items():
         if item["applicable"]:
-            report.add(f"suite_{name}", item["residual"], _tol(args, SUITE_TOL))
+            # a verdict's residual is 0 (agree) or 1 (disagree), never a tolerance case
+            verdict = name in ("selfadjoint", "positive", "normal")
+            report.add(f"suite_{name}", item["residual"],
+                       0.0 if verdict else _tol(args, SUITE_TOL))
         if item["note"]:
             report.notes[f"suite_{name}"] = item["note"]
 
@@ -214,8 +218,8 @@ def cmd_example_dirichlet(args, outdir: str) -> Report:
 
     gd = GridDiscretization(n, "dirichlet")
     gp = GridDiscretization(n, "periodic")
-    dirichlet_eigs = laplacian_eigenvalues(gd, "dirichlet", k)
-    periodic_eigs = laplacian_eigenvalues(gp, "periodic", k + 1)
+    dirichlet_eigs = laplacian_eigenvalues(gd, k)
+    periodic_eigs = laplacian_eigenvalues(gp, k + 1)
 
     rows = []
     for j in range(1, k + 1):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import char_matrix
-from .hilbert import _as_operator, adjoint, is_hermitian, kernel_trivial
+from .hilbert import _as_operator, _spectral, adjoint, is_hermitian, kernel_trivial
 
 __all__ = [
     "ParameterGrid",
@@ -214,11 +214,6 @@ def _matrix_polynomial(coeffs, A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spectral(V: np.ndarray, d: np.ndarray, Vh: np.ndarray) -> np.ndarray:
-    # V diag(d) Vh, for a matrix or an (m, n, n) stack
-    return (V * d[..., None, :]) @ Vh
-
-
 def _nonnegative(w: np.ndarray, tol: float) -> np.ndarray:
     # every eigenvalue of a row of w is >= -tol * max(1, max |w|) of its row
     return w.min(axis=-1) >= -tol * np.maximum(1.0, np.abs(w).max(axis=-1))
@@ -231,11 +226,7 @@ def _is_normal(A: np.ndarray, tol: float) -> np.ndarray:
     return dev <= tol * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)) ** 2)
 
 
-def decomposition_suite(
-    fam: OperatorFamily,
-    other: OperatorFamily | None = None,
-    tol: float = SUITE_TOL,
-) -> dict:
+def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL) -> dict:
     """Verify that operator calculus commutes with block-diagonal assembly.
 
     Each item compares a construction applied to the assembled operator
@@ -250,8 +241,6 @@ def decomposition_suite(
     - ``polynomial`` : the fixed polynomial ``x^3 - 2x`` (``SUITE_POLY``);
       meaningful for normal fibers, and reported with a note when some
       fiber is not normal
-    - ``inclusion``  : only when ``other`` is given -- fiberwise equality of
-      the two families compared against equality of their assemblies
 
     Residual items are relative Frobenius distances; classification items
     record ``0.0`` for an equivalence that holds and ``1.0`` otherwise.
@@ -338,18 +327,6 @@ def decomposition_suite(
     if not fiber_normal:
         report["polynomial"]["note"] = \
             "some fiber is not normal; the block identity still holds for plain polynomials"
-
-    if other is not None:
-        if other.grid.m != fam.m or other.n != fam.n:
-            item("inclusion", 1.0, False, applicable=False, note="shape mismatch")
-        else:
-            G = other.fibers
-            fiber_eq = bool(np.all(np.linalg.norm(F - G, axis=(1, 2)) <= CLASSIFY_TOL
-                                   * np.maximum(1.0, np.linalg.norm(F, axis=(1, 2)))))
-            whole_eq = _block_gap(A.astype(np.result_type(A, G)), G) \
-                / max(1.0, np.linalg.norm(A)) <= CLASSIFY_TOL
-            item("inclusion", 0.0 if fiber_eq == whole_eq else 1.0, fiber_eq == whole_eq,
-                 note=f"fiberwise={fiber_eq}, assembled={whole_eq}")
 
     return report
 

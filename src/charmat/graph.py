@@ -46,7 +46,7 @@ __all__ = [
 #: every block of a projection has norm at most 1).
 IDENTITY_TOL = 1e-10
 
-#: Default scale factor for kernel-triviality thresholds: a smallest
+#: Scale factor for kernel-triviality thresholds: a smallest
 #: singular value sigma_min(M) counts as nonzero when it exceeds
 #: ``KERNEL_TOL * (1 + ||M||_2)``.
 KERNEL_TOL = 1e-10
@@ -192,10 +192,12 @@ class IdentityReport:
         return all(self.passes.values())
 
 
-def verify_identities(
-    T, P: CharacteristicMatrix, tol: float = IDENTITY_TOL, kernel_tol: float = KERNEL_TOL
-) -> IdentityReport:
+def verify_identities(T, P: CharacteristicMatrix, tol: float = IDENTITY_TOL) -> IdentityReport:
     """Check the block-identity suite of a characteristic matrix.
+
+    Since ``sigma_min(p11) = 1/(1 + ||T||_2^2)`` exactly, label ``A8``
+    (threshold scaled by ``KERNEL_TOL``) certifies only ``||T||_2`` below
+    roughly ``1/sqrt(KERNEL_TOL)``; beyond, it fails even for a healthy ``T``.
 
     Parameters
     ----------
@@ -205,12 +207,6 @@ def verify_identities(
         Candidate projection blocks.
     tol : float, optional
         Absolute Frobenius tolerance for the residual labels.
-    kernel_tol : float, optional
-        Scale factor for the kernel-triviality threshold of label ``A8``.
-        Since ``sigma_min(p11) = 1/(1 + ||T||_2^2)`` exactly, the rule can
-        only certify operators with ``||T||_2`` below roughly
-        ``1/sqrt(kernel_tol)``; beyond that A8 reports a (spurious)
-        failure even for perfectly healthy ``T``.
 
     Returns
     -------
@@ -232,7 +228,7 @@ def verify_identities(
     )
     full = P.assemble()
     r["A7"] = np.linalg.norm(full @ full - full, "fro")
-    kernels_ok, r["A8"], threshold = kernel_trivial(P.p11, I - P.p22, tol=kernel_tol)
+    kernels_ok, r["A8"], threshold = kernel_trivial(P.p11, I - P.p22, tol=KERNEL_TOL)
     r["A12"] = max(
         np.linalg.norm(P.p21 - T @ P.p11, "fro"),
         np.linalg.norm(P.p22 - T @ P.p12, "fro"),
@@ -261,9 +257,7 @@ def adjoint_char_matrix(P: CharacteristicMatrix) -> CharacteristicMatrix:
     )
 
 
-def inverse_char_matrix(
-    P: CharacteristicMatrix, kernel_tol: float = KERNEL_TOL
-) -> CharacteristicMatrix:
+def inverse_char_matrix(P: CharacteristicMatrix) -> CharacteristicMatrix:
     """Characteristic matrix of the inverse operator.
 
     The operator ``T`` behind ``P`` is injective exactly when ``I - p11``
@@ -275,9 +269,9 @@ def inverse_char_matrix(
     ------
     ValueError
         If the injectivity gate fails, i.e. the smallest singular value of
-        ``I - p11`` is at or below ``kernel_tol * (1 + ||I - p11||_2)``.
+        ``I - p11`` is at or below ``KERNEL_TOL * (1 + ||I - p11||_2)``.
     """
-    ok, sig, threshold = kernel_trivial(np.eye(P.n) - P.p11, tol=kernel_tol)
+    ok, sig, threshold = kernel_trivial(np.eye(P.n) - P.p11, tol=KERNEL_TOL)
     if not ok:
         raise ValueError(
             f"operator has a nontrivial kernel: sigma_min(I - p11) = {sig:.3e} "

@@ -10,16 +10,12 @@ norm of the input.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 __all__ = [
     "inner_product",
-    "norm",
     "adjoint",
     "eig_hermitian",
-    "matfunc_hermitian",
 ]
 
 #: Relative Frobenius tolerance up to which a matrix counts as Hermitian.
@@ -75,11 +71,6 @@ def inner_product(f, g) -> complex:
     return complex(np.vdot(f, g))
 
 
-def norm(f) -> float:
-    """Euclidean norm induced by :func:`inner_product`."""
-    return float(np.linalg.norm(_as_vector(f)))
-
-
 def adjoint(A) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of an ``(..., n, n)`` stack."""
     A = np.asarray(A)
@@ -99,18 +90,18 @@ def is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
     return bool(dev <= tol * max(1.0, np.linalg.norm(A, "fro")))
 
 
-def require_hermitian(A, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(A) -> np.ndarray:
     """Return the symmetrized matrix ``(A + A*)/2`` or raise.
 
-    The input must pass :func:`is_hermitian` with ``tol``; the tiny skew
-    part is silently discarded.  The result has the dtype of
+    The input must pass :func:`is_hermitian` with ``HERMITIAN_TOL``; the
+    tiny skew part is silently discarded.  The result has the dtype of
     :func:`_as_operator`.
     """
     A = _as_operator(A)
-    if not is_hermitian(A, tol):
+    if not is_hermitian(A):
         dev = np.linalg.norm(A - A.conj().T, "fro") / max(np.linalg.norm(A, "fro"), 1.0)
         raise ValueError(
-            f"matrix is not Hermitian: relative deviation {dev:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: relative deviation {dev:.3e} exceeds {HERMITIAN_TOL:.1e}"
         )
     return (A + A.conj().T) / 2.0
 
@@ -135,16 +126,14 @@ def kernel_trivial(*mats: np.ndarray, tol: float) -> tuple[bool, float, float]:
     return sigma > threshold, sigma, threshold
 
 
-def eig_hermitian(A, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(A) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     A : array_like
-        Square matrix, Hermitian within relative tolerance ``tol``.  The
-        matrix is symmetrized before factorization.
-    tol : float, optional
-        Hermitian tolerance (relative Frobenius).
+        Square matrix, Hermitian within the relative Frobenius tolerance
+        ``HERMITIAN_TOL``.  The matrix is symmetrized before factorization.
 
     Returns
     -------
@@ -156,40 +145,13 @@ def eig_hermitian(A, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray
     Raises
     ------
     ValueError
-        If ``A`` is not Hermitian within ``tol``.
+        If ``A`` is not Hermitian within ``HERMITIAN_TOL``.
     numpy.linalg.LinAlgError
         If the eigensolver fails to converge.
     """
-    return np.linalg.eigh(require_hermitian(A, tol))
+    return np.linalg.eigh(require_hermitian(A))
 
 
-def matfunc_hermitian(A, F: Callable, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Parameters
-    ----------
-    A : array_like
-        Hermitian matrix.
-    F : callable
-        Scalar function; applied to the (real) eigenvalue array.  May be
-        vectorized or act on scalars.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``V @ diag(F(w)) @ V*`` for the eigendecomposition ``(w, V)``.
-    """
-    w, V = eig_hermitian(A, tol)
-    fw = _apply_scalar_function(F, w)
-    return (V * fw) @ V.conj().T
-
-
-def _apply_scalar_function(F: Callable, w: np.ndarray) -> np.ndarray:
-    """Evaluate ``F`` on an eigenvalue array, vectorized or element by element."""
-    try:
-        fw = np.asarray(F(w))
-        if fw.shape == w.shape:
-            return fw
-    except (TypeError, ValueError):
-        pass
-    return np.array([F(x) for x in w])
+def _spectral(V: np.ndarray, d: np.ndarray, Vh: np.ndarray) -> np.ndarray:
+    """``V diag(d) Vh`` for a matrix or a stack; callers pass the ``Vh`` they hold."""
+    return (V * d[..., None, :]) @ Vh

@@ -210,10 +210,8 @@ def load_family(path) -> OperatorFamily:
         if kind not in GENERATOR_KINDS:
             raise ValueError(f"{where}: unknown generator kind {kind!r}; "
                              f"expected one of {GENERATOR_KINDS}")
-        bc = kind.split("-")[0]
-        g = GridDiscretization(n, bc)
-        fiber = (derivative_operator(g, bc) if kind.endswith("derivative")
-                 else laplacian(g, bc))
+        g = GridDiscretization(n, kind.split("-")[0])
+        fiber = derivative_operator(g) if kind.endswith("derivative") else laplacian(g)
         fibers = np.broadcast_to(fiber, (grid.m, n, n)).copy()
     elif isinstance(fibers_obj, list):
         if len(fibers_obj) != grid.m:

@@ -1,6 +1,13 @@
+import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+# pyproject's pythonpath puts src/ on this process's path; the CLI and demo
+# tests start child interpreters, which find the package through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -104,10 +104,10 @@ def test_a02_identity_suite_operator_corpus():
         random_hermitian(rng, 9),
         random_operator(rng, 1),
         random_operator(rng, 12),
-        derivative_operator(gi, "dirichlet"),
-        derivative_operator(gi, "free"),
-        derivative_operator(gp, "periodic"),
-        laplacian(gi, "dirichlet"),
+        derivative_operator(gi),
+        derivative_operator(GridDiscretization(40, "free")),
+        derivative_operator(gp),
+        laplacian(gi),
     ]
     for idx, T in enumerate(corpus):
         report = verify_identities(T, char_matrix(T), tol=1e-10)
@@ -211,8 +211,8 @@ def test_a08_boundary_spectra_fine_grid():
     within 1% of 4 pi^2 -- all inside a 60 s budget."""
     start = time.perf_counter()
     n = 2000
-    wd = np.linalg.eigvalsh(laplacian(GridDiscretization(n, "dirichlet"), "dirichlet"))
-    wp = np.linalg.eigvalsh(laplacian(GridDiscretization(n, "periodic"), "periodic"))
+    wd = np.linalg.eigvalsh(laplacian(GridDiscretization(n, "dirichlet")))
+    wp = np.linalg.eigvalsh(laplacian(GridDiscretization(n, "periodic")))
     k = np.arange(1, 6)
     rel = np.abs(wd[:5] - (k * np.pi) ** 2) / (k * np.pi) ** 2
     assert np.all(rel <= 1e-2), rel
@@ -247,7 +247,7 @@ def test_a10_defect_state_quadrature():
 
     def residual(n):
         gg = GridDiscretization(n, "free")
-        A = derivative_operator(gg, "free")
+        A = derivative_operator(gg)
         e = deficiency_vector(gg)
         return np.linalg.norm(A @ e - 1j * e)
 
@@ -263,7 +263,7 @@ def test_a11_rank_one_extension_and_mismatch():
     n = 2000
     gp = GridDiscretization(n, "periodic")
     gi = GridDiscretization(n, "dirichlet")
-    T1 = derivative_operator(gp, "periodic")
+    T1 = derivative_operator(gp)
     e = deficiency_vector(gi)
     K, T2 = rank_one_extension(T1, e, weight=gi.h)
     rhs = adjoint(T1) @ K

@@ -62,40 +62,41 @@ def test_grid_inner_is_riemann_sum():
 
 
 def test_derivative_hermitian_or_not():
-    gi = GridDiscretization(12, "dirichlet")
-    gp = GridDiscretization(12, "periodic")
-    Dd = derivative_operator(gi, "dirichlet")
-    Dp = derivative_operator(gp, "periodic")
-    Df = derivative_operator(gi, "free")
+    Dd = derivative_operator(GridDiscretization(12, "dirichlet"))
+    Dp = derivative_operator(GridDiscretization(12, "periodic"))
+    Df = derivative_operator(GridDiscretization(12, "free"))
     assert_allclose(Dd, adjoint(Dd), atol=1e-15)
     assert_allclose(Dp, adjoint(Dp), atol=1e-15)
     assert np.linalg.norm(Df - adjoint(Df)) > 1.0  # deliberately lopsided
 
 
 def test_derivative_and_grid_must_be_compatible():
+    # the stencil is the grid's own: only a periodic grid wraps around, and
+    # the free grid shares the dirichlet grid's nodes and spacing
     gi = GridDiscretization(8, "dirichlet")
+    gf = GridDiscretization(8, "free")
     gp = GridDiscretization(8, "periodic")
-    with pytest.raises(ValueError, match="periodic grid"):
-        derivative_operator(gi, "periodic")
-    with pytest.raises(ValueError, match="interior grid"):
-        derivative_operator(gp, "dirichlet")
+    assert derivative_operator(gi)[0, -1] == 0.0
+    assert derivative_operator(gf)[0, -1] == 0.0
+    assert derivative_operator(gp)[0, -1] != 0.0
+    assert gf.h == gi.h and np.array_equal(gf.nodes, gi.nodes)
     with pytest.raises(ValueError, match="boundary condition"):
-        derivative_operator(gi, "neumann")
+        GridDiscretization(8, "neumann")
 
 
 def test_derivative_stencil_entries():
     g = GridDiscretization(5, "dirichlet")
     c = 1.0 / (2.0 * g.h)
-    D = derivative_operator(g, "dirichlet")
+    D = derivative_operator(g)
     assert_allclose(np.diag(D, 1), np.full(4, -1j * c), atol=1e-15)
     assert_allclose(np.diag(D, -1), np.full(4, 1j * c), atol=1e-15)
     assert_allclose(np.diag(D), 0, atol=1e-15)
     # free agrees with dirichlet on every interior row
-    F = derivative_operator(g, "free")
+    F = derivative_operator(GridDiscretization(5, "free"))
     assert_allclose(F[1:-1, :], D[1:-1, :], atol=1e-15)
     # periodic adds exactly the two wraparound corners at its own spacing
     gp = GridDiscretization(5, "periodic")
-    P = derivative_operator(gp, "periodic")
+    P = derivative_operator(gp)
     cp = 1.0 / (2.0 * gp.h)
     assert P[0, -1] == pytest.approx(1j * cp)
     assert P[-1, 0] == pytest.approx(-1j * cp)
@@ -103,7 +104,7 @@ def test_derivative_stencil_entries():
 
 def test_derivative_differentiates_smooth_periodic_sample():
     g = GridDiscretization(200, "periodic")
-    D = derivative_operator(g, "periodic")
+    D = derivative_operator(g)
     u = np.exp(2j * np.pi * g.nodes)
     # (1/i) d/dx e^(2 pi i x) = 2 pi e^(2 pi i x); central differences are O(h^2)
     assert np.max(np.abs(D @ u - 2 * np.pi * u)) <= 50.0 * g.h**2
@@ -111,13 +112,13 @@ def test_derivative_differentiates_smooth_periodic_sample():
 
 def test_free_derivative_annihilates_defect_direction():
     g = GridDiscretization(400, "free")
-    A = derivative_operator(g, "free")
+    A = derivative_operator(g)
     e = deficiency_vector(g)
     # (A - i) e -> 0 at first order in h
     assert np.linalg.norm(A @ e - 1j * e) <= 5.0 * g.h
     # the dirichlet matrix does NOT annihilate it: the ghost-zero rows
     # clash with the nonzero boundary values of e^-x
-    Dd = derivative_operator(g, "dirichlet")
+    Dd = derivative_operator(GridDiscretization(400, "dirichlet"))
     assert np.linalg.norm(Dd @ e - 1j * e) > 1.0
 
 
@@ -127,7 +128,7 @@ def test_free_derivative_annihilates_defect_direction():
 def test_dirichlet_laplacian_closed_form_spectrum():
     n = 30
     g = GridDiscretization(n, "dirichlet")
-    L = laplacian(g, "dirichlet")
+    L = laplacian(g)
     w = np.linalg.eigvalsh(L)
     k = np.arange(1, n + 1)
     exact = 4.0 / g.h**2 * np.sin(k * np.pi * g.h / 2.0) ** 2
@@ -137,7 +138,7 @@ def test_dirichlet_laplacian_closed_form_spectrum():
 def test_periodic_laplacian_closed_form_spectrum():
     n = 31
     g = GridDiscretization(n, "periodic")
-    L = laplacian(g, "periodic")
+    L = laplacian(g)
     w = np.linalg.eigvalsh(L)
     k = np.arange(n)
     exact = 4.0 * n**2 * np.sin(np.pi * k / n) ** 2
@@ -146,7 +147,7 @@ def test_periodic_laplacian_closed_form_spectrum():
 
 def test_dirichlet_spectrum_converges_to_square_integers():
     g = GridDiscretization(500, "dirichlet")
-    w = np.linalg.eigvalsh(laplacian(g, "dirichlet"))
+    w = np.linalg.eigvalsh(laplacian(g))
     k = np.arange(1, 6)
     exact = (k * np.pi) ** 2
     # second-order stencil: relative error ~ (k pi h)^2 / 12 per mode
@@ -155,7 +156,7 @@ def test_dirichlet_spectrum_converges_to_square_integers():
 
 def test_periodic_kernel_is_exactly_the_constants():
     g = GridDiscretization(64, "periodic")
-    L = laplacian(g, "periodic")
+    L = laplacian(g)
     w, V = np.linalg.eigh(L)
     assert w[0] == pytest.approx(0.0, abs=1e-9)
     assert w[1] > 1.0  # kernel is one-dimensional
@@ -170,16 +171,13 @@ def test_squared_derivative_has_spurious_low_mode():
     # central-difference matrix is singular, so D* D has a null mode far
     # below the physical ground state pi^2 of the direct stencil
     g = GridDiscretization(21, "dirichlet")
-    direct = np.linalg.eigvalsh(laplacian(g, "dirichlet"))
-    D = derivative_operator(g, "dirichlet")
+    direct = np.linalg.eigvalsh(laplacian(g))
+    D = derivative_operator(g)
     squared = np.linalg.eigvalsh(D.conj().T @ D)
     assert direct[0] > 0.9 * np.pi**2
     assert squared[0] <= 1e-8
     with pytest.raises(ValueError, match="dirichlet.*periodic|supports"):
-        laplacian(g, "free")
-    gp = GridDiscretization(21, "periodic")
-    with pytest.raises(ValueError, match="matching grid"):
-        laplacian(gp, "dirichlet")
+        laplacian(GridDiscretization(21, "free"))
 
 
 @pytest.mark.parametrize("n", [100, 500, 2000])
@@ -187,24 +185,22 @@ def test_structured_spectra_match_dense_eigvalsh(n):
     k = 6
     for bc in ("dirichlet", "periodic"):
         g = GridDiscretization(n, bc)
-        L = laplacian(g, bc)
+        L = laplacian(g)
         dense = np.linalg.eigvalsh(L)[:k]
         # both solvers are accurate to a few eps * ||L||, with ||L|| = 4/h^2
         atol = 4.0 * EPS * np.linalg.norm(L, 1)
-        assert_allclose(laplacian_eigenvalues(g, bc, k), dense, rtol=0, atol=atol)
+        assert_allclose(laplacian_eigenvalues(g, k), dense, rtol=0, atol=atol)
 
 
 def test_laplacian_eigenvalues_validates_its_arguments():
     g = GridDiscretization(20, "dirichlet")
     with pytest.raises(ValueError, match="count"):
-        laplacian_eigenvalues(g, "dirichlet", 0)
+        laplacian_eigenvalues(g, 0)
     with pytest.raises(ValueError, match="count"):
-        laplacian_eigenvalues(g, "dirichlet", 21)
-    with pytest.raises(ValueError, match="matching grid"):
-        laplacian_eigenvalues(g, "periodic", 3)
+        laplacian_eigenvalues(g, 21)
     with pytest.raises(ValueError, match="supports"):
-        laplacian_eigenvalues(GridDiscretization(20, "free"), "free", 3)
-    assert len(laplacian_eigenvalues(g, "dirichlet", 20)) == 20
+        laplacian_eigenvalues(GridDiscretization(20, "free"), 3)
+    assert len(laplacian_eigenvalues(g, 20)) == 20
 
 
 def test_dirichlet_ground_state_error_is_second_order():
@@ -213,8 +209,8 @@ def test_dirichlet_ground_state_error_is_second_order():
     # the discretization error, and the fitted order collapses.
     ns = np.array([500, 1000, 2000, 4000, 8000])
     h = 1.0 / (ns + 1)
-    err = [abs(laplacian_eigenvalues(GridDiscretization(int(n), "dirichlet"), "dirichlet", 1)[0]
-               - np.pi**2) for n in ns]
+    err = [abs(laplacian_eigenvalues(GridDiscretization(int(n), "dirichlet"), 1)[0] - np.pi**2)
+           for n in ns]
     order = np.polyfit(np.log(h), np.log(err), 1)[0]
     assert abs(order - 2.0) <= 0.2, order
 
@@ -230,7 +226,7 @@ def test_structured_witness_matches_dense_solve(n):
     dense = []
     for bc in ("dirichlet", "periodic"):
         g = GridDiscretization(n, bc)
-        u = np.linalg.solve(laplacian(g, bc) + np.eye(n), one)
+        u = np.linalg.solve(laplacian(g) + np.eye(n), one)
         dense.append(_grid_inner(g, one, u).real)
     assert_allclose(separation_witness(n), dense, rtol=1e-12, atol=0)
 
@@ -268,7 +264,7 @@ def test_deficiency_vector_normalization_and_norm2():
 def test_deficiency_residual_decays_at_first_order():
     def residual(n):
         g = GridDiscretization(n, "free")
-        A = derivative_operator(g, "free")
+        A = derivative_operator(g)
         e = deficiency_vector(g)
         return np.linalg.norm(A @ e - 1j * e)
 
@@ -308,7 +304,7 @@ def test_rank_one_exact_adjoint_relation():
     n = 64
     gp = GridDiscretization(n, "periodic")
     gi = GridDiscretization(n, "dirichlet")
-    T1 = derivative_operator(gp, "periodic")
+    T1 = derivative_operator(gp)
     e = deficiency_vector(gi)
     K, T2 = rank_one_extension(T1, e, weight=gi.h)
     lhs = adjoint(T2)
@@ -324,6 +320,21 @@ def test_rank_one_requires_unit_defect():
         rank_one_extension(np.eye(2), np.ones(3))
     with pytest.raises(ValueError, match="square"):
         rank_one_extension(np.ones((2, 3)), np.ones(2))
+    # a NaN in e would pass the normalization test, whose comparison is False
+    for T1, e in [(np.eye(2), [np.nan, 1.0]), (np.eye(2), [1.0, np.inf]),
+                  ([[1.0, np.nan], [0.0, 1.0]], [1.0, 0.0])]:
+        with pytest.raises(ValueError, match="non-finite"):
+            rank_one_extension(T1, e)
+
+
+def test_rank_one_keeps_real_input_real():
+    rng = np.random.default_rng(4)
+    e = rng.standard_normal(5)
+    T1 = rng.standard_normal((5, 5))
+    K, T2 = rank_one_extension(T1, e / np.linalg.norm(e))
+    assert K.dtype == np.float64 and T2.dtype == np.float64
+    K, T2 = rank_one_extension(T1, (1 + 1j) * e / np.linalg.norm((1 + 1j) * e))
+    assert K.dtype == np.complex128 and T2.dtype == np.complex128
 
 
 # ------------------------------------------------------------ mismatch trace
@@ -335,18 +346,14 @@ def test_mismatch_zero_for_matching_samples():
     gp = GridDiscretization(50, "periodic")
     anything = np.exp(-gp.nodes)
     assert boundary_mismatch(anything, gp) == 0.0
+    with pytest.raises(ValueError, match="grid size"):
+        boundary_mismatch(np.ones(3), g)
 
 
 def test_mismatch_of_defect_state_hits_target():
     g = GridDiscretization(1000, "dirichlet")
     e = deficiency_vector(g)
-    # linear extrapolation route
     assert boundary_mismatch(e, g) == pytest.approx(MISMATCH_TARGET, abs=1e-3)
-    # analytic endpoint route: e^-x extends to 1 and e^-1, scaled by the
-    # same normalization used for the samples
-    scale = e[0] / np.exp(-g.nodes[0])
-    exact = boundary_mismatch(e, g, endpoints=(scale, scale * np.exp(-1.0)))
-    assert exact == pytest.approx(MISMATCH_TARGET, abs=1e-3)
 
 
 def test_trapezoid_norm_adds_the_extrapolated_end_terms():
@@ -368,9 +375,3 @@ def test_normalized_mismatch_of_defect_state_is_second_order(n):
     mismatch = boundary_mismatch(e, g) / trapezoid_norm(g, e)
     assert abs(mismatch - MISMATCH_TARGET) <= 2.0 * g.h**2
 
-
-def test_mismatch_prefers_explicit_endpoints():
-    g = GridDiscretization(50, "periodic")
-    assert boundary_mismatch(np.ones(g.n), g, endpoints=(0.0, 3.0)) == pytest.approx(3.0)
-    with pytest.raises(ValueError, match="grid size"):
-        boundary_mismatch(np.ones(3), GridDiscretization(50, "dirichlet"))

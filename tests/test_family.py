@@ -238,18 +238,6 @@ def test_suite_modulus_item_carries_the_assembled_norm():
     assert report["modulus"]["norm"] == pytest.approx(family_norm(fam), rel=1e-12)
 
 
-def test_suite_inclusion_item():
-    rng = np.random.default_rng(29)
-    fam = random_family(rng, 3, 2)
-    same = OperatorFamily(fam.grid, fam.fibers.copy())
-    report = decomposition_suite(fam, other=same)
-    assert report["inclusion"]["pass"]
-    other = OperatorFamily(fam.grid, fam.fibers + 1.0)
-    report = decomposition_suite(fam, other=other)
-    assert report["inclusion"]["pass"]  # unequal fiberwise and unequal assembled
-    assert "fiberwise=False" in report["inclusion"]["note"]
-
-
 def _nearly_hermitian_family():
     # Hermitian to CLASSIFY_TOL but not exactly: the eigenvalues of its
     # Hermitian part miss its top singular value 1 + eps by eps > 1e-10

@@ -190,15 +190,18 @@ def test_oracle_handles_large_norm_operator():
 
 def test_kernel_rule_range_limit_is_documented_behavior():
     # sigma_min(p11) = 1/(1 + ||T||^2) exactly, so the triviality rule can
-    # certify norms only up to ~1/sqrt(kernel_tol); a huge healthy operator
+    # certify norms only up to ~1/sqrt(KERNEL_TOL); a huge healthy operator
     # trips A8 while every residual label stays clean
     T = np.diag([1e6, 1e-6]).astype(complex)
     report = verify_identities(T, char_matrix(T))
     assert not report.passes["A8"]
     assert all(report.passes[k] for k in ("A6", "A7", "A12", "A13"))
-    # a looser kernel_tol restores the certification
-    loose = verify_identities(T, char_matrix(T), kernel_tol=1e-14)
-    assert loose.passes["A8"]
+    # the threshold is KERNEL_TOL * (1 + ||p11||_2): sigma_min(p11) = 1e-12 sits
+    # below it, and an operator inside the range passes
+    assert report.residuals["A8"] == pytest.approx(1.0 / (1.0 + 1e12), rel=1e-12)
+    assert report.kernel_threshold == pytest.approx(2.0 * KERNEL_TOL, rel=1e-12)
+    T = np.diag([1e4, 1e-4]).astype(complex)
+    assert verify_identities(T, char_matrix(T)).passes["A8"]
 
 
 KERNEL_CASES = [(n, scale) for n in (2, 40, 300) for scale in (1e-6, 1e-3, 1.0, 1e3)]
@@ -245,8 +248,7 @@ def test_suite_on_discretized_derivative_operators():
     from charmat.boundary import GridDiscretization, derivative_operator
 
     for bc in ("dirichlet", "periodic", "free"):
-        g = GridDiscretization(30, "periodic" if bc == "periodic" else "dirichlet")
-        T = derivative_operator(g, bc)
+        T = derivative_operator(GridDiscretization(30, bc))
         report = verify_identities(T, char_matrix(T))
         assert report.all_pass, (bc, report.residuals)
 

@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from charmat.hilbert import (
-    adjoint,
-    eig_hermitian,
-    inner_product,
-    matfunc_hermitian,
-    norm,
-)
+from charmat.hilbert import adjoint, eig_hermitian, inner_product
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -50,11 +44,6 @@ def test_inner_product_rejects_nan():
         inner_product([np.nan], [1.0])
 
 
-def test_norm_positive_definite():
-    assert norm([0.0, 0.0]) == 0.0
-    assert norm([3.0, 4.0]) == pytest.approx(5.0)
-
-
 def test_adjoint_is_conjugate_transpose():
     A = np.array([[1 + 2j, 3.0], [0.0, -1j]])
     assert_allclose(adjoint(A), A.conj().T)
@@ -91,16 +80,3 @@ def test_eig_hermitian_symmetrizes_tiny_skew():
     A = np.array([[1.0, 0.5], [0.5 + 1e-15, 2.0]])
     w, V = eig_hermitian(A)
     assert_allclose((V * w) @ V.conj().T, (A + A.conj().T) / 2, atol=1e-12)
-
-
-def test_matfunc_square_matches_matrix_product():
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    A = (A + A.conj().T) / 2
-    assert_allclose(matfunc_hermitian(A, lambda w: w**2), A @ A, atol=1e-10)
-
-
-def test_matfunc_accepts_scalar_only_function():
-    A = np.diag([1.0, 4.0])
-    F = lambda x: float(x) ** 0.5  # not vectorized
-    assert_allclose(matfunc_hermitian(A, F), np.diag([1.0, 2.0]), atol=1e-12)

@@ -219,25 +219,28 @@ def test_load_family_inline_fibers(tmp_path):
     assert_allclose(fam.fibers[1], np.array([[1.0, 1j], [-1j, 2.0]]))
 
 
-def test_load_family_explicit_weights_and_generator(tmp_path):
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_load_family_explicit_weights_and_generator(tmp_path, kind):
     path = tmp_path / "fam.json"
     path.write_text(
         json.dumps(
             {
                 "grid": [0.0, 1.0],
                 "weights": [0.5, 0.5],
-                "fibers": {"kind": "dirichlet-laplacian", "n": 8},
+                "fibers": {"kind": kind, "n": 8},
             }
         )
     )
     fam = load_family(path)
     assert fam.m == 2 and fam.n == 8
     assert_allclose(fam.grid.weights, [0.5, 0.5])
-    from charmat.boundary import GridDiscretization, laplacian
+    from charmat.boundary import GridDiscretization, derivative_operator, laplacian
 
-    L = laplacian(GridDiscretization(8, "dirichlet"), "dirichlet")
-    assert_allclose(fam.fibers[0], L)
-    assert_allclose(fam.fibers[1], L)
+    bc, order = kind.split("-")
+    operator = {"derivative": derivative_operator, "laplacian": laplacian}[order]
+    expected = operator(GridDiscretization(8, bc))
+    assert np.array_equal(fam.fibers[0], expected)
+    assert np.array_equal(fam.fibers[1], expected)
 
 
 def test_load_family_error_catalogue(tmp_path):
@@ -349,6 +352,22 @@ def test_cli_exit_1_on_residual_failure(tmp_path):
     proc = run_cli("charmat", mat, "--tol", "0", "--out", tmp_path / "o")
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["pass"] is False
+
+
+def test_cli_verify_tol_cannot_pass_a_classification_mismatch(tmp_path, capsys):
+    # 1e3 I is Hermitian and [[0, 1e-9], [0, 0]] is not, but the assembled
+    # matrix is Hermitian relative to its own norm: the verdicts disagree
+    path = tmp_path / "fam.json"
+    big = {"rows": 2, "cols": 2, "data": [[1e3, 0], [0, 0], [0, 0], [1e3, 0]]}
+    skew = {"rows": 2, "cols": 2, "data": [[0, 0], [1e-9, 0], [0, 0], [0, 0]]}
+    path.write_text(json.dumps({"grid": [0.0, 1.0], "fibers": [big, skew]}))
+    for extra in ([], ["--tol", "1"]):
+        assert main(["verify", str(path), "--out", str(tmp_path / "o"), *extra]) == 1
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["pass"] is False
+        for item in ("suite_selfadjoint", "suite_positive"):
+            assert blob["residuals"][item] == 1.0
+            assert blob["tolerances"][item] == 0.0
 
 
 def test_cli_exit_2_on_parse_error(tmp_path):
