@@ -21,10 +21,11 @@ a spurious near-null mode; that is why :func:`laplacian` does not offer it.
 
 :func:`laplacian` returns the dense matrix, the independent reference.  The
 spectra and solves that the boundary example needs use its structure
-instead: the Dirichlet operator is tridiagonal (bisection for the lowest
-eigenvalues, a banded Cholesky solve) and the periodic one is circulant (its
-eigenvalues are the DFT of its first column, so an FFT diagonalizes it).
-Both cost O(n log n) or O(n k) instead of the O(n^3) of a dense solver.
+instead: the periodic operator is circulant, so its eigenvalues are the DFT
+of its first column and an FFT diagonalizes it.  The Dirichlet operator is
+the same stencil on the odd functions of a circulant twice as long (length
+``2(n+1)``), so the sine modes of that circulant diagonalize it.  Both cost
+O(n log n) instead of the O(n^3) of a dense solver.
 
 All grids are uniform.  Discretized functions use the quadrature inner
 product ``h * sum(conj(u) * v)``, a Riemann sum for the integral inner
@@ -36,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .hilbert import _as_operator, _as_vector
 
@@ -187,16 +187,12 @@ def laplacian(g: GridDiscretization) -> np.ndarray:
     return L / h**2
 
 
-def _dirichlet_bands(g: GridDiscretization) -> tuple[np.ndarray, np.ndarray]:
-    # diagonal and off-diagonal of laplacian(g) on a dirichlet grid, entry for entry
-    h = g.h
-    return np.full(g.n, 2.0 / h**2), np.full(g.n - 1, -1.0 / h**2)
-
-
-def _periodic_symbol(g: GridDiscretization) -> np.ndarray:
-    # eigenvalues of the circulant laplacian(g) on a periodic grid in DFT order:
-    # the DFT of its (real, symmetric) first column
-    col = np.zeros(g.n)
+def _symbol(g: GridDiscretization) -> np.ndarray:
+    # eigenvalues, in DFT order, of the circulant with first column
+    # (2, -1, 0, ..., 0, -1)/h^2: of length n on a periodic grid (laplacian(g)
+    # itself), of length 2(n+1) on a dirichlet grid, whose odd vectors
+    # (0, u, 0, -reversed(u)) it maps as laplacian(g) maps u
+    col = np.zeros(g.n if g.bc == "periodic" else 2 * (g.n + 1))
     col[0] = 2.0
     col[1] = col[-1] = -1.0
     return np.fft.fft(col / g.h**2).real
@@ -205,13 +201,14 @@ def _periodic_symbol(g: GridDiscretization) -> np.ndarray:
 def laplacian_eigenvalues(g: GridDiscretization, count: int) -> np.ndarray:
     """The ``count`` lowest eigenvalues of :func:`laplacian`, ascending.
 
-    Uses the structure instead of the dense matrix: LAPACK bisection
-    (``stebz``) on the tridiagonal Dirichlet operator costs O(n count), and
-    the periodic operator's eigenvalues are the FFT of its circulant first
-    column, O(n log n).  Either way each eigenvalue carries an absolute
-    error of a few ``eps * ||L||``, and ``||L|| = 4/h^2``: at n = 10^4 that
-    is about 1e-7, which is as large as the O(h^2) discretization error of
-    the lowest Dirichlet eigenvalue.
+    Uses the structure instead of the dense matrix: the eigenvalues are the
+    FFT of a circulant first column, O(n log n).  For the periodic operator
+    that circulant is the operator itself; the Dirichlet eigenvalues are the
+    sine-mode entries ``1..n`` of the length-``2(n+1)`` circulant with the
+    same stencil, already ascending.  Either way each eigenvalue carries an
+    absolute error of a few ``eps * ||L||``, and ``||L|| = 4/h^2``: at
+    n = 10^4 that is about 1e-7, which is as large as the O(h^2)
+    discretization error of the lowest Dirichlet eigenvalue.
 
     Parameters
     ----------
@@ -229,9 +226,8 @@ def laplacian_eigenvalues(g: GridDiscretization, count: int) -> np.ndarray:
     if not 1 <= count <= g.n:
         raise ValueError(f"count must lie in [1, {g.n}], got {count}")
     if g.bc == "dirichlet":
-        d, e = _dirichlet_bands(g)
-        return scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
-    return np.sort(_periodic_symbol(g))[:count]
+        return _symbol(g)[1:count + 1]
+    return np.sort(_symbol(g))[:count]
 
 
 def separation_witness(n: int) -> tuple[float, float]:
@@ -239,10 +235,11 @@ def separation_witness(n: int) -> tuple[float, float]:
 
     Evaluates ``(1, (L + I)^-1 1)`` in the quadrature inner product for the
     Dirichlet and the periodic second-order operator, using the constant
-    function 1 as the witness vector.  The Dirichlet solve is a banded
-    Cholesky solve of the tridiagonal ``L + I``; the periodic one divides by
-    ``L + I``'s eigenvalues in the DFT basis, which diagonalizes the
-    circulant.
+    function 1 as the witness vector.  Both solves divide by ``L + I``'s
+    eigenvalues in the DFT basis of a circulant: for the periodic operator
+    the operator itself, for the Dirichlet one the length-``2(n+1)``
+    circulant applied to the odd extension ``(0, 1, 0, -1)`` of the witness
+    (each ``1`` a block of ``n`` ones).
 
     The periodic operator annihilates constants, so its value is exactly 1
     (up to solver rounding).  The Dirichlet operator sees the constant as a
@@ -265,14 +262,14 @@ def separation_witness(n: int) -> tuple[float, float]:
         raise ValueError("witness needs n >= 100")
     one = np.ones(n)
 
+    def solve(g, rhs):
+        return np.fft.ifft(np.fft.fft(rhs) / (_symbol(g) + 1.0)).real
+
     gd = GridDiscretization(n, "dirichlet")
-    d, e = _dirichlet_bands(gd)
-    # upper banded storage: row 0 holds the superdiagonal, its first slot unused
-    bands = np.vstack([np.concatenate(([0.0], e)), d + 1.0])
-    uD = scipy.linalg.solveh_banded(bands, one)
+    uD = solve(gd, np.concatenate(([0.0], one, [0.0], -one)))[1:n + 1]
 
     gp = GridDiscretization(n, "periodic")
-    uP = np.fft.ifft(np.fft.fft(one) / (_periodic_symbol(gp) + 1.0)).real
+    uP = solve(gp, one)
 
     return float(_grid_inner(gd, one, uD).real), float(_grid_inner(gp, one, uP).real)
 

@@ -7,13 +7,12 @@ closed subspace of ``C^n (+) C^n``.  The orthogonal projection onto it is a
     p11 = (T* T + I)^-1          p12 = T* (T T* + I)^-1
     p21 = T (T* T + I)^-1        p22 = I - (T T* + I)^-1
 
-:func:`char_matrix` inverts each of the two Gram matrices with one
-Cholesky factorization: the upper triangle of ``T* T + I`` (or
-``T T* + I``) comes from one BLAS ``herk`` (complex ``T``) or ``syrk`` (real
-``T``), LAPACK ``potrf`` factors it and ``potrs`` solves against ``I``.  A
-real ``T`` stays real throughout, so its blocks are ``float64``; a Gram
-matrix that overflows, or fails to factor, raises
-``numpy.linalg.LinAlgError``.
+:func:`char_matrix` forms each of the two Gram matrices ``T* T + I`` and
+``T T* + I`` with one matrix product, checks it positive definite with a
+Cholesky factorization and inverts it by an LU solve against ``I``; numpy
+alone does all of it.  A real ``T`` stays real throughout, so its blocks are
+``float64``; a Gram matrix that overflows, or fails its Cholesky
+factorization, raises ``numpy.linalg.LinAlgError``.
 
 The block structure satisfies a family of algebraic identities (block
 symmetry, idempotency, trivial kernels, factorization through ``T``) that
@@ -27,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .hilbert import _as_operator, _as_square_matrix, adjoint, kernel_trivial
+from .hilbert import _as_operator, _as_square_matrix, adjoint
 
 __all__ = [
     "CharacteristicMatrix",
@@ -84,39 +82,53 @@ class CharacteristicMatrix:
         )
 
 
-def _inverse_gram(A: np.ndarray, name: str) -> np.ndarray:
-    """``(A A* + I)^-1``; ``name`` labels the Gram matrix in error messages.
+def _hermitian_kernel_trivial(*mats: np.ndarray) -> tuple[bool, float, float]:
+    """:func:`hilbert.kernel_trivial` for Hermitian ``mats``, one ``eigvalsh`` each.
 
-    The inverse is ``potrs`` against ``I``, not ``potri`` from the factor:
-    on a 40-point Dirichlet Laplacian ``potri`` lifts the A12/A13 residuals
-    from about 1e-11 to 3e-10, above ``IDENTITY_TOL``.
+    The singular values of a Hermitian matrix are its eigenvalues' moduli,
+    so ``|w|`` gives both ``sigma_min`` and ``||M||_2``; ``eigvalsh`` reads
+    one triangle only.  Returns ``(ok, sigma_min, threshold)`` with the
+    threshold ``KERNEL_TOL * (1 + largest 2-norm)``.
     """
-    n = A.shape[0]
-    rank_k, = scipy.linalg.get_blas_funcs(("herk" if np.iscomplexobj(A) else "syrk",), (A,))
-    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (A,))
-    G = rank_k(1.0, A, beta=1.0, c=np.eye(n, dtype=A.dtype, order="F"), overwrite_c=1)
+    moduli = [np.abs(np.linalg.eigvalsh(M)) for M in mats]
+    sigma = min(float(w.min()) for w in moduli)
+    threshold = KERNEL_TOL * (1.0 + max(float(w.max()) for w in moduli))
+    return sigma > threshold, sigma, threshold
+
+
+def _inverse_gram(A: np.ndarray, Ah: np.ndarray, name: str) -> np.ndarray:
+    """``(A A* + I)^-1`` given ``A`` and ``Ah = A*``; ``name`` labels the Gram matrix in errors.
+
+    ``np.linalg.cholesky`` only gates positive definiteness; the inverse is
+    ``np.linalg.inv``, an LU solve against ``I``.  Inverting from the
+    Cholesky factor (``potri``) instead lifts the A12/A13 residuals on a
+    40-point Dirichlet Laplacian from about 1e-11 to 3e-10, above
+    ``IDENTITY_TOL``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A @ Ah
     if not np.isfinite(G).all():
         raise np.linalg.LinAlgError(
             f"Gram matrix {name} is not finite: the operator's entries overflow in it"
         )
-    factor, info = potrf(G, overwrite_a=1, clean=0)
-    if info == 0:
-        inverse, info = potrs(factor, np.eye(n, dtype=A.dtype, order="F"), overwrite_b=1)
-    if info != 0:
+    G[np.diag_indices_from(G)] += 1.0
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"Gram matrix {name} is not positive definite to working precision (info {info})"
-        )
-    return inverse
+            f"Gram matrix {name} is not positive definite to working precision ({exc})"
+        ) from exc
+    return np.linalg.inv(G)
 
 
 def char_matrix(T) -> CharacteristicMatrix:
     """Characteristic matrix of ``T`` from its closed-form blocks.
 
     Each Gram matrix ``T* T + I`` and ``T T* + I`` is Hermitian positive
-    definite.  One ``herk`` (complex ``T``) or ``syrk`` (real ``T``) forms
-    its upper triangle, one Cholesky factorization (``potrf``) factors it,
-    and ``potrs`` solves against ``I`` for its inverse; ``p12`` and ``p21``
-    are products with those inverses.
+    definite.  One product of ``T`` and ``T*`` forms it (a BLAS ``syrk``
+    for real ``T``), a Cholesky factorization certifies it positive
+    definite, and an LU solve against ``I`` (``np.linalg.inv``) gives its
+    inverse; ``p12`` and ``p21`` are products with those inverses.
 
     Parameters
     ----------
@@ -137,8 +149,8 @@ def char_matrix(T) -> CharacteristicMatrix:
     """
     T = _as_operator(T)
     Th = adjoint(T)
-    p11 = _inverse_gram(Th, "T*T + I")
-    q = _inverse_gram(T, "TT* + I")
+    p11 = _inverse_gram(Th, T, "T*T + I")
+    q = _inverse_gram(T, Th, "TT* + I")
     return CharacteristicMatrix(p11=p11, p12=Th @ q, p21=T @ p11, p22=np.eye(T.shape[0]) - q)
 
 
@@ -228,7 +240,7 @@ def verify_identities(T, P: CharacteristicMatrix, tol: float = IDENTITY_TOL) -> 
     )
     full = P.assemble()
     r["A7"] = np.linalg.norm(full @ full - full, "fro")
-    kernels_ok, r["A8"], threshold = kernel_trivial(P.p11, I - P.p22, tol=KERNEL_TOL)
+    kernels_ok, r["A8"], threshold = _hermitian_kernel_trivial(P.p11, I - P.p22)
     r["A12"] = max(
         np.linalg.norm(P.p21 - T @ P.p11, "fro"),
         np.linalg.norm(P.p22 - T @ P.p12, "fro"),
@@ -271,7 +283,7 @@ def inverse_char_matrix(P: CharacteristicMatrix) -> CharacteristicMatrix:
         If the injectivity gate fails, i.e. the smallest singular value of
         ``I - p11`` is at or below ``KERNEL_TOL * (1 + ||I - p11||_2)``.
     """
-    ok, sig, threshold = kernel_trivial(np.eye(P.n) - P.p11, tol=KERNEL_TOL)
+    ok, sig, threshold = _hermitian_kernel_trivial(np.eye(P.n) - P.p11)
     if not ok:
         raise ValueError(
             f"operator has a nontrivial kernel: sigma_min(I - p11) = {sig:.3e} "
@@ -291,8 +303,8 @@ def operator_from_char_matrix(P: CharacteristicMatrix) -> np.ndarray:
     """
     # T p11 = p21 and p11* = p11, so T* solves p11 X = p21*.
     try:
-        c, low = scipy.linalg.cho_factor(P.p11)
-        Th = scipy.linalg.cho_solve((c, low), adjoint(P.p21))
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(P.p11)
+        Th = np.linalg.solve(P.p11, adjoint(P.p21))
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"p11 block is numerically singular: {exc}") from exc
     return adjoint(Th)

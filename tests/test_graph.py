@@ -210,8 +210,9 @@ KERNEL_CASES += ["diag(1e6, 1e-6)", "singular"]
 
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=str)
 def test_kernel_predicate_equals_two_factorization_formulas(case):
-    # A8 and the inverse gate read sigma_min and ||M||_2 off one SVD; both
-    # must equal, bit for bit, svd(M)[-1] and norm(M, 2) computed separately
+    # A8 and the inverse gate read sigma_min and ||M||_2 off the moduli of one
+    # eigvalsh of each Hermitian block; both must equal, bit for bit, the
+    # formula on eigvalsh computed here, and agree with the SVD formula
     if case == "diag(1e6, 1e-6)":
         T = np.diag([1e6, 1e-6])
     elif case == "singular":
@@ -222,24 +223,29 @@ def test_kernel_predicate_equals_two_factorization_formulas(case):
     P = char_matrix(T)
     I = np.eye(P.n)
 
-    def sigma_min(M):
-        return float(np.linalg.svd(M, compute_uv=False)[-1])
+    blocks = (P.p11, I - P.p22, I - P.p11)
+    w11, w22, wc = (np.abs(np.linalg.eigvalsh(M)) for M in blocks)
 
     report = verify_identities(T, P)
-    assert report.residuals["A8"] == min(sigma_min(P.p11), sigma_min(I - P.p22))
-    assert report.kernel_threshold == KERNEL_TOL * (
-        1.0 + max(np.linalg.norm(P.p11, 2), np.linalg.norm(I - P.p22, 2))
-    )
+    assert report.residuals["A8"] == min(float(w11.min()), float(w22.min()))
+    assert report.kernel_threshold == KERNEL_TOL * (1.0 + max(float(w11.max()), float(w22.max())))
     assert report.passes["A8"] == (report.residuals["A8"] > report.kernel_threshold)
 
-    C = I - P.p11
-    gate_open = sigma_min(C) > KERNEL_TOL * (1.0 + np.linalg.norm(C, 2))
+    gate_open = float(wc.min()) > KERNEL_TOL * (1.0 + float(wc.max()))
     try:
         inverse_char_matrix(P)
     except ValueError:
         assert not gate_open
     else:
         assert gate_open
+
+    # both solvers are backward stable to p(n) eps ||M|| (here up to 27 eps ||M||
+    # at n = 300), so the two formulas agree within 4 n eps ||M||
+    for M, w in zip(blocks, (w11, w22, wc)):
+        s = np.linalg.svd(M, compute_uv=False)
+        bound = 4 * P.n * np.finfo(float).eps * s[0]
+        assert abs(w.min() - s[-1]) <= bound
+        assert abs(w.max() - s[0]) <= bound
 
 
 def test_suite_on_discretized_derivative_operators():
@@ -335,4 +341,15 @@ def test_absolute_identity_tolerance_fails_at_large_norm():
 def test_overflowing_gram_matrix_raises(entry):
     T = np.array([[entry, 1.0], [2.0, 3.0]])
     with pytest.raises(np.linalg.LinAlgError, match=r"Gram matrix T\*T \+ I is not finite"):
+        char_matrix(T)
+
+
+def test_gram_matrix_that_fails_cholesky_raises():
+    # a finite Gram matrix can still fail its Cholesky gate: for a rank-one
+    # T = 1e8 u v^T, T*T + I is 1 on seven directions, below the rounding
+    # (~1e16 eps) of its one huge eigenvalue
+    rng = np.random.default_rng(0)
+    T = 1e8 * np.outer(rng.standard_normal(8), rng.standard_normal(8))
+    match = r"Gram matrix T\*T \+ I is not positive definite"
+    with pytest.raises(np.linalg.LinAlgError, match=match):
         char_matrix(T)

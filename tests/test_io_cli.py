@@ -477,6 +477,47 @@ def test_cli_exit_4_when_a_gram_matrix_overflows(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_cli_exit_4_when_a_gram_matrix_fails_cholesky(tmp_path):
+    # rank-one T = 1e8 u v^T: its Gram matrix is finite but not positive
+    # definite to working precision
+    rng = np.random.default_rng(0)
+    mat = tmp_path / "T.json"
+    save_matrix(mat, 1e8 * np.outer(rng.standard_normal(8), rng.standard_normal(8)))
+    proc = run_cli("charmat", mat, "--out", tmp_path / "o")
+    assert proc.returncode == 4, proc.stderr
+    assert "numerical failure:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_commands_import_no_scipy(tmp_path):
+    # every command runs on numpy alone: after one run of each in a fresh
+    # interpreter, no scipy module has been imported
+    mat = tmp_path / "H.json"
+    save_matrix(mat, HERMITIAN)
+    explicit = tmp_path / "fam.json"
+    fiber = json.loads(mat.read_text())
+    explicit.write_text(json.dumps({"grid": [0.0, 1.0], "fibers": [fiber, fiber]}))
+    generated = tmp_path / "gen.json"
+    generator = {"kind": "dirichlet-laplacian", "n": 6}
+    generated.write_text(json.dumps({"grid": [0.0, 1.0], "fibers": generator}))
+    runs = [
+        ["charmat", str(mat), "--oracle"],
+        ["verify", str(explicit)],
+        ["verify", str(generated)],
+        ["example-dirichlet", "--n", "200", "--k", "3"],
+        ["selfadjoint", str(mat), "projection", "--lam", "2.5"],
+    ]
+    script = (
+        "import sys, charmat\n"
+        "from charmat.cli import main\n"
+        f"codes = [main(argv + ['--out', {str(tmp_path / 'o')!r}]) for argv in {runs!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{[0] * len(runs)} []"
+
+
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_cli_verify_real_generator_matches_complex_cast(tmp_path, capsys, kind):
     # the Laplacian generators stay real (the derivatives (1/i) d/dx are
