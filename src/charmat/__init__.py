@@ -63,12 +63,12 @@ from .graph import (
     operator_from_char_matrix,
     verify_identities,
 )
-from .hilbert import adjoint, eig_hermitian, inner_product
+from .hilbert import adjoint
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "inner_product", "adjoint", "eig_hermitian",
+    "adjoint",
     "CharacteristicMatrix", "IdentityReport", "char_matrix", "char_matrix_oracle",
     "verify_identities", "adjoint_char_matrix", "inverse_char_matrix",
     "operator_from_char_matrix",

@@ -10,7 +10,7 @@ deviation between the two routes; nothing is asserted here, so callers can
 pin their own tolerances.
 
 Memory: each check factors its matrix once (one
-:func:`~charmat.hilbert.eig_hermitian`) and holds O(n^2) numbers besides;
+:func:`~charmat.hilbert._eig_hermitian`) and holds O(n^2) numbers besides;
 the quadratures evaluate their integrands block by block, at most
 ``_BLOCK_BUDGET`` (2**20) values at a time, so their ``steps`` cost only
 time.  Only :func:`spectral_decomposition`, which returns one ``n x n``
@@ -26,10 +26,10 @@ import numpy as np
 from .hilbert import (
     _as_square_matrix,
     _as_vector,
+    _eig_hermitian,
+    _inner_product,
     _spectral,
     adjoint,
-    eig_hermitian,
-    inner_product,
 )
 
 __all__ = [
@@ -95,7 +95,7 @@ def spectral_decomposition(T) -> SpectralDecomposition:
     takes O(n^3) memory when the spectrum is simple; the checks in this
     module never form it.
     """
-    w, V = eig_hermitian(T)
+    w, V = _eig_hermitian(T)
     values, starts, mults = np.unique(
         _cluster_means(w), return_index=True, return_counts=True
     )
@@ -120,7 +120,7 @@ def spectral_projection(T, lam: float) -> np.ndarray:
     The dtype follows the package's operator rule: ``float64`` for real
     ``T``, ``complex128`` for complex ``T``.
     """
-    w, V = eig_hermitian(T)
+    w, V = _eig_hermitian(T)
     Vs = V[:, : _rank_below(w, lam)]
     return Vs @ Vs.conj().T
 
@@ -142,7 +142,7 @@ def resolvent(T, z: complex) -> np.ndarray:
 
 def unitary_group(T, s: float) -> np.ndarray:
     """The unitary ``exp(i s T)`` of a Hermitian matrix ``T``."""
-    w, V = eig_hermitian(T)
+    w, V = _eig_hermitian(T)
     return _spectral(V, np.exp(1j * s * w), adjoint(V))
 
 
@@ -204,7 +204,7 @@ def fourier_resolvent_check(
     T = _as_square_matrix(T)
     f = _as_vector(f)
     g = _as_vector(g)
-    w, V = eig_hermitian(T)
+    w, V = _eig_hermitian(T)
     c = np.conj(V.conj().T @ f) * (V.conj().T @ g)
 
     def integrand(s):
@@ -213,7 +213,7 @@ def fourier_resolvent_check(
         return np.exp(phase, out=phase) @ c
 
     quad = 1j * _blocked_trapezoid(integrand, 0.0, smax, steps, len(w))
-    exact = inner_product(f, np.linalg.solve(T - z * np.eye(len(T)), g))
+    exact = _inner_product(f, np.linalg.solve(T - z * np.eye(len(T)), g))
     return float(abs(quad - exact))
 
 
@@ -260,7 +260,7 @@ def stone_formula_check(
         raise ValueError("steps must be at least 1")
     f = _as_vector(f)
     g = _as_vector(g)
-    w, V = eig_hermitian(T)
+    w, V = _eig_hermitian(T)
     endpoint = lam + delta
     if np.min(np.abs(w - endpoint)) <= epsilon:
         raise ValueError(
@@ -296,12 +296,12 @@ def spectral_transform_check(T, s: float, f, g) -> float:
     """
     f = _as_vector(f)
     g = _as_vector(g)
-    w, V = eig_hermitian(T)
+    w, V = _eig_hermitian(T)
     Vh = adjoint(V)
     a = Vh @ f
     b = Vh @ g
     lhs = complex(np.sum(np.exp(1j * s * _cluster_means(w)) * np.conj(a) * b))
-    rhs = inner_product(f, _spectral(V, np.exp(1j * s * w), Vh) @ g)
+    rhs = _inner_product(f, _spectral(V, np.exp(1j * s * w), Vh) @ g)
     return float(abs(lhs - rhs))
 
 
@@ -330,7 +330,7 @@ def bounded_calculus_step_check(T, F, Fsteps) -> dict:
     dict
         ``op_errors`` and ``sup_distances`` as aligned 1-d arrays.
     """
-    w, V = eig_hermitian(T)
+    w, V = _eig_hermitian(T)
     Vh = adjoint(V)
 
     def apply(fn):

@@ -12,7 +12,9 @@ the classical truncation of sections by growth level.
 
 Fiberwise constructions run once on the stack with numpy's batched linear
 algebra, and each is compared in place with the diagonal blocks of the
-assembled one, so no second dense block-diagonal matrix is formed.
+assembled one, so no second dense block-diagonal matrix is formed: the fiber
+characteristic matrices are one batched Gram pass of ``graph``, and
+``hilbert``'s Hermitian and kernel predicates judge the stack in one call.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import char_matrix
-from .hilbert import _as_operator, _spectral, adjoint, is_hermitian, kernel_trivial
+from .graph import CharacteristicMatrix, _char_blocks, char_matrix
+from .hilbert import _as_operator, _kernel_trivial, _spectral, adjoint, is_hermitian
 
 __all__ = [
     "ParameterGrid",
@@ -42,7 +44,7 @@ __all__ = [
 SUITE_TOL = 1e-9
 
 #: Property tolerance used by the suite's yes/no classifications
-#: (Hermitian / positive / normal / injective).
+#: (Hermitian / positive / normal); injectivity is ``hilbert``'s kernel rule.
 CLASSIFY_TOL = 1e-10
 
 #: Ascending coefficients of the suite's ``polynomial`` item: ``x^3 - 2x``.
@@ -188,17 +190,19 @@ def char_matrix_fiberwise(fam: OperatorFamily):
     Returns
     -------
     chars : list of CharacteristicMatrix
-        One characteristic matrix per fiber.
+        One characteristic matrix per fiber, as views into the blocks of
+        one batched pass over the ``(m, n, n)`` stack.
     residuals : dict
         For each block name, the Frobenius distance between the block of
         the assembled operator's characteristic matrix and the
         block-diagonal assembly of the fiber blocks.  All four are at
         rounding level for any family.
     """
-    chars = [char_matrix(F) for F in fam.fibers]
+    blocks = _char_blocks(fam.fibers)
+    chars = [CharacteristicMatrix(*(b[k] for b in blocks)) for k in range(fam.m)]
     total = char_matrix(fam.assemble())
-    residuals = {b: _block_gap(getattr(total, b), np.stack([getattr(c, b) for c in chars]))
-                 for b in ("p11", "p12", "p21", "p22")}
+    residuals = {name: _block_gap(getattr(total, name), b)
+                 for name, b in zip(("p11", "p12", "p21", "p22"), blocks)}
     return chars, residuals
 
 
@@ -305,16 +309,16 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL) -> dict:
             w = np.linalg.eigvalsh((A + adjoint(A)) / 2.0)
 
     # property equivalences: assembled iff all fibers
-    fiber_hermitian = [is_hermitian(G, CLASSIFY_TOL) for G in F]
+    fiber_hermitian = is_hermitian(F, CLASSIFY_TOL)
     fiber_positive = _nonnegative(np.linalg.eigvalsh((F + adjoint(F)) / 2.0), CLASSIFY_TOL)
     fiber_normal = _is_normal(F, CLASSIFY_TOL).all()
-    classified("selfadjoint", hermitian, all(fiber_hermitian))
+    classified("selfadjoint", hermitian, fiber_hermitian.all())
     classified("positive", hermitian and _nonnegative(w, CLASSIFY_TOL),
                (fiber_positive & fiber_hermitian).all())
     classified("normal", _is_normal(A, CLASSIFY_TOL), fiber_normal)
 
-    # inverse commutes with assembly, when defined
-    if all(kernel_trivial(G, tol=CLASSIFY_TOL)[0] for G in F):
+    # inverse commutes with assembly, when defined; injectivity is read off sf
+    if _kernel_trivial(sf)[0].all():
         invA = _spectral(V, 1.0 / w, adjoint(V)) if exact else np.linalg.inv(A)
         commutes("inverse", invA, np.linalg.inv(F))
     else:
@@ -419,9 +423,9 @@ def resolvent_limit_check(
     for fam in [*seq, limit]:
         if not fam.grid.matches(limit.grid) or fam.n != limit.n:
             raise ValueError("all families must share the limit's grid and fiber size")
-        for k, F in enumerate(fam.fibers):
-            if not is_hermitian(F):
-                raise ValueError(f"fiber {k} is not Hermitian")
+        hermitian = is_hermitian(fam.fibers)
+        if not hermitian.all():
+            raise ValueError(f"fiber {np.argmin(hermitian)} is not Hermitian")
 
     I = np.eye(limit.n)
     R_lim = np.linalg.inv(limit.fibers - z * I)

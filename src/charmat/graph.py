@@ -10,15 +10,20 @@ closed subspace of ``C^n (+) C^n``.  The orthogonal projection onto it is a
 :func:`char_matrix` forms each of the two Gram matrices ``T* T + I`` and
 ``T T* + I`` with one matrix product, checks it positive definite with a
 Cholesky factorization and inverts it by an LU solve against ``I``; numpy
-alone does all of it.  A real ``T`` stays real throughout, so its blocks are
-``float64``; a Gram matrix that overflows, or fails its Cholesky
-factorization, raises ``numpy.linalg.LinAlgError``.
+alone does all of it.  The Gram inverses and the block products run
+unchanged on an ``(m, n, n)`` stack of operators, which is how
+``family.char_matrix_fiberwise`` builds every fiber's blocks in one pass.
+A real ``T`` stays real throughout, so its blocks are ``float64``; a Gram
+matrix that overflows, or fails its Cholesky factorization, raises
+``numpy.linalg.LinAlgError``.
 
 The block structure satisfies a family of algebraic identities (block
 symmetry, idempotency, trivial kernels, factorization through ``T``) that
 are checked by :func:`verify_identities`, and it transforms simply under
-taking adjoints and inverses of ``T``.  Every operation here is a pure
-function of its arguments.
+taking adjoints and inverses of ``T``.  The kernel label A8 and the
+injectivity gate of :func:`inverse_char_matrix` apply ``hilbert``'s kernel
+rule, scaled by ``hilbert.KERNEL_TOL``, to the eigenvalue moduli of
+Hermitian blocks.  Every operation here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import _as_operator, _as_square_matrix, adjoint
+from .hilbert import _as_operator, _as_square_matrix, _kernel_trivial, adjoint
 
 __all__ = [
     "CharacteristicMatrix",
@@ -43,11 +48,6 @@ __all__ = [
 #: Default residual tolerance for the identity suite (absolute Frobenius;
 #: every block of a projection has norm at most 1).
 IDENTITY_TOL = 1e-10
-
-#: Scale factor for kernel-triviality thresholds: a smallest
-#: singular value sigma_min(M) counts as nonzero when it exceeds
-#: ``KERNEL_TOL * (1 + ||M||_2)``.
-KERNEL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,28 +82,15 @@ class CharacteristicMatrix:
         )
 
 
-def _hermitian_kernel_trivial(*mats: np.ndarray) -> tuple[bool, float, float]:
-    """:func:`hilbert.kernel_trivial` for Hermitian ``mats``, one ``eigvalsh`` each.
-
-    The singular values of a Hermitian matrix are its eigenvalues' moduli,
-    so ``|w|`` gives both ``sigma_min`` and ``||M||_2``; ``eigvalsh`` reads
-    one triangle only.  Returns ``(ok, sigma_min, threshold)`` with the
-    threshold ``KERNEL_TOL * (1 + largest 2-norm)``.
-    """
-    moduli = [np.abs(np.linalg.eigvalsh(M)) for M in mats]
-    sigma = min(float(w.min()) for w in moduli)
-    threshold = KERNEL_TOL * (1.0 + max(float(w.max()) for w in moduli))
-    return sigma > threshold, sigma, threshold
-
-
 def _inverse_gram(A: np.ndarray, Ah: np.ndarray, name: str) -> np.ndarray:
-    """``(A A* + I)^-1`` given ``A`` and ``Ah = A*``; ``name`` labels the Gram matrix in errors.
+    """``(A A* + I)^-1`` given ``A`` and ``Ah = A*``, matrices or ``(m, n, n)`` stacks.
 
-    ``np.linalg.cholesky`` only gates positive definiteness; the inverse is
-    ``np.linalg.inv``, an LU solve against ``I``.  Inverting from the
-    Cholesky factor (``potri``) instead lifts the A12/A13 residuals on a
-    40-point Dirichlet Laplacian from about 1e-11 to 3e-10, above
-    ``IDENTITY_TOL``.
+    ``name`` labels the Gram matrix in errors; a stack fails if any of its
+    Gram matrices does.  ``np.linalg.cholesky`` only gates positive
+    definiteness; the inverse is ``np.linalg.inv``, an LU solve against
+    ``I``.  Inverting from the Cholesky factor (``potri``) instead lifts the
+    A12/A13 residuals on a 40-point Dirichlet Laplacian from about 1e-11 to
+    3e-10, above ``IDENTITY_TOL``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         G = A @ Ah
@@ -111,7 +98,7 @@ def _inverse_gram(A: np.ndarray, Ah: np.ndarray, name: str) -> np.ndarray:
         raise np.linalg.LinAlgError(
             f"Gram matrix {name} is not finite: the operator's entries overflow in it"
         )
-    G[np.diag_indices_from(G)] += 1.0
+    np.einsum("...ii->...i", G)[...] += 1.0  # a writable view of the diagonal
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
@@ -147,11 +134,15 @@ def char_matrix(T) -> CharacteristicMatrix:
         of the float range) or fails its Cholesky factorization; the
         message names the Gram matrix.
     """
-    T = _as_operator(T)
+    return CharacteristicMatrix(*_char_blocks(_as_operator(T)))
+
+
+def _char_blocks(T: np.ndarray) -> tuple:
+    """``(p11, p12, p21, p22)`` of an operator or of each operator of an ``(m, n, n)`` stack."""
     Th = adjoint(T)
     p11 = _inverse_gram(Th, T, "T*T + I")
     q = _inverse_gram(T, Th, "TT* + I")
-    return CharacteristicMatrix(p11=p11, p12=Th @ q, p21=T @ p11, p22=np.eye(T.shape[0]) - q)
+    return p11, Th @ q, T @ p11, np.eye(T.shape[-1]) - q
 
 
 def char_matrix_oracle(T) -> CharacteristicMatrix:
@@ -208,8 +199,9 @@ def verify_identities(T, P: CharacteristicMatrix, tol: float = IDENTITY_TOL) -> 
     """Check the block-identity suite of a characteristic matrix.
 
     Since ``sigma_min(p11) = 1/(1 + ||T||_2^2)`` exactly, label ``A8``
-    (threshold scaled by ``KERNEL_TOL``) certifies only ``||T||_2`` below
-    roughly ``1/sqrt(KERNEL_TOL)``; beyond, it fails even for a healthy ``T``.
+    (threshold scaled by ``hilbert.KERNEL_TOL``) certifies only ``||T||_2``
+    below roughly ``1/sqrt(KERNEL_TOL)``; beyond, it fails even for a
+    healthy ``T``.
 
     Parameters
     ----------
@@ -240,7 +232,9 @@ def verify_identities(T, P: CharacteristicMatrix, tol: float = IDENTITY_TOL) -> 
     )
     full = P.assemble()
     r["A7"] = np.linalg.norm(full @ full - full, "fro")
-    kernels_ok, r["A8"], threshold = _hermitian_kernel_trivial(P.p11, I - P.p22)
+    # p11 and I - p22 are Hermitian: their eigenvalue moduli are their singular values
+    kernels_ok, r["A8"], threshold = _kernel_trivial(np.abs(np.concatenate(
+        [np.linalg.eigvalsh(P.p11), np.linalg.eigvalsh(I - P.p22)])))
     r["A12"] = max(
         np.linalg.norm(P.p21 - T @ P.p11, "fro"),
         np.linalg.norm(P.p22 - T @ P.p12, "fro"),
@@ -252,8 +246,8 @@ def verify_identities(T, P: CharacteristicMatrix, tol: float = IDENTITY_TOL) -> 
     r = {k: float(v) for k, v in r.items()}
 
     passes = {k: (v <= tol) for k, v in r.items() if k != "A8"}
-    passes["A8"] = kernels_ok
-    return IdentityReport(residuals=r, passes=passes, tol=tol, kernel_threshold=threshold)
+    passes["A8"] = bool(kernels_ok)
+    return IdentityReport(residuals=r, passes=passes, tol=tol, kernel_threshold=float(threshold))
 
 
 def adjoint_char_matrix(P: CharacteristicMatrix) -> CharacteristicMatrix:
@@ -283,7 +277,7 @@ def inverse_char_matrix(P: CharacteristicMatrix) -> CharacteristicMatrix:
         If the injectivity gate fails, i.e. the smallest singular value of
         ``I - p11`` is at or below ``KERNEL_TOL * (1 + ||I - p11||_2)``.
     """
-    ok, sig, threshold = _hermitian_kernel_trivial(np.eye(P.n) - P.p11)
+    ok, sig, threshold = _kernel_trivial(np.abs(np.linalg.eigvalsh(np.eye(P.n) - P.p11)))
     if not ok:
         raise ValueError(
             f"operator has a nontrivial kernel: sigma_min(I - p11) = {sig:.3e} "

@@ -3,23 +3,27 @@
 All routines work on finite ``numpy`` arrays with ``complex128`` (or real)
 dtype; :func:`_as_operator` is the one rule that casts an operator to it.
 The inner product is linear in the *second* argument and conjugate
-linear in the first, so ``inner_product(f, g) == np.vdot(f, g)``.  Unless a
+linear in the first, so ``_inner_product(f, g) == np.vdot(f, g)``.  Unless a
 docstring says otherwise, matrix tolerances are relative to the Frobenius
 norm of the input.
+
+The package's Hermitian test :func:`is_hermitian` and kernel rule
+:func:`_kernel_trivial` (scaled by ``KERNEL_TOL``) live here only, and each
+judges a matrix or an ``(m, n, n)`` stack alike.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "inner_product",
-    "adjoint",
-    "eig_hermitian",
-]
+__all__ = ["adjoint"]
 
 #: Relative Frobenius tolerance up to which a matrix counts as Hermitian.
 HERMITIAN_TOL = 1e-12
+
+#: Scale factor for kernel-triviality thresholds: a smallest singular value
+#: sigma_min(M) counts as nonzero when it exceeds ``KERNEL_TOL * (1 + ||M||_2)``.
+KERNEL_TOL = 1e-10
 
 
 def _as_vector(f) -> np.ndarray:
@@ -51,7 +55,7 @@ def _as_operator(A) -> np.ndarray:
     return A.astype(np.complex128 if np.iscomplexobj(A) else np.float64, copy=False)
 
 
-def inner_product(f, g) -> complex:
+def _inner_product(f, g) -> complex:
     """Complex inner product, conjugate linear in ``f`` and linear in ``g``.
 
     Parameters
@@ -79,15 +83,17 @@ def adjoint(A) -> np.ndarray:
     return np.swapaxes(A.conj(), -1, -2)
 
 
-def is_hermitian(A, tol: float = HERMITIAN_TOL) -> bool:
-    """Whether ``||A - A*||_F <= tol * max(1, ||A||_F)``.
+def is_hermitian(A, tol: float = HERMITIAN_TOL):
+    """Whether ``||A - A*||_F <= tol * max(1, ||A||_F)``, per matrix of a stack.
 
     The one Hermitian test of the package: :func:`require_hermitian`, the
     family suite's classifications and the resolvent limit check all use it.
+    A matrix gives a ``bool``; an ``(m, n, n)`` stack one verdict per matrix.
     """
     A = np.asarray(A)
-    dev = np.linalg.norm(A - A.conj().T, "fro")
-    return bool(dev <= tol * max(1.0, np.linalg.norm(A, "fro")))
+    dev = np.linalg.norm(A - adjoint(A), axis=(-2, -1))
+    ok = dev <= tol * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
+    return ok if ok.ndim else bool(ok)
 
 
 def require_hermitian(A) -> np.ndarray:
@@ -106,27 +112,21 @@ def require_hermitian(A) -> np.ndarray:
     return (A + A.conj().T) / 2.0
 
 
-def kernel_trivial(*mats: np.ndarray, tol: float) -> tuple[bool, float, float]:
-    """Whether every matrix in ``mats`` has a trivial kernel to working precision.
+def _kernel_trivial(s: np.ndarray):
+    """Whether the singular values ``s`` (last axis) leave a trivial kernel.
 
-    One ``svd(M, compute_uv=False)`` per matrix yields both its smallest
-    singular value ``s[-1]`` and its 2-norm ``s[0]``.  The kernels count as
-    trivial when the smallest singular value over all ``mats`` exceeds
-    ``tol * (1 + largest 2-norm)``.
-
-    Returns
-    -------
-    (ok, sigma_min, threshold) : tuple
-        The verdict, the smallest singular value and the threshold it was
-        compared against.
+    The kernel counts as trivial when ``sigma_min > KERNEL_TOL * (1 +
+    sigma_max)``, both read off ``s``.  A Hermitian matrix passes the moduli
+    of its eigenvalues; concatenating several matrices' values judges them
+    together, against one threshold.  Returns ``(ok, sigma_min, threshold)``,
+    each a scalar for 1-d ``s`` and one per row of a stack.
     """
-    svals = [np.linalg.svd(M, compute_uv=False) for M in mats]
-    sigma = min(float(s[-1]) for s in svals)
-    threshold = tol * (1.0 + max(float(s[0]) for s in svals))
+    sigma = s.min(axis=-1)
+    threshold = KERNEL_TOL * (1.0 + s.max(axis=-1))
     return sigma > threshold, sigma, threshold
 
 
-def eig_hermitian(A) -> tuple[np.ndarray, np.ndarray]:
+def _eig_hermitian(A) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from charmat.family import (
+    CLASSIFY_TOL,
     FamilyVector,
     OperatorFamily,
     ParameterGrid,
@@ -15,6 +16,7 @@ from charmat.family import (
     resolvent_reconstruct,
     truncate_family_vector,
 )
+from charmat.hilbert import is_hermitian
 
 
 def random_family(rng, m, n, hermitian=False):
@@ -144,13 +146,22 @@ def test_family_rejects_nonsquare_and_nonfinite_fibers():
         OperatorFamily(grid, fibers)
 
 
-def test_char_matrix_commutes_with_assembly():
+def test_char_matrix_commutes_with_assembly(monkeypatch):
     rng = np.random.default_rng(13)
     fam = random_family(rng, 4, 3)
+    m, n = fam.m, fam.n
+    calls = []
+    for name in ("cholesky", "inv"):
+        def record(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
     chars, residuals = char_matrix_fiberwise(fam)
     assert len(chars) == 4
     for name in ("p11", "p12", "p21", "p22"):
         assert residuals[name] <= 1e-12, (name, residuals)
+    # one batched Gram pass over the fibers, one over the assembled matrix
+    assert {shape for _, shape in calls} == {(m, n, n), (m * n, m * n)}
 
 
 # ------------------------------------------------------ decomposition suite
@@ -267,10 +278,10 @@ def test_suite_factors_the_assembled_matrix_once(monkeypatch, kind, assembled):
     assert all(item["pass"] for item in report.values())
     assert report["inverse"]["applicable"]
     assert sorted(name for name, shape in calls if shape == (m * n, m * n)) == assembled
-    # the fiber side: one batched call per construction, none per fiber but
-    # the injectivity gate's singular values
+    # the fiber side: one batched call per construction, none per fiber; the
+    # injectivity gate reuses the singular values that |F| needs
     assert sorted(name for name, shape in calls if shape == (m, n, n)) == ["eigvalsh", "inv", "svd"]
-    assert {name for name, shape in calls if shape == (n, n)} == {"svd"}
+    assert {name for name, shape in calls if shape == (n, n)} == set()
 
 
 def test_suite_normal_stays_a_product_test():
@@ -407,6 +418,26 @@ def test_resolvent_limit_rejects_real_z_and_nonhermitian():
     skew = OperatorFamily(grid, np.array([[[1.0j]]]))
     with pytest.raises(ValueError, match="Hermitian"):
         resolvent_limit_check([skew], skew, z=1j)
+
+
+def test_resolvent_limit_names_the_first_nonhermitian_fiber():
+    rng = np.random.default_rng(47)
+    good = random_family(rng, 5, 3, hermitian=True)
+    fibers = good.fibers.copy()
+    fibers[2, 0, 1] += 1e-3
+    fibers[4, 1, 0] += 1e-3
+    bad = OperatorFamily(good.grid, fibers)
+    for seq, limit in (([good, bad], good), ([good], bad)):
+        with pytest.raises(ValueError, match="^fiber 2 is not Hermitian$"):
+            resolvent_limit_check(seq, limit, z=1j)
+
+
+def test_is_hermitian_on_a_stack_equals_the_per_matrix_verdicts():
+    # each matrix is judged against its own norm, not the stack's
+    stack = np.array([1e3 * np.eye(2), [[0.0, 1e-9], [0.0, 0.0]]])
+    verdicts = is_hermitian(stack, CLASSIFY_TOL)
+    assert verdicts.tolist() == [True, False]
+    assert verdicts.tolist() == [is_hermitian(A, CLASSIFY_TOL) for A in stack]
 
 
 # ------------------------------------------------------------- truncation

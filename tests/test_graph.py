@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from charmat.graph import (
     IDENTITY_TOL,
-    KERNEL_TOL,
     CharacteristicMatrix,
     adjoint_char_matrix,
     char_matrix,
@@ -15,7 +14,7 @@ from charmat.graph import (
     operator_from_char_matrix,
     verify_identities,
 )
-from charmat.hilbert import _as_operator, adjoint
+from charmat.hilbert import KERNEL_TOL, _as_operator, adjoint
 
 BLOCKS = ("p11", "p12", "p21", "p22")
 

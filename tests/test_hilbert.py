@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from charmat.hilbert import adjoint, eig_hermitian, inner_product
+from charmat.hilbert import _eig_hermitian as eig_hermitian
+from charmat.hilbert import _inner_product as inner_product
+from charmat.hilbert import adjoint
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
