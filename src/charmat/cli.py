@@ -50,7 +50,8 @@ from .calculus import (
     stone_formula_check,
     unitary_group,
 )
-from .family import SUITE_TOL, char_matrix_fiberwise, decomposition_suite, family_norm
+# char_matrix_fiberwise is unused here, but perfbench/tracer.py wraps cli.char_matrix_fiberwise
+from .family import SUITE_TOL, char_matrix_fiberwise, decomposition_suite, family_norm  # noqa: F401
 from .graph import (
     IDENTITY_TOL,
     adjoint_char_matrix,
@@ -187,11 +188,9 @@ def cmd_verify(args, outdir: str) -> Report:
     report = Report(command="verify", inputs=file_digest(args.input), seed=args.seed)
     tol = _tol(args, IDENTITY_TOL)
 
-    _, fiber_res = char_matrix_fiberwise(fam)
-    for block, value in fiber_res.items():
-        report.add(f"fiberwise_{block}", value, tol)
-
     suite = decomposition_suite(fam, tol=_tol(args, SUITE_TOL))
+    for block, value in suite.pop("char_matrix")["gaps"].items():
+        report.add(f"fiberwise_{block}", value, tol)
     for name, item in suite.items():
         if item["applicable"]:
             # a verdict's residual is 0 (agree) or 1 (disagree), never a tolerance case

@@ -11,10 +11,10 @@ sum/product laws, reconstruct a family from its resolvents, and implement
 the classical truncation of sections by growth level.
 
 Fiberwise constructions run once on the stack with numpy's batched linear
-algebra, and each is compared in place with the diagonal blocks of the
-assembled one, so no second dense block-diagonal matrix is formed: the fiber
-characteristic matrices are one batched Gram pass of ``graph``, and
-``hilbert``'s Hermitian and kernel predicates judge the stack in one call.
+algebra and are compared in place with the diagonal blocks of the assembled
+one: the fiber characteristic matrices are one batched Gram pass of ``graph``,
+checked against the assembled blocks read off the suite's one factorization,
+and ``hilbert``'s Hermitian and kernel predicates judge the stack in one call.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CharacteristicMatrix, _char_blocks, char_matrix
+# char_matrix is unused here, but perfbench/tracer.py wraps family.char_matrix
+from .graph import CharacteristicMatrix, _char_blocks, _svd_blocks, char_matrix  # noqa: F401
 from .hilbert import _as_operator, _kernel_trivial, _spectral, adjoint, is_hermitian
 
 __all__ = [
@@ -176,12 +177,26 @@ def family_norm(fam: OperatorFamily) -> float:
     return float(np.linalg.norm(fam.fibers, 2, axis=(1, 2)).max())
 
 
-def _block_gap(whole: np.ndarray, blocks: np.ndarray) -> float:
-    """``||whole - block_diag(*blocks)||_F``; overwrites ``whole``, which the caller owns."""
-    m, n, _ = blocks.shape
+def _block_gap(whole: np.ndarray, *stacks: np.ndarray) -> list:
+    """``||whole - block_diag(*s)||_F`` per ``(m, n, n)`` stack ``s``; overwrites ``whole``, the caller's."""
+    m, n, _ = stacks[0].shape
+    k = np.arange(m)
     tiles = whole.reshape(m, n, m, n)
-    tiles[np.arange(m), :, np.arange(m), :] -= blocks
-    return float(np.linalg.norm(tiles))
+    diagonal = tiles[k, :, k, :]  # a copy; later stacks share the first one's off-diagonal energy
+    tiles[k, :, k, :] -= stacks[0]
+    gaps = [float(np.linalg.norm(tiles))]
+    if stacks[1:]:
+        tiles[k, :, k, :] = 0.0
+        gaps += [float(np.hypot(np.linalg.norm(tiles), np.linalg.norm(diagonal - s))) for s in stacks[1:]]
+    return gaps
+
+
+def _char_gaps(blocks: tuple, U: np.ndarray, s: np.ndarray, Vh: np.ndarray) -> dict:
+    """Per block, the gap between the fibers' ``blocks`` and those of ``U diag(s) Vh``."""
+    f11, f12, f21, f22 = blocks
+    whole = _svd_blocks(U, s, Vh)  # p11, p21 = p12*, p22: each goes straight into the gap that overwrites it
+    (g11,), (g21, g12), (g22,) = (_block_gap(next(whole), *f) for f in [(f11,), (f21, adjoint(f12)), (f22,)])
+    return {"p11": g11, "p12": g12, "p21": g21, "p22": g22}
 
 
 def char_matrix_fiberwise(fam: OperatorFamily):
@@ -194,16 +209,13 @@ def char_matrix_fiberwise(fam: OperatorFamily):
         one batched pass over the ``(m, n, n)`` stack.
     residuals : dict
         For each block name, the Frobenius distance between the block of
-        the assembled operator's characteristic matrix and the
-        block-diagonal assembly of the fiber blocks.  All four are at
-        rounding level for any family.
+        the assembled operator's characteristic matrix, read off one
+        ``svd``, and the block-diagonal assembly of the fiber blocks.  All
+        four are at rounding level for any family.
     """
     blocks = _char_blocks(fam.fibers)
     chars = [CharacteristicMatrix(*(b[k] for b in blocks)) for k in range(fam.m)]
-    total = char_matrix(fam.assemble())
-    residuals = {name: _block_gap(getattr(total, name), b)
-                 for name, b in zip(("p11", "p12", "p21", "p22"), blocks)}
-    return chars, residuals
+    return chars, _char_gaps(blocks, *np.linalg.svd(fam.assemble()))
 
 
 def _matrix_polynomial(coeffs, A: np.ndarray) -> np.ndarray:
@@ -237,6 +249,8 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL) -> dict:
     against the assembly of the fiberwise constructions:
 
     - ``adjoint``    : conjugate transpose (always applicable)
+    - ``char_matrix``: closed SVD formula against the fibers' Gram route;
+      ``gaps`` holds each block's absolute Frobenius distance, the residual their max
     - ``modulus``    : ``|T| = (T* T)^(1/2)`` (always applicable)
     - ``selfadjoint``: the assembled operator is Hermitian iff every fiber is
     - ``positive``   : positive semidefinite iff every fiber is
@@ -246,16 +260,16 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL) -> dict:
       meaningful for normal fibers, and reported with a note when some
       fiber is not normal
 
-    Residual items are relative Frobenius distances; classification items
+    Other residual items are relative Frobenius distances; classification items
     record ``0.0`` for an equivalence that holds and ``1.0`` otherwise.
     Precondition violations do not raise; the affected item carries
     ``applicable: False`` and a note.
 
     The assembled ``A`` is factored once when it equals its adjoint: one
-    ``eigh``, ``A = V diag(w) V*``, gives ``|A| = V |w| V*``, ``||A||_2 =
-    max |w|``, positivity and ``A^-1 = V w^-1 V*``.  Any other ``A`` gets
-    one ``svd`` for ``|A|`` and ``||A||_2`` and an LU ``inv`` (the SVD's
-    inverse is no faster and holds one more dense matrix).  That includes
+    ``eigh``, ``A = V diag(w) V*``, gives the characteristic matrix, ``|A| =
+    V |w| V*``, ``||A||_2 = max |w|``, positivity and ``A^-1 = V w^-1 V*``.
+    Any other ``A`` gets one ``svd`` for the first three and an LU ``inv`` (the
+    SVD's inverse is no faster and holds one more dense matrix).  That includes
     an ``A`` Hermitian only to ``CLASSIFY_TOL``, as ``(A + A*)/2`` can miss
     its singular values by its skew part; it adds one ``eigvalsh`` of
     ``(A + A*)/2`` for positivity.  The fibers get each factorization once,
@@ -269,8 +283,9 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL) -> dict:
         ``modulus`` item also carries ``norm``, the assembled operator's
         2-norm, read off the factorization that ``|A|`` is computed from.
     """
-    A = fam.assemble()
     F = fam.fibers
+    fiber_blocks = _char_blocks(F)  # first: an overflowing Gram matrix raises before dense work
+    A = fam.assemble()
     report = {}
 
     def item(name, residual, ok, applicable=True, note=""):
@@ -280,7 +295,7 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL) -> dict:
     def commutes(name, whole, fibers):
         # whole: the construction on A, a fresh array that _block_gap overwrites
         scale = max(1.0, np.linalg.norm(whole))
-        resid = _block_gap(whole, fibers) / scale
+        resid = _block_gap(whole, fibers)[0] / scale
         item(name, resid, resid <= tol)
 
     def classified(name, whole, fiberwise):
@@ -298,15 +313,20 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL) -> dict:
     modF = _spectral(adjoint(Vhf), sf, Vhf)
     if exact:
         w, V = np.linalg.eigh(A)
+        gaps = _char_gaps(fiber_blocks, V, w, adjoint(V))
         commutes("modulus", _spectral(V, np.abs(w), adjoint(V)), modF)
         report["modulus"]["norm"] = float(np.abs(w).max())
     else:
-        s, Vh = np.linalg.svd(A)[1:]
+        U, s, Vh = np.linalg.svd(A)
+        gaps = _char_gaps(fiber_blocks, U, s, Vh)
+        del U
         commutes("modulus", _spectral(adjoint(Vh), s, Vh), modF)
         report["modulus"]["norm"] = float(s[0])
         del Vh
         if hermitian:
             w = np.linalg.eigvalsh((A + adjoint(A)) / 2.0)
+    item("char_matrix", max(gaps.values()), max(gaps.values()) <= tol)
+    report["char_matrix"]["gaps"] = gaps
 
     # property equivalences: assembled iff all fibers
     fiber_hermitian = is_hermitian(F, CLASSIFY_TOL)

@@ -11,11 +11,11 @@ closed subspace of ``C^n (+) C^n``.  The orthogonal projection onto it is a
 ``T T* + I`` with one matrix product, checks it positive definite with a
 Cholesky factorization and inverts it by an LU solve against ``I``; numpy
 alone does all of it.  The Gram inverses and the block products run
-unchanged on an ``(m, n, n)`` stack of operators, which is how
-``family.char_matrix_fiberwise`` builds every fiber's blocks in one pass.
-A real ``T`` stays real throughout, so its blocks are ``float64``; a Gram
-matrix that overflows, or fails its Cholesky factorization, raises
-``numpy.linalg.LinAlgError``.
+unchanged on an ``(m, n, n)`` stack of operators, which is how ``family``
+builds every fiber's blocks in one pass (it reads a family's assembled
+operator off its SVD instead).  A real ``T`` stays real throughout, so its
+blocks are ``float64``; a Gram matrix that overflows, or fails its Cholesky
+factorization, raises ``numpy.linalg.LinAlgError``.
 
 The block structure satisfies a family of algebraic identities (block
 symmetry, idempotency, trivial kernels, factorization through ``T``) that
@@ -143,6 +143,17 @@ def _char_blocks(T: np.ndarray) -> tuple:
     p11 = _inverse_gram(Th, T, "T*T + I")
     q = _inverse_gram(T, Th, "TT* + I")
     return p11, Th @ q, T @ p11, np.eye(T.shape[-1]) - q
+
+
+def _svd_blocks(U: np.ndarray, s: np.ndarray, Vh: np.ndarray):
+    """Yield ``p11``, ``p21``, ``p22`` (``p12 = p21*``) of ``T = U diag(s) Vh`` by the closed SVD formula.
+
+    Finite where ``s^2`` overflows; a Hermitian ``T`` may pass its ``eigh`` as ``(V, w, V*)``.
+    """
+    c = 1.0 / np.hypot(1.0, s)
+    yield (np.conjugate(Vh) * (c * c)[:, None]).T @ Vh
+    yield (U * (s * c * c)) @ Vh
+    yield U @ (np.conjugate(U) * (s * c) ** 2).T
 
 
 def char_matrix_oracle(T) -> CharacteristicMatrix:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -151,7 +153,7 @@ def test_char_matrix_commutes_with_assembly(monkeypatch):
     fam = random_family(rng, 4, 3)
     m, n = fam.m, fam.n
     calls = []
-    for name in ("cholesky", "inv"):
+    for name in ("cholesky", "inv", "svd", "eigh"):
         def record(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             calls.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)
@@ -160,8 +162,69 @@ def test_char_matrix_commutes_with_assembly(monkeypatch):
     assert len(chars) == 4
     for name in ("p11", "p12", "p21", "p22"):
         assert residuals[name] <= 1e-12, (name, residuals)
-    # one batched Gram pass over the fibers, one over the assembled matrix
-    assert {shape for _, shape in calls} == {(m, n, n), (m * n, m * n)}
+    # one batched Gram pass over the fibers; the assembled matrix gets one
+    # svd and its blocks by the closed SVD formula, with no Gram matrix
+    assert sorted(name for name, shape in calls if shape == (m, n, n)) == \
+        ["cholesky", "cholesky", "inv", "inv"]
+    assert [name for name, shape in calls if shape == (m * n, m * n)] == ["svd"]
+
+
+def _skew_p11(route):
+    def skewed(T):
+        p11, *rest = route(T)
+        return (p11 * (1.0 + 1e-8), *rest)
+    return skewed
+
+
+def _skew_gram(route):
+    return lambda *args: route(*args) * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+@pytest.mark.parametrize("module, name, skew", [
+    ("family", "_char_blocks", _skew_p11),  # the fibers' blocks alone
+    ("graph", "_inverse_gram", _skew_gram),  # the Gram route itself, wherever it runs
+], ids=["fiber-blocks", "gram-route"])
+def test_verify_audit_is_independent_of_the_fiber_route(tmp_path, monkeypatch, capsys,
+                                                       hermitian, module, name, skew):
+    # the assembled blocks come from the suite's svd (or eigh), not from the
+    # Gram route the fibers take, so an error in that route shows in verify
+    import importlib
+
+    from charmat.cli import main
+    from charmat.graph import IDENTITY_TOL
+    from charmat.io import save_matrix
+
+    fam = random_family(np.random.default_rng(67), 4, 5, hermitian=hermitian)
+    fibers = []
+    for k, F in enumerate(fam.fibers):
+        save_matrix(tmp_path / f"F{k}.json", F)
+        fibers.append(json.loads((tmp_path / f"F{k}.json").read_text()))
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"grid": fam.grid.nodes.tolist(), "fibers": fibers}))
+    argv = ["verify", str(path), "--out", str(tmp_path / "o")]
+
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)["residuals"]
+    assert max(clean[f"fiberwise_{b}"] for b in ("p11", "p12", "p21", "p22")) <= 1e-13
+
+    owner = importlib.import_module(f"charmat.{module}")
+    monkeypatch.setattr(owner, name, skew(getattr(owner, name)))
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["residuals"]["fiberwise_p11"] > IDENTITY_TOL
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_fiberwise_residuals_are_the_suite_char_matrix_gaps(hermitian):
+    fam = random_family(np.random.default_rng(71), 4, 5, hermitian=hermitian)
+    gaps = decomposition_suite(fam)["char_matrix"]["gaps"]
+    residuals = char_matrix_fiberwise(fam)[1]
+    if hermitian:
+        # the suite reads the blocks off its eigh, char_matrix_fiberwise off an svd
+        assert residuals.keys() == gaps.keys()
+        assert all(abs(residuals[b] - gaps[b]) <= 1e-13 for b in gaps)
+    else:
+        assert residuals == gaps
 
 
 # ------------------------------------------------------ decomposition suite
@@ -269,7 +332,7 @@ def test_suite_factors_the_assembled_matrix_once(monkeypatch, kind, assembled):
         random_family(rng, 4, 5, hermitian=kind == "hermitian")
     m, n = fam.m, fam.n
     calls = []
-    for name in ("svd", "eigh", "eigvalsh", "inv"):
+    for name in ("svd", "eigh", "eigvalsh", "inv", "cholesky"):
         def record(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             calls.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)
@@ -277,10 +340,14 @@ def test_suite_factors_the_assembled_matrix_once(monkeypatch, kind, assembled):
     report = decomposition_suite(fam)
     assert all(item["pass"] for item in report.values())
     assert report["inverse"]["applicable"]
+    # the characteristic matrix is read off the one factorization: no Gram route
     assert sorted(name for name, shape in calls if shape == (m * n, m * n)) == assembled
+    assert ("cholesky", (m * n, m * n)) not in calls
     # the fiber side: one batched call per construction, none per fiber; the
+    # Gram pass makes two Cholesky gates and two inverses, and the
     # injectivity gate reuses the singular values that |F| needs
-    assert sorted(name for name, shape in calls if shape == (m, n, n)) == ["eigvalsh", "inv", "svd"]
+    assert sorted(name for name, shape in calls if shape == (m, n, n)) == \
+        ["cholesky", "cholesky", "eigvalsh", "inv", "inv", "inv", "svd"]
     assert {name for name, shape in calls if shape == (n, n)} == set()
 
 
@@ -316,10 +383,13 @@ def test_block_gap_is_the_dense_difference(order):
     from charmat.family import _block_gap
 
     rng = np.random.default_rng(61)
-    blocks = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    blocks, other = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
     W = np.asarray(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)), order=order)
-    dense = np.linalg.norm(W - OperatorFamily(ParameterGrid(np.arange(3.0)), blocks).assemble())
-    assert _block_gap(W.copy(order=order), blocks) == pytest.approx(dense, rel=1e-15)
+    grid = ParameterGrid(np.arange(3.0))
+    dense = [np.linalg.norm(W - OperatorFamily(grid, b).assemble()) for b in (blocks, other)]
+    assert _block_gap(W.copy(order=order), blocks) == pytest.approx(dense[:1], rel=1e-15)
+    # a later stack shares the first one's off-diagonal energy
+    assert _block_gap(W.copy(order=order), blocks, other) == pytest.approx(dense, rel=1e-14)
 
 
 # ------------------------------------------------------------- sum/product

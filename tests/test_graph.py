@@ -352,3 +352,35 @@ def test_gram_matrix_that_fails_cholesky_raises():
     match = r"Gram matrix T\*T \+ I is not positive definite"
     with pytest.raises(np.linalg.LinAlgError, match=match):
         char_matrix(T)
+
+
+def test_svd_blocks_stay_finite_and_accurate_at_extreme_singular_values():
+    from charmat.graph import _svd_blocks
+
+    s = np.array([1e200, 1.0, 1e-8, 0.0])
+    I = np.eye(4)
+    p11, p21, p22 = _svd_blocks(I, s, I)
+    for block in (p11, p21, p22):
+        assert np.isfinite(block).all()
+    # c^2 = 1/(1+s^2), s c^2 and s^2 c^2, to a few ulps, with no cancellation at 1e-8
+    assert_allclose(np.diag(p11), [0.0, 0.5, 1.0, 1.0], rtol=4e-16, atol=0)
+    assert_allclose(np.diag(p21), [1e-200, 0.5, 1e-8, 0.0], rtol=4e-16, atol=0)
+    assert_allclose(np.diag(p22), [1.0, 0.5, 1e-16, 0.0], rtol=4e-16, atol=0)
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_svd_blocks_match_the_oracle(is_complex):
+    from charmat.graph import _svd_blocks
+
+    rng = np.random.default_rng(73)
+    T = rng.standard_normal((12, 12)) + (1j * rng.standard_normal((12, 12)) if is_complex else 0)
+    ref = char_matrix_oracle(T)
+    p11, p21, p22 = _svd_blocks(*np.linalg.svd(T))
+    got = CharacteristicMatrix(p11, adjoint(p21), p21, p22)
+    assert got.blockwise_distance(ref) <= 1e-14
+    # a Hermitian T passes its eigh: eigenvectors, signed eigenvalues, adjoint
+    H = (T + adjoint(T)) / 2.0
+    w, V = np.linalg.eigh(H)
+    p11, p21, p22 = _svd_blocks(V, w, adjoint(V))
+    got = CharacteristicMatrix(p11, adjoint(p21), p21, p22)
+    assert got.blockwise_distance(char_matrix_oracle(H)) <= 1e-14

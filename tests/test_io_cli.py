@@ -438,7 +438,7 @@ def test_cli_exit_4_on_numerical_failure(tmp_path):
 
 @pytest.mark.parametrize("command, kernel", [
     ("charmat", "char_matrix"),
-    ("verify", "char_matrix_fiberwise"),
+    ("verify", "decomposition_suite"),
     ("selfadjoint", "stone_formula_check"),
 ])
 def test_cli_exit_4_when_out_of_memory(tmp_path, monkeypatch, capsys, command, kernel):
