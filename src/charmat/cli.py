@@ -15,7 +15,8 @@ Four commands, all emitting a machine-readable report (JSON on stdout and
   unitary group / quadrature identity checks for a Hermitian matrix file.
 
 Exit codes: 0 all residuals within tolerance, 1 residual failure, 2 parse
-error, 3 invariant or flag violation, 4 numerical failure.  The
+error, 3 invariant or flag violation (or an output that cannot be
+written), 4 numerical failure.  The
 ``CHARMAT_LOG`` environment variable (``error``, ``info``, ``debug``)
 controls log verbosity.  ``--tol`` overrides every residual tolerance but
 those of the yes/no verdicts (``A8``, ``suite_selfadjoint``,
@@ -61,7 +62,17 @@ from .graph import (
     verify_identities,
 )
 from .hilbert import adjoint, require_hermitian
-from .io import ParseError, Report, file_digest, load_family, load_matrix, params_digest, save_matrix
+# save_matrix is unused here, but perfbench/tracer.py wraps cli.save_matrix
+from .io import (  # noqa: F401
+    ParseError,
+    Report,
+    file_digest,
+    load_family,
+    load_matrix,
+    params_digest,
+    save_matrices,
+    save_matrix,
+)
 
 log = logging.getLogger("charmat")
 
@@ -157,29 +168,30 @@ def cmd_charmat(args, outdir: str) -> Report:
     tol = _tol(args, IDENTITY_TOL)
 
     P = char_matrix(T)
-    for name in ("p11", "p12", "p21", "p22"):
-        save_matrix(os.path.join(outdir, f"{name}.json"), getattr(P, name))
-        log.info("wrote %s.json", name)
+    blocks = ("p11", "p12", "p21", "p22")
+    # the blocks are written while the checks below run
+    with save_matrices({os.path.join(outdir, f"{b}.json"): getattr(P, b) for b in blocks}):
+        ident = verify_identities(T, P, tol=tol)
+        for label in ("A6", "A7", "A12", "A13"):
+            report.add(label, ident.residuals[label], tol)
+        # kernel triviality: encode as margin below threshold so that the
+        # uniform "residual <= tolerance" pass rule applies
+        report.add("A8", max(0.0, ident.kernel_threshold - ident.residuals["A8"]), 0.0)
+        report.notes["A8_sigma_min"] = repr(ident.residuals["A8"])
 
-    ident = verify_identities(T, P, tol=tol)
-    for label in ("A6", "A7", "A12", "A13"):
-        report.add(label, ident.residuals[label], tol)
-    # kernel triviality: encode as margin below threshold so that the
-    # uniform "residual <= tolerance" pass rule applies
-    report.add("A8", max(0.0, ident.kernel_threshold - ident.residuals["A8"]), 0.0)
-    report.notes["A8_sigma_min"] = repr(ident.residuals["A8"])
+        report.add("A9", adjoint_char_matrix(P).blockwise_distance(char_matrix(adjoint(T))), tol)
+        try:
+            Pinv = inverse_char_matrix(P)
+        except ValueError as exc:
+            report.notes["A11"] = f"skipped: {exc}"
+        else:
+            report.add("A11", Pinv.blockwise_distance(char_matrix(np.linalg.inv(T))),
+                       _tol(args, INVERSE_TOL))
 
-    report.add("A9", adjoint_char_matrix(P).blockwise_distance(char_matrix(adjoint(T))), tol)
-    try:
-        Pinv = inverse_char_matrix(P)
-    except ValueError as exc:
-        report.notes["A11"] = f"skipped: {exc}"
-    else:
-        report.add("A11", Pinv.blockwise_distance(char_matrix(np.linalg.inv(T))),
-                   _tol(args, INVERSE_TOL))
-
-    if args.oracle:
-        report.add("oracle", P.blockwise_distance(char_matrix_oracle(T)), tol)
+        if args.oracle:
+            report.add("oracle", P.blockwise_distance(char_matrix_oracle(T)), tol)
+    for b in blocks:
+        log.info("wrote %s.json", b)
     return report
 
 
@@ -271,25 +283,25 @@ def cmd_selfadjoint(args, outdir: str) -> Report:
     if sub == "resolvent":
         z = need("z")
         R = resolvent(T, z)
-        save_matrix(os.path.join(outdir, "resolvent.json"), R)
-        resid = np.linalg.norm((T - z * np.eye(len(T))) @ R - np.eye(len(T)), "fro")
+        with save_matrices({os.path.join(outdir, "resolvent.json"): R}):
+            resid = np.linalg.norm((T - z * np.eye(len(T))) @ R - np.eye(len(T)), "fro")
         report.add("resolvent_identity", resid, _tol(args, IDENTITY_TOL))
     elif sub == "projection":
         lam = need("lam")
         E = spectral_projection(T, lam)
-        save_matrix(os.path.join(outdir, "projection.json"), E)
-        report.add("projection_idempotent", np.linalg.norm(E @ E - E, "fro"),
-                   _tol(args, IDENTITY_TOL))
-        report.add("projection_hermitian", np.linalg.norm(E - adjoint(E), "fro"),
-                   _tol(args, IDENTITY_TOL))
+        with save_matrices({os.path.join(outdir, "projection.json"): E}):
+            report.add("projection_idempotent", np.linalg.norm(E @ E - E, "fro"),
+                       _tol(args, IDENTITY_TOL))
+            report.add("projection_hermitian", np.linalg.norm(E - adjoint(E), "fro"),
+                       _tol(args, IDENTITY_TOL))
         # the trace of an orthogonal projection is its rank, up to rounding
         report.notes["rank"] = str(round(float(np.real(np.trace(E)))))
     elif sub == "group":
         s = need("s")
         U = unitary_group(T, s)
-        save_matrix(os.path.join(outdir, "unitary.json"), U)
-        report.add("group_unitary", np.linalg.norm(adjoint(U) @ U - np.eye(len(U)), "fro"),
-                   _tol(args, IDENTITY_TOL))
+        with save_matrices({os.path.join(outdir, "unitary.json"): U}):
+            report.add("group_unitary", np.linalg.norm(adjoint(U) @ U - np.eye(len(U)), "fro"),
+                       _tol(args, IDENTITY_TOL))
     elif sub == "stone":
         lam = need("lam")
         f, g = _probe_vectors(len(T), args.seed)
@@ -334,6 +346,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = _DISPATCH[args.command](args, outdir)
+        report.wall_time_ms = 1000.0 * (time.perf_counter() - start)
+        report.save(os.path.join(outdir, f"report.{args.format}"), args.format)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -347,9 +361,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    report.wall_time_ms = 1000.0 * (time.perf_counter() - start)
-
-    report.save(os.path.join(outdir, f"report.{args.format}"), args.format)
+    # a failed read is a ParseError, so an OSError here is a failed output write
+    except OSError as exc:
+        print(f"invariant violation: cannot write {exc.filename}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 3
     print(report.to_json())
     if not report.passed:
         worst = max(report.residuals, key=lambda k: report.residuals[k] - report.tolerances[k])

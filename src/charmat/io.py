@@ -32,15 +32,24 @@ the ``(N, 2)`` float array as complex, not by ``re + 1j*im``, whose
 arithmetic turns ``-0.0`` into ``0.0``.  A JSON integer beyond the float
 range reads as the infinity it rounds to, so it is reported exactly like
 ``Infinity``.
+
+Formatting the floats is most of a write and holds the GIL, so the CLI
+writes its matrices through :func:`save_matrices`: one forked writer
+process per file runs :func:`save_matrix` while the parent goes on
+computing, and the parent waits for every writer before it reports.  The
+bytes are those of :func:`save_matrix`.  This needs POSIX ``os.fork``.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import itertools
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +62,7 @@ __all__ = [
     "Report",
     "load_matrix",
     "save_matrix",
+    "save_matrices",
     "load_family",
     "file_digest",
 ]
@@ -167,6 +177,73 @@ def save_matrix(path, A) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")
+
+
+#: Exit statuses of a writer beyond 0 (written) and the errno of a failed write.
+_WRITER_OUT_OF_MEMORY = 254
+_WRITER_FAILED = 255
+
+
+def _fork_writer(path, A) -> int:
+    """Fork a child that runs ``save_matrix(path, A)``; return its pid.
+
+    The child makes no BLAS call, import or logging call, since the parent
+    may have BLAS threads at the fork, and it leaves by ``os._exit``
+    whatever happens, so it never returns into the caller.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = _WRITER_FAILED
+    try:
+        save_matrix(path, A)
+        status = 0
+    except MemoryError:
+        status = _WRITER_OUT_OF_MEMORY
+    except OSError as exc:
+        if exc.errno and exc.errno < _WRITER_OUT_OF_MEMORY:
+            status = exc.errno
+    finally:
+        os._exit(status)
+
+
+def _writer_error(path, status: int) -> Exception | None:
+    """The exception a writer's wait status stands for, or None if it wrote."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return None
+    if code == _WRITER_OUT_OF_MEMORY:
+        return MemoryError(f"writing {path}")
+    if 0 < code < _WRITER_OUT_OF_MEMORY:
+        return OSError(code, os.strerror(code), str(path))
+    reason = f"writer killed by signal {-code}" if code < 0 else "writer failed"
+    return OSError(errno.EIO, reason, str(path))
+
+
+@contextmanager
+def save_matrices(files: dict):
+    """Write each ``{path: matrix}`` of ``files`` while the body runs.
+
+    Each file gets a forked writer running :func:`save_matrix` (where no
+    process can be forked, the file is written here before the body).
+    Every writer is reaped when the body ends, so the files are complete
+    afterwards.  An exception from the body wins; otherwise a failed
+    writer raises here: :class:`MemoryError` if it ran out of memory, else
+    :class:`OSError` naming its file.
+    """
+    writers = {}
+    try:
+        for path, A in files.items():
+            try:
+                writers[_fork_writer(path, A)] = path
+            except OSError:  # no process to spare: write it here
+                save_matrix(path, A)
+        yield
+    finally:
+        errors = [_writer_error(path, os.waitpid(pid, 0)[1]) for pid, path in writers.items()]
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def load_family(path) -> OperatorFamily:

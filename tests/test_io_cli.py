@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+import charmat.io
 from charmat import cli
 from charmat.cli import main
 from charmat.graph import char_matrix
@@ -19,6 +22,7 @@ from charmat.io import (
     file_digest,
     load_family,
     load_matrix,
+    save_matrices,
     save_matrix,
 )
 
@@ -29,8 +33,6 @@ HUGE_INT = "1" + "0" * 400
 
 
 def run_cli(*argv, env=None):
-    import os
-
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -640,3 +642,150 @@ def test_cli_projection_rank_note_is_the_integer_rank(tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["notes"]["rank"] == str(int(np.sum(w <= lam)))
+
+
+# ------------------------------------------------------------ forked writers
+
+
+def _awkward_matrix() -> np.ndarray:
+    A = np.empty((2, 2), dtype=complex)
+    A.real = [[1e16, -0.0], [5e-324, 1.0]]
+    A.imag = [[-0.0, 5e-324], [0.0, -1e16]]
+    return A
+
+
+def test_save_matrices_writes_the_bytes_of_save_matrix(tmp_path):
+    rng = np.random.default_rng(11)
+    mats = {"real": rng.standard_normal((7, 5)), "awkward": _awkward_matrix()}
+    with save_matrices({tmp_path / f"{k}.json": A for k, A in mats.items()}):
+        pass
+    for k, A in mats.items():
+        save_matrix(tmp_path / f"{k}_inline.json", A)
+        assert file_digest(tmp_path / f"{k}.json") == file_digest(tmp_path / f"{k}_inline.json")
+
+
+def test_save_matrices_writes_in_process_when_no_fork_is_possible(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with save_matrices({tmp_path / "a.json": HERMITIAN}):
+        assert load_matrix(tmp_path / "a.json").tobytes() == HERMITIAN.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "awkward"])
+def test_cli_block_files_match_in_process_save_matrix(tmp_path, capsys, kind):
+    rng = np.random.default_rng(12)
+    T = {"real": rng.standard_normal((6, 6)),
+         "complex": rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)),
+         "awkward": _awkward_matrix()}[kind]
+    mat = tmp_path / "T.json"
+    save_matrix(mat, T)
+    assert main(["charmat", str(mat), "--out", str(tmp_path / "o")]) in (0, 1)
+    capsys.readouterr()
+    P = char_matrix(load_matrix(mat))
+    for name in ("p11", "p12", "p21", "p22"):
+        save_matrix(tmp_path / f"{name}_inline.json", getattr(P, name))
+        assert file_digest(tmp_path / "o" / f"{name}.json") == \
+            file_digest(tmp_path / f"{name}_inline.json")
+
+
+@pytest.mark.parametrize("command, target", [
+    ("charmat", "p11.json"),
+    ("charmat", "p12.json"),  # a writer that is not the first
+    ("charmat", "report.json"),
+    ("example-dirichlet", "eigenvalues.csv"),
+])
+def test_cli_exit_3_when_an_output_cannot_be_written(tmp_path, capsys, command, target):
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    out = tmp_path / "o"
+    (out / target).mkdir(parents=True)
+    argv = {"charmat": [str(mat)], "example-dirichlet": ["--n", "100", "--k", "2"]}[command]
+    assert main([command, *argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"invariant violation: cannot write {out / target}: Is a directory" in err
+    if target != "report.json":
+        assert not (out / "report.json").exists()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_reaps_every_writer(tmp_path, monkeypatch, capsys):
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    P = char_matrix(HERMITIAN)
+
+    assert main(["charmat", str(mat), "--out", str(tmp_path / "ok")]) == 0
+    (tmp_path / "bad" / "p21.json").mkdir(parents=True)
+    assert main(["charmat", str(mat), "--out", str(tmp_path / "bad")]) == 3
+
+    # a compute failure while the writers run still leaves complete blocks
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "verify_identities", singular)
+    assert main(["charmat", str(mat), "--out", str(tmp_path / "linalg")]) == 4
+    assert "numerical failure: Singular matrix" in capsys.readouterr().err
+    for name in ("p11", "p12", "p21", "p22"):
+        assert load_matrix(tmp_path / "linalg" / f"{name}.json").tobytes() == \
+            getattr(P, name).tobytes()
+    _assert_no_child_left()
+
+
+def test_writers_never_return_into_the_caller(tmp_path, monkeypatch, capsys):
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    (tmp_path / "bad" / "p22.json").mkdir(parents=True)
+    assert main(["charmat", str(mat), "--out", str(tmp_path / "ok")]) == 0
+    assert main(["charmat", str(mat), "--out", str(tmp_path / "bad")]) == 3
+    for escape in (SystemExit(0), KeyboardInterrupt()):
+        def leave(path, A, escape=escape):
+            raise escape
+
+        monkeypatch.setattr(charmat.io, "save_matrix", leave)
+        assert main(["selfadjoint", str(mat), "resolvent", "--z", "2j",
+                     "--out", str(tmp_path / "o")]) == 3
+    capsys.readouterr()
+    marker = tmp_path / "marker.txt"
+    with open(marker, "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
+    assert marker.read_text().splitlines() == [str(os.getpid())]
+    _assert_no_child_left()
+
+
+def test_save_matrices_turns_writer_failures_into_exceptions(tmp_path, monkeypatch):
+    def exhausted(path, A):
+        raise MemoryError
+
+    def killed(path, A):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(charmat.io, "save_matrix", exhausted)
+    with pytest.raises(MemoryError, match="a.json"):
+        with save_matrices({tmp_path / "a.json": HERMITIAN}):
+            pass
+    monkeypatch.setattr(charmat.io, "save_matrix", killed)
+    with pytest.raises(OSError, match="killed by signal") as info:
+        with save_matrices({tmp_path / "b.json": HERMITIAN}):
+            pass
+    assert info.value.filename == str(tmp_path / "b.json")
+    # the body's exception wins over a writer's failure
+    with pytest.raises(ValueError, match="body"):
+        with save_matrices({tmp_path / "c.json": HERMITIAN}):
+            raise ValueError("body")
+    _assert_no_child_left()
+
+
+def test_cli_exit_4_when_a_writer_runs_out_of_memory(tmp_path, monkeypatch, capsys):
+    def exhausted(path, A):
+        raise MemoryError
+
+    monkeypatch.setattr(charmat.io, "save_matrix", exhausted)
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    assert main(["charmat", str(mat), "--out", str(tmp_path / "o")]) == 4
+    assert "numerical failure: out of memory: writing" in capsys.readouterr().err
