@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    _as_square_matrix,
-    _as_vector,
-    _eig_hermitian,
-    _inner_product,
-    _spectral,
-    adjoint,
-)
+from .hilbert import _as_operator, _as_vector, _eig_hermitian, _inner_product, _spectral, adjoint
 
 __all__ = [
     "SpectralDecomposition",
@@ -136,7 +129,7 @@ def resolvent(T, z: complex) -> np.ndarray:
     numpy.linalg.LinAlgError
         If ``T - z I`` is numerically singular.
     """
-    T = _as_square_matrix(T)
+    T = _as_operator(T)
     return np.linalg.solve(T - z * np.eye(T.shape[0]), np.eye(T.shape[0]))
 
 
@@ -201,7 +194,7 @@ def fourier_resolvent_check(
         raise ValueError("z must lie in the upper half plane")
     if smax <= 0 or steps < 1:
         raise ValueError("smax must be positive and steps at least 1")
-    T = _as_square_matrix(T)
+    T = _as_operator(T)
     f = _as_vector(f)
     g = _as_vector(g)
     w, V = _eig_hermitian(T)

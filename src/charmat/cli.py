@@ -100,8 +100,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _finite(parse):
+    """An argparse ``type=`` that parses like ``parse`` and rejects nan and +-inf."""
+    def finite(text: str):
+        value = parse(text)
+        if not np.isfinite(value):
+            raise argparse.ArgumentTypeError("must be finite")
+        return value
+
+    finite.__name__ = parse.__name__  # as in argparse's "invalid float value: ..."
+    return finite
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_finite(float), default=None,
                    help="override every residual tolerance except the yes/no verdicts")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for randomized probe vectors")
@@ -134,14 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="Hermitian matrix file (JSON)")
     p.add_argument("subcommand",
                    choices=("resolvent", "projection", "group", "stone", "fourier"))
-    p.add_argument("--z", type=complex, default=None,
+    p.add_argument("--z", type=_finite(complex), default=None,
                    help="spectral parameter, e.g. '2j' or '1+2j'")
-    p.add_argument("--lam", type=float, default=None, help="spectral height")
-    p.add_argument("--s", type=float, default=None, help="group time")
-    p.add_argument("--smax", type=float, default=20.0, help="integral truncation")
+    p.add_argument("--lam", type=_finite(float), default=None, help="spectral height")
+    p.add_argument("--s", type=_finite(float), default=None, help="group time")
+    p.add_argument("--smax", type=_finite(float), default=20.0, help="integral truncation")
     p.add_argument("--steps", type=int, default=40_000, help="quadrature subintervals")
-    p.add_argument("--epsilon", type=float, default=1e-4, help="resolvent offset")
-    p.add_argument("--delta", type=float, default=1e-2, help="endpoint overshoot")
+    p.add_argument("--epsilon", type=_finite(float), default=1e-4, help="resolvent offset")
+    p.add_argument("--delta", type=_finite(float), default=1e-2, help="endpoint overshoot")
     _add_common(p)
 
     return parser

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import _as_operator, _as_square_matrix, _kernel_trivial, adjoint
+from .hilbert import _as_operator, _kernel_trivial, adjoint
 
 __all__ = [
     "CharacteristicMatrix",
@@ -60,9 +60,9 @@ class CharacteristicMatrix:
     p22: np.ndarray
 
     def __post_init__(self):
-        n = _as_square_matrix(self.p11).shape[0]
+        n = _as_operator(self.p11).shape[0]
         for name in ("p12", "p21", "p22"):
-            if _as_square_matrix(getattr(self, name)).shape != (n, n):
+            if _as_operator(getattr(self, name)).shape != (n, n):
                 raise ValueError("all blocks must share one square shape")
 
     @property

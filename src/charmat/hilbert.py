@@ -35,15 +35,6 @@ def _as_vector(f) -> np.ndarray:
     return f
 
 
-def _as_square_matrix(A) -> np.ndarray:
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains non-finite entries")
-    return A
-
-
 def _as_operator(A) -> np.ndarray:
     """``A`` as a finite square matrix in the package's one operator dtype.
 
@@ -51,7 +42,11 @@ def _as_operator(A) -> np.ndarray:
     becomes ``float64``.  A real operator thus stays real, and LAPACK's
     real (``d*``) routines do its factorizations.
     """
-    A = _as_square_matrix(A)
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix contains non-finite entries")
     return A.astype(np.complex128 if np.iscomplexobj(A) else np.float64, copy=False)
 
 

@@ -34,19 +34,21 @@ range reads as the infinity it rounds to, so it is reported exactly like
 ``Infinity``.
 
 Formatting the floats is most of a write and holds the GIL, so the CLI
-writes its matrices through :func:`save_matrices`: one forked writer
-process per file runs :func:`save_matrix` while the parent goes on
-computing, and the parent waits for every writer before it reports.  The
-bytes are those of :func:`save_matrix`.  This needs POSIX ``os.fork``.
+writes its matrices through :func:`save_matrices`: a forked writer per
+file runs :func:`save_matrix` (POSIX ``os.fork``) while the parent
+computes.  The parent reaps every writer before it reports and writes,
+itself, any file whose writer did not, so a failed write raises
+:func:`save_matrix`'s own error and a killed writer does not fail the
+command.
 """
 
 from __future__ import annotations
 
 import csv
-import errno
 import hashlib
 import itertools
 import json
+import logging
 import math
 import os
 from contextlib import contextmanager
@@ -66,6 +68,8 @@ __all__ = [
     "load_family",
     "file_digest",
 ]
+
+log = logging.getLogger("charmat")
 
 GENERATOR_KINDS = (
     "dirichlet-derivative",
@@ -179,57 +183,30 @@ def save_matrix(path, A) -> None:
         fh.write("\n")
 
 
-#: Exit statuses of a writer beyond 0 (written) and the errno of a failed write.
-_WRITER_OUT_OF_MEMORY = 254
-_WRITER_FAILED = 255
-
-
 def _fork_writer(path, A) -> int:
     """Fork a child that runs ``save_matrix(path, A)``; return its pid.
 
-    The child makes no BLAS call, import or logging call, since the parent
-    may have BLAS threads at the fork, and it leaves by ``os._exit``
-    whatever happens, so it never returns into the caller.
+    The child makes no BLAS, import or logging call (the parent may have
+    BLAS threads at the fork) and never returns into the caller: it leaves
+    by ``os._exit``, 0 once it has written, 1 otherwise.
     """
-    pid = os.fork()
-    if pid:
+    if pid := os.fork():
         return pid
-    status = _WRITER_FAILED
     try:
         save_matrix(path, A)
-        status = 0
-    except MemoryError:
-        status = _WRITER_OUT_OF_MEMORY
-    except OSError as exc:
-        if exc.errno and exc.errno < _WRITER_OUT_OF_MEMORY:
-            status = exc.errno
+        os._exit(0)
     finally:
-        os._exit(status)
-
-
-def _writer_error(path, status: int) -> Exception | None:
-    """The exception a writer's wait status stands for, or None if it wrote."""
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0:
-        return None
-    if code == _WRITER_OUT_OF_MEMORY:
-        return MemoryError(f"writing {path}")
-    if 0 < code < _WRITER_OUT_OF_MEMORY:
-        return OSError(code, os.strerror(code), str(path))
-    reason = f"writer killed by signal {-code}" if code < 0 else "writer failed"
-    return OSError(errno.EIO, reason, str(path))
+        os._exit(1)  # save_matrix raised
 
 
 @contextmanager
 def save_matrices(files: dict):
     """Write each ``{path: matrix}`` of ``files`` while the body runs.
 
-    Each file gets a forked writer running :func:`save_matrix` (where no
-    process can be forked, the file is written here before the body).
-    Every writer is reaped when the body ends, so the files are complete
-    afterwards.  An exception from the body wins; otherwise a failed
-    writer raises here: :class:`MemoryError` if it ran out of memory, else
-    :class:`OSError` naming its file.
+    Each file gets a forked writer running :func:`save_matrix`, or where no
+    process can be forked is written here before the body.  Every writer is
+    reaped when the body ends; unless the body raised, each file whose
+    writer did not exit 0 is then written here, and any error is raised.
     """
     writers = {}
     try:
@@ -240,10 +217,15 @@ def save_matrices(files: dict):
                 save_matrix(path, A)
         yield
     finally:
-        errors = [_writer_error(path, os.waitpid(pid, 0)[1]) for pid, path in writers.items()]
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        codes = {path: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid, path in writers.items()}
+    for path, code in codes.items():
+        if code:
+            log.info("writer of %s exited with %d; writing it here", path, code)
+            try:
+                save_matrix(path, files[path])
+            except MemoryError as exc:
+                raise MemoryError(f"writing {path}") from exc
 
 
 def load_family(path) -> OperatorFamily:

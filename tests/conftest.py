@@ -24,3 +24,22 @@ def traced_peak_mb():
         return peak / 2**20
 
     return measure
+
+
+@pytest.fixture
+def in_children_only():
+    """Wrap a replacement of a function so that it acts only in forked children.
+
+    ``in_children_only(replacement, original)`` calls ``replacement`` in a
+    process forked from this one and ``original`` here, so a replacement
+    that kills its process or raises reaches only the writers.
+    """
+    parent = os.getpid()
+
+    def wrap(replacement, original):
+        def act(*args, **kwargs):
+            return (original if os.getpid() == parent else replacement)(*args, **kwargs)
+
+        return act
+
+    return wrap

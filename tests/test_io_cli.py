@@ -430,6 +430,19 @@ def test_cli_exit_3_on_invariant_violations(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["tol", "z", "lam", "s", "smax", "epsilon", "delta"])
+def test_cli_exit_3_on_non_finite_flags(tmp_path, capsys, flag, value):
+    mat = tmp_path / "H.json"
+    save_matrix(mat, HERMITIAN)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["selfadjoint", str(mat), "stone", f"--{flag}={value}", "--out", str(out)])
+    assert exc.value.code == 3
+    assert f"argument --{flag}: must be finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_cli_exit_4_on_numerical_failure(tmp_path):
     mat = tmp_path / "T.json"
     save_matrix(mat, np.diag([1.0, 3.0]))
@@ -736,19 +749,23 @@ def test_cli_reaps_every_writer(tmp_path, monkeypatch, capsys):
     _assert_no_child_left()
 
 
-def test_writers_never_return_into_the_caller(tmp_path, monkeypatch, capsys):
+def test_writers_never_return_into_the_caller(tmp_path, monkeypatch, capsys, in_children_only):
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
     (tmp_path / "bad" / "p22.json").mkdir(parents=True)
     assert main(["charmat", str(mat), "--out", str(tmp_path / "ok")]) == 0
     assert main(["charmat", str(mat), "--out", str(tmp_path / "bad")]) == 3
+    resolvent_argv = ["selfadjoint", str(mat), "resolvent", "--z", "2j", "--out"]
+    assert main([*resolvent_argv, str(tmp_path / "ref")]) == 0
     for escape in (SystemExit(0), KeyboardInterrupt()):
         def leave(path, A, escape=escape):
             raise escape
 
-        monkeypatch.setattr(charmat.io, "save_matrix", leave)
-        assert main(["selfadjoint", str(mat), "resolvent", "--z", "2j",
-                     "--out", str(tmp_path / "o")]) == 3
+        monkeypatch.setattr(charmat.io, "save_matrix", in_children_only(leave, save_matrix))
+        out = tmp_path / type(escape).__name__
+        # the writer left without writing; the command wrote the file itself
+        assert main([*resolvent_argv, str(out)]) == 0
+        assert file_digest(out / "resolvent.json") == file_digest(tmp_path / "ref" / "resolvent.json")
     capsys.readouterr()
     marker = tmp_path / "marker.txt"
     with open(marker, "a", encoding="utf-8") as fh:
@@ -757,27 +774,59 @@ def test_writers_never_return_into_the_caller(tmp_path, monkeypatch, capsys):
     _assert_no_child_left()
 
 
-def test_save_matrices_turns_writer_failures_into_exceptions(tmp_path, monkeypatch):
+def test_save_matrices_writes_what_a_writer_did_not(tmp_path, monkeypatch, in_children_only):
     def exhausted(path, A):
         raise MemoryError
 
-    def killed(path, A):
+    def killed(path, A):  # a partial file, then SIGKILL mid-write
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write('{"rows": 2, ')
         os.kill(os.getpid(), signal.SIGKILL)
 
+    # out of memory in the writer and again here
     monkeypatch.setattr(charmat.io, "save_matrix", exhausted)
     with pytest.raises(MemoryError, match="a.json"):
         with save_matrices({tmp_path / "a.json": HERMITIAN}):
             pass
-    monkeypatch.setattr(charmat.io, "save_matrix", killed)
-    with pytest.raises(OSError, match="killed by signal") as info:
-        with save_matrices({tmp_path / "b.json": HERMITIAN}):
-            pass
-    assert info.value.filename == str(tmp_path / "b.json")
+    monkeypatch.setattr(charmat.io, "save_matrix", in_children_only(killed, save_matrix))
+    with save_matrices({tmp_path / "b.json": HERMITIAN}):
+        pass
+    save_matrix(tmp_path / "b_inline.json", HERMITIAN)
+    assert file_digest(tmp_path / "b.json") == file_digest(tmp_path / "b_inline.json")
     # the body's exception wins over a writer's failure
     with pytest.raises(ValueError, match="body"):
         with save_matrices({tmp_path / "c.json": HERMITIAN}):
             raise ValueError("body")
     _assert_no_child_left()
+
+
+def test_cli_writes_the_blocks_its_writers_did_not(tmp_path):
+    # every writer fails, in the child only: the command writes the four
+    # blocks itself, exits 0, and logs each retry at CHARMAT_LOG=info
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    out = tmp_path / "o"
+    script = (
+        "import os, sys\n"
+        "import charmat.io\n"
+        "from charmat.cli import main\n"
+        "parent, save = os.getpid(), charmat.io.save_matrix\n"
+        "def fail_in_writer(path, A):\n"
+        "    if os.getpid() != parent:\n"
+        "        raise OSError('no write in the writer')\n"
+        "    save(path, A)\n"
+        "charmat.io.save_matrix = fail_in_writer\n"
+        f"sys.exit(main(['charmat', {str(mat)!r}, '--out', {str(out)!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "CHARMAT_LOG": "info"})
+    assert proc.returncode == 0, proc.stderr
+    P = char_matrix(HERMITIAN)
+    for name in ("p11", "p12", "p21", "p22"):
+        path = out / f"{name}.json"
+        save_matrix(tmp_path / f"{name}_inline.json", getattr(P, name))
+        assert file_digest(path) == file_digest(tmp_path / f"{name}_inline.json")
+        assert f"INFO charmat: writer of {path} exited with 1; writing it here" in proc.stderr
 
 
 def test_cli_exit_4_when_a_writer_runs_out_of_memory(tmp_path, monkeypatch, capsys):
