@@ -18,10 +18,13 @@ Exit codes: 0 all residuals within tolerance, 1 residual failure, 2 parse
 error, 3 invariant or flag violation (or an output that cannot be
 written), 4 numerical failure.  The
 ``CHARMAT_LOG`` environment variable (``error``, ``info``, ``debug``)
-controls log verbosity.  ``--tol`` overrides every residual tolerance but
-those of the yes/no verdicts (``A8``, ``suite_selfadjoint``,
-``suite_positive``, ``suite_normal``), which stay 0; ``--seed`` makes the
-randomized probe vectors of the quadrature subcommands reproducible.
+controls log verbosity.  ``--tol``, which must be non-negative, overrides
+every residual tolerance but those of the yes/no verdicts (``A8``,
+``suite_selfadjoint``, ``suite_positive``, ``suite_normal``), which stay 0.
+``--seed`` seeds the randomized probe vectors of the
+quadrature subcommands and of ``verify``, whose ``suite_*`` residuals are
+probe estimates of relative Frobenius residuals; ``verify`` without it uses
+a fixed seed, so one file always gives one report.
 """
 
 from __future__ import annotations
@@ -100,12 +103,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _finite(parse):
-    """An argparse ``type=`` that parses like ``parse`` and rejects nan and +-inf."""
+def _finite(parse, nonnegative: bool = False):
+    """An argparse ``type=`` that parses like ``parse``, rejects nan and +-inf and, if asked, negatives."""
     def finite(text: str):
         value = parse(text)
         if not np.isfinite(value):
             raise argparse.ArgumentTypeError("must be finite")
+        if nonnegative and value < 0:
+            raise argparse.ArgumentTypeError("must be non-negative")
         return value
 
     finite.__name__ = parse.__name__  # as in argparse's "invalid float value: ..."
@@ -113,7 +118,8 @@ def _finite(parse):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_finite(float), default=None,
+    # no residual is negative, so a negative tolerance could only fail every label
+    p.add_argument("--tol", type=_finite(float, nonnegative=True), default=None,
                    help="override every residual tolerance except the yes/no verdicts")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for randomized probe vectors")
@@ -212,7 +218,7 @@ def cmd_verify(args, outdir: str) -> Report:
     report = Report(command="verify", inputs=file_digest(args.input), seed=args.seed)
     tol = _tol(args, IDENTITY_TOL)
 
-    suite = decomposition_suite(fam, tol=_tol(args, SUITE_TOL))
+    suite = decomposition_suite(fam, tol=_tol(args, SUITE_TOL), seed=args.seed)
     for block, value in suite.pop("char_matrix")["gaps"].items():
         report.add(f"fiberwise_{block}", value, tol)
     for name, item in suite.items():
@@ -338,8 +344,10 @@ _DISPATCH = {
 def _configure_logging() -> None:
     level_name = os.environ.get("CHARMAT_LOG", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level_name, logging.ERROR),
-                        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds the stderr handler only while the root logger has none, so the
+    # level goes on the charmat logger itself: it then holds in a host that set up logging
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(levels.get(level_name, logging.ERROR))
     if level_name not in levels:
         log.error("unknown CHARMAT_LOG value %r; using 'error'", level_name)
 

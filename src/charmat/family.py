@@ -11,10 +11,13 @@ sum/product laws, reconstruct a family from its resolvents, and implement
 the classical truncation of sections by growth level.
 
 Fiberwise constructions run once on the stack with numpy's batched linear
-algebra and are compared in place with the diagonal blocks of the assembled
-one: the fiber characteristic matrices are one batched Gram pass of ``graph``,
-checked against the assembled blocks read off the suite's one factorization,
-and ``hilbert``'s Hermitian and kernel predicates judge the stack in one call.
+algebra and are never assembled.  The fiber characteristic matrices are one
+batched Gram pass of ``graph``, checked against the closed SVD formula on the
+fibers' batched SVD; the assembled operator is audited by applying it and the
+fiberwise constructions to a few seeded Gaussian probe vectors, so the
+suite's residuals are probe estimates of relative Frobenius residuals and
+no product of dense matrices is formed.  ``hilbert``'s Hermitian and kernel
+predicates judge the stack in one call.
 """
 
 from __future__ import annotations
@@ -50,6 +53,12 @@ CLASSIFY_TOL = 1e-10
 
 #: Ascending coefficients of the suite's ``polynomial`` item: ``x^3 - 2x``.
 SUITE_POLY = (0.0, -2.0, 0.0, 1.0)
+
+#: Number of Gaussian probe columns the suite applies the assembled operator to.
+SUITE_PROBES = 8
+
+#: Seed of the suite's probes when the caller gives none: a family always gets one report.
+SUITE_SEED = 0
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -177,45 +186,40 @@ def family_norm(fam: OperatorFamily) -> float:
     return float(np.linalg.norm(fam.fibers, 2, axis=(1, 2)).max())
 
 
-def _block_gap(whole: np.ndarray, *stacks: np.ndarray) -> list:
-    """``||whole - block_diag(*s)||_F`` per ``(m, n, n)`` stack ``s``; overwrites ``whole``, the caller's."""
-    m, n, _ = stacks[0].shape
-    k = np.arange(m)
-    tiles = whole.reshape(m, n, m, n)
-    diagonal = tiles[k, :, k, :]  # a copy; later stacks share the first one's off-diagonal energy
-    tiles[k, :, k, :] -= stacks[0]
-    gaps = [float(np.linalg.norm(tiles))]
-    if stacks[1:]:
-        tiles[k, :, k, :] = 0.0
-        gaps += [float(np.hypot(np.linalg.norm(tiles), np.linalg.norm(diagonal - s))) for s in stacks[1:]]
-    return gaps
+def _fiber_char(F: np.ndarray):
+    """The fibers' characteristic matrices by two routes, and how far apart the routes are.
 
-
-def _char_gaps(blocks: tuple, U: np.ndarray, s: np.ndarray, Vh: np.ndarray) -> dict:
-    """Per block, the gap between the fibers' ``blocks`` and those of ``U diag(s) Vh``."""
+    Returns the Gram-route blocks ``(p11, p12, p21, p22)`` of the ``(m, n, n)``
+    stack, its batched ``svd`` ``(U, s, Vh)``, and per block name the absolute
+    Frobenius distance, over all fibers, between the Gram-route block and the
+    closed SVD formula (``graph._svd_blocks``) applied to that ``svd``.
+    """
+    blocks = _char_blocks(F)  # first: an overflowing Gram matrix raises before any other work
+    U, s, Vh = np.linalg.svd(F)
+    s11, s21, s22 = _svd_blocks(U, s, Vh)
     f11, f12, f21, f22 = blocks
-    whole = _svd_blocks(U, s, Vh)  # p11, p21 = p12*, p22: each goes straight into the gap that overwrites it
-    (g11,), (g21, g12), (g22,) = (_block_gap(next(whole), *f) for f in [(f11,), (f21, adjoint(f12)), (f22,)])
-    return {"p11": g11, "p12": g12, "p21": g21, "p22": g22}
+    gaps = {"p11": f11 - s11, "p12": f12 - adjoint(s21), "p21": f21 - s21, "p22": f22 - s22}
+    return blocks, (U, s, Vh), {b: float(np.linalg.norm(g)) for b, g in gaps.items()}
 
 
 def char_matrix_fiberwise(fam: OperatorFamily):
-    """Characteristic matrices of all fibers, with a block-diagonal cross-check.
+    """Characteristic matrices of all fibers, with a cross-check by an independent route.
 
     Returns
     -------
     chars : list of CharacteristicMatrix
         One characteristic matrix per fiber, as views into the blocks of
-        one batched pass over the ``(m, n, n)`` stack.
+        one batched Gram pass over the ``(m, n, n)`` stack.
     residuals : dict
-        For each block name, the Frobenius distance between the block of
-        the assembled operator's characteristic matrix, read off one
-        ``svd``, and the block-diagonal assembly of the fiber blocks.  All
-        four are at rounding level for any family.
+        For each block name, the absolute Frobenius distance, over all
+        fibers, between those blocks and the closed SVD formula applied to
+        the fibers' batched ``svd``: the ``gaps`` of
+        :func:`decomposition_suite`'s ``char_matrix`` item.  All four are at
+        rounding level for any family; nothing dense is factored.
     """
-    blocks = _char_blocks(fam.fibers)
+    blocks, _, gaps = _fiber_char(fam.fibers)
     chars = [CharacteristicMatrix(*(b[k] for b in blocks)) for k in range(fam.m)]
-    return chars, _char_gaps(blocks, *np.linalg.svd(fam.assemble()))
+    return chars, gaps
 
 
 def _matrix_polynomial(coeffs, A: np.ndarray) -> np.ndarray:
@@ -242,90 +246,116 @@ def _is_normal(A: np.ndarray, tol: float) -> np.ndarray:
     return dev <= tol * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)) ** 2)
 
 
-def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL) -> dict:
+def _polynomial_on(coeffs, A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    # p(A) X by Horner's rule on the columns of X; coeffs ascending, as in _matrix_polynomial
+    out = coeffs[-1] * X
+    for c in reversed(coeffs[:-1]):
+        out = A @ out + c * X
+    return out
+
+
+def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int | None = None) -> dict:
     """Verify that operator calculus commutes with block-diagonal assembly.
 
-    Each item compares a construction applied to the assembled operator
-    against the assembly of the fiberwise constructions:
+    Each item compares a construction applied to the assembled operator ``A``
+    against the fiberwise constructions ``B`` on the ``(m, n, n)`` stack:
 
     - ``adjoint``    : conjugate transpose (always applicable)
-    - ``char_matrix``: closed SVD formula against the fibers' Gram route;
-      ``gaps`` holds each block's absolute Frobenius distance, the residual their max
-    - ``modulus``    : ``|T| = (T* T)^(1/2)`` (always applicable)
+    - ``char_matrix``: the fibers' Gram-route blocks satisfy ``p21 = A p11``
+      and ``I - p11 = A* p21``; ``gaps`` holds each block's absolute Frobenius
+      distance to the closed SVD formula on the fibers' batched ``svd``
+    - ``modulus``    : ``B^2 = A* A`` for ``B = |F|``, positive by
+      construction, so ``B = |A|`` (always applicable)
     - ``selfadjoint``: the assembled operator is Hermitian iff every fiber is
     - ``positive``   : positive semidefinite iff every fiber is
     - ``normal``     : normal iff every fiber is
-    - ``inverse``    : matrix inverse; skipped unless every fiber is injective
+    - ``inverse``    : ``A B = I``; skipped unless every fiber is injective
     - ``polynomial`` : the fixed polynomial ``x^3 - 2x`` (``SUITE_POLY``);
       meaningful for normal fibers, and reported with a note when some
       fiber is not normal
 
-    Other residual items are relative Frobenius distances; classification items
-    record ``0.0`` for an equivalence that holds and ``1.0`` otherwise.
-    Precondition violations do not raise; the affected item carries
-    ``applicable: False`` and a note.
+    ``adjoint`` is one dense pass, its residual ``||A* - B||_F / max(1,
+    ||A||_F)``.  The other items never multiply or invert dense matrices:
+    they apply ``A`` and each ``B``, on the stack, to ``k = SUITE_PROBES``
+    standard Gaussian columns ``X`` from ``np.random.default_rng(seed)``
+    (``SUITE_SEED`` when ``seed`` is None), and an identity ``lhs = rhs``
+    reports ``||lhs X - rhs X||_F / max(sqrt(k), ||rhs X||_F)``.  As ``E
+    ||M X||_F^2 = k ||M||_F^2``, that estimates its relative Frobenius
+    residual; it is not the dense distance.  ``normal`` judges ``||A A* -
+    A* A||_F``, so estimated, against ``CLASSIFY_TOL * max(1,
+    ||A||_F^2)``.  Classification items record ``0.0`` for an equivalence
+    that holds and ``1.0`` otherwise.  Precondition violations do not
+    raise; the affected item carries ``applicable: False`` and a note.
 
-    The assembled ``A`` is factored once when it equals its adjoint: one
-    ``eigh``, ``A = V diag(w) V*``, gives the characteristic matrix, ``|A| =
-    V |w| V*``, ``||A||_2 = max |w|``, positivity and ``A^-1 = V w^-1 V*``.
-    Any other ``A`` gets one ``svd`` for the first three and an LU ``inv`` (the
-    SVD's inverse is no faster and holds one more dense matrix).  That includes
-    an ``A`` Hermitian only to ``CLASSIFY_TOL``, as ``(A + A*)/2`` can miss
-    its singular values by its skew part; it adds one ``eigvalsh`` of
-    ``(A + A*)/2`` for positivity.  The fibers get each factorization once,
-    on the stack.  ``normal`` stays a product test: Hermitian to a
-    tolerance does not imply normal to it.
+    ``A`` gets one spectral factorization, for its 2-norm and positivity:
+    ``eigvalsh(A)`` when it equals its adjoint, otherwise ``svd(A,
+    compute_uv=False)``, plus ``eigvalsh((A + A*)/2)`` when ``A`` is
+    Hermitian to ``CLASSIFY_TOL`` (that matrix can miss the singular values
+    by ``A``'s skew part).  The fibers get each factorization once, on the
+    stack.
 
     Returns
     -------
     dict
         Item name -> ``{"residual", "pass", "applicable", "note"}``.  The
         ``modulus`` item also carries ``norm``, the assembled operator's
-        2-norm, read off the factorization that ``|A|`` is computed from.
+        2-norm, read off its spectral factorization.
     """
     F = fam.fibers
-    fiber_blocks = _char_blocks(F)  # first: an overflowing Gram matrix raises before dense work
+    m, n = fam.m, fam.n
+    (f11, _, f21, _), (_, sf, Vhf), gaps = _fiber_char(F)  # raises before dense work
     A = fam.assemble()
+    k = SUITE_PROBES
+    X = np.random.default_rng(SUITE_SEED if seed is None else seed).standard_normal((m * n, k))
     report = {}
 
     def item(name, residual, ok, applicable=True, note=""):
         report[name] = {"residual": float(residual), "pass": bool(ok),
                         "applicable": applicable, "note": note}
 
-    def commutes(name, whole, fibers):
-        # whole: the construction on A, a fresh array that _block_gap overwrites
-        scale = max(1.0, np.linalg.norm(whole))
-        resid = _block_gap(whole, fibers)[0] / scale
-        item(name, resid, resid <= tol)
+    def fibers_on(B, Y):
+        # the assembly of the stack B applied to Y, without assembling B
+        return (B @ Y.reshape(m, n, -1)).reshape(m * n, -1)
+
+    def adjoint_on(Y):
+        # A* Y, without forming A*
+        return np.conjugate(A.T @ np.conjugate(Y))
+
+    def estimate(lhs, rhs):
+        # the relative residual of lhs = rhs on the probes
+        return np.linalg.norm(lhs - rhs) / max(np.sqrt(k), np.linalg.norm(rhs))
+
+    def probed(name, *residuals):
+        item(name, max(residuals), max(residuals) <= tol)
 
     def classified(name, whole, fiberwise):
         whole, fiberwise = bool(whole), bool(fiberwise)
         item(name, 0.0 if whole == fiberwise else 1.0, whole == fiberwise,
              note=f"assembled={whole}, all_fibers={fiberwise}")
 
-    commutes("adjoint", adjoint(A).copy(), adjoint(F))
+    gap = np.conjugate(A.T, order="C")  # A*, fresh, less the fibers' adjoints on its diagonal tiles
+    tiles = np.arange(m)
+    gap.reshape(m, n, m, n)[tiles, :, tiles, :] -= adjoint(F)
+    resid = np.linalg.norm(gap) / max(1.0, np.linalg.norm(A))
+    item("adjoint", resid, resid <= tol)
+    del gap
 
-    # each dense factor and product is dropped after the item that uses it;
-    # |A| comes from a factorization of A, as sqrt(A* A) loses accuracy near a kernel
     hermitian = is_hermitian(A, CLASSIFY_TOL)
-    exact = np.array_equal(A, adjoint(A))
-    sf, Vhf = np.linalg.svd(F)[1:]
-    modF = _spectral(adjoint(Vhf), sf, Vhf)
-    if exact:
-        w, V = np.linalg.eigh(A)
-        gaps = _char_gaps(fiber_blocks, V, w, adjoint(V))
-        commutes("modulus", _spectral(V, np.abs(w), adjoint(V)), modF)
-        report["modulus"]["norm"] = float(np.abs(w).max())
+    if hermitian and np.array_equal(A, adjoint(A)):
+        w = np.linalg.eigvalsh(A)
+        norm2 = np.abs(w).max()
     else:
-        U, s, Vh = np.linalg.svd(A)
-        gaps = _char_gaps(fiber_blocks, U, s, Vh)
-        del U
-        commutes("modulus", _spectral(adjoint(Vh), s, Vh), modF)
-        report["modulus"]["norm"] = float(s[0])
-        del Vh
+        norm2 = np.linalg.svd(A, compute_uv=False)[0]
         if hermitian:
             w = np.linalg.eigvalsh((A + adjoint(A)) / 2.0)
-    item("char_matrix", max(gaps.values()), max(gaps.values()) <= tol)
+
+    AX = A @ X
+    modF = _spectral(adjoint(Vhf), sf, Vhf)
+    probed("modulus", estimate(fibers_on(modF, fibers_on(modF, X)), adjoint_on(AX)))
+    report["modulus"]["norm"] = float(norm2)
+
+    p11X, p21X = fibers_on(f11, X), fibers_on(f21, X)
+    probed("char_matrix", estimate(p21X, A @ p11X), estimate(X - p11X, adjoint_on(p21X)))
     report["char_matrix"]["gaps"] = gaps
 
     # property equivalences: assembled iff all fibers
@@ -335,19 +365,18 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL) -> dict:
     classified("selfadjoint", hermitian, fiber_hermitian.all())
     classified("positive", hermitian and _nonnegative(w, CLASSIFY_TOL),
                (fiber_positive & fiber_hermitian).all())
-    classified("normal", _is_normal(A, CLASSIFY_TOL), fiber_normal)
+    commutator = np.linalg.norm(A @ adjoint_on(X) - adjoint_on(AX)) / np.sqrt(k)
+    classified("normal", commutator <= CLASSIFY_TOL * max(1.0, np.linalg.norm(A) ** 2), fiber_normal)
 
-    # inverse commutes with assembly, when defined; injectivity is read off sf
+    # injectivity is read off sf
     if _kernel_trivial(sf)[0].all():
-        invA = _spectral(V, 1.0 / w, adjoint(V)) if exact else np.linalg.inv(A)
-        commutes("inverse", invA, np.linalg.inv(F))
+        probed("inverse", estimate(A @ fibers_on(np.linalg.inv(F), X), X))
     else:
         item("inverse", 0.0, True, applicable=False,
              note="skipped: some fiber is not injective")
-    if exact:
-        del V
 
-    commutes("polynomial", _matrix_polynomial(SUITE_POLY, A), _matrix_polynomial(SUITE_POLY, F))
+    probed("polynomial", estimate(fibers_on(_matrix_polynomial(SUITE_POLY, F), X),
+                                  _polynomial_on(SUITE_POLY, A, X)))
     if not fiber_normal:
         report["polynomial"]["note"] = \
             "some fiber is not normal; the block identity still holds for plain polynomials"

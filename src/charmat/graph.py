@@ -12,8 +12,8 @@ closed subspace of ``C^n (+) C^n``.  The orthogonal projection onto it is a
 Cholesky factorization and inverts it by an LU solve against ``I``; numpy
 alone does all of it.  The Gram inverses and the block products run
 unchanged on an ``(m, n, n)`` stack of operators, which is how ``family``
-builds every fiber's blocks in one pass (it reads a family's assembled
-operator off its SVD instead).  A real ``T`` stays real throughout, so its
+builds every fiber's blocks in one pass (and checks them against the closed
+SVD formula on the fibers' batched SVD).  A real ``T`` stays real throughout, so its
 blocks are ``float64``; a Gram matrix that overflows, or fails its Cholesky
 factorization, raises ``numpy.linalg.LinAlgError``.
 
@@ -148,12 +148,13 @@ def _char_blocks(T: np.ndarray) -> tuple:
 def _svd_blocks(U: np.ndarray, s: np.ndarray, Vh: np.ndarray):
     """Yield ``p11``, ``p21``, ``p22`` (``p12 = p21*``) of ``T = U diag(s) Vh`` by the closed SVD formula.
 
-    Finite where ``s^2`` overflows; a Hermitian ``T`` may pass its ``eigh`` as ``(V, w, V*)``.
+    ``T`` may be a matrix or an ``(m, n, n)`` stack with its batched ``svd``.  Finite where
+    ``s^2`` overflows; a Hermitian ``T`` may pass its ``eigh`` as ``(V, w, V*)``.
     """
     c = 1.0 / np.hypot(1.0, s)
-    yield (np.conjugate(Vh) * (c * c)[:, None]).T @ Vh
-    yield (U * (s * c * c)) @ Vh
-    yield U @ (np.conjugate(U) * (s * c) ** 2).T
+    yield np.swapaxes(np.conjugate(Vh) * (c * c)[..., :, None], -1, -2) @ Vh
+    yield (U * (s * c * c)[..., None, :]) @ Vh
+    yield U @ np.swapaxes(np.conjugate(U) * ((s * c) ** 2)[..., None, :], -1, -2)
 
 
 def char_matrix_oracle(T) -> CharacteristicMatrix:

@@ -86,8 +86,11 @@ def is_hermitian(A, tol: float = HERMITIAN_TOL):
     A matrix gives a ``bool``; an ``(m, n, n)`` stack one verdict per matrix.
     """
     A = np.asarray(A)
-    dev = np.linalg.norm(A - adjoint(A), axis=(-2, -1))
-    ok = dev <= tol * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
+    dev = np.conjugate(np.swapaxes(A, -1, -2))  # A*, fresh: the one temporary the size of A
+    dev -= A
+    # a single matrix takes norm's ravel-and-dot route, which copies nothing
+    axes = None if A.ndim == 2 else (-2, -1)
+    ok = np.linalg.norm(dev, axis=axes) <= tol * np.maximum(1.0, np.linalg.norm(A, axis=axes))
     return ok if ok.ndim else bool(ok)
 
 

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from charmat.family import (
     CLASSIFY_TOL,
+    SUITE_TOL,
     FamilyVector,
     OperatorFamily,
     ParameterGrid,
@@ -153,7 +154,7 @@ def test_char_matrix_commutes_with_assembly(monkeypatch):
     fam = random_family(rng, 4, 3)
     m, n = fam.m, fam.n
     calls = []
-    for name in ("cholesky", "inv", "svd", "eigh"):
+    for name in ("cholesky", "inv", "svd", "eigh", "eigvalsh"):
         def record(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             calls.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)
@@ -162,11 +163,12 @@ def test_char_matrix_commutes_with_assembly(monkeypatch):
     assert len(chars) == 4
     for name in ("p11", "p12", "p21", "p22"):
         assert residuals[name] <= 1e-12, (name, residuals)
-    # one batched Gram pass over the fibers; the assembled matrix gets one
-    # svd and its blocks by the closed SVD formula, with no Gram matrix
-    assert sorted(name for name, shape in calls if shape == (m, n, n)) == \
-        ["cholesky", "cholesky", "inv", "inv"]
-    assert [name for name, shape in calls if shape == (m * n, m * n)] == ["svd"]
+    # one batched Gram pass and one batched svd over the fibers; nothing dense
+    assert sorted(name for name, shape in calls) == ["cholesky", "cholesky", "inv", "inv", "svd"]
+    assert {shape for name, shape in calls} == {(m, n, n)}
+    # the fiber blocks satisfy A12 and A13 with the assembled operator, on the probes
+    monkeypatch.undo()
+    assert decomposition_suite(fam)["char_matrix"]["residual"] <= 1e-14
 
 
 def _skew_p11(route):
@@ -218,13 +220,8 @@ def test_verify_audit_is_independent_of_the_fiber_route(tmp_path, monkeypatch, c
 def test_fiberwise_residuals_are_the_suite_char_matrix_gaps(hermitian):
     fam = random_family(np.random.default_rng(71), 4, 5, hermitian=hermitian)
     gaps = decomposition_suite(fam)["char_matrix"]["gaps"]
-    residuals = char_matrix_fiberwise(fam)[1]
-    if hermitian:
-        # the suite reads the blocks off its eigh, char_matrix_fiberwise off an svd
-        assert residuals.keys() == gaps.keys()
-        assert all(abs(residuals[b] - gaps[b]) <= 1e-13 for b in gaps)
-    else:
-        assert residuals == gaps
+    # one route: the fibers' Gram blocks against the closed SVD formula on their svd
+    assert char_matrix_fiberwise(fam)[1] == gaps
 
 
 # ------------------------------------------------------ decomposition suite
@@ -322,9 +319,9 @@ def _nearly_hermitian_family():
 
 
 @pytest.mark.parametrize("kind, assembled", [
-    ("hermitian", ["eigh"]),
-    ("random", ["inv", "svd"]),
-    ("nearly-hermitian", ["eigvalsh", "inv", "svd"]),
+    ("hermitian", ["eigvalsh"]),
+    ("random", ["svd"]),
+    ("nearly-hermitian", ["eigvalsh", "svd"]),
 ])
 def test_suite_factors_the_assembled_matrix_once(monkeypatch, kind, assembled):
     rng = np.random.default_rng(53)
@@ -332,23 +329,25 @@ def test_suite_factors_the_assembled_matrix_once(monkeypatch, kind, assembled):
         random_family(rng, 4, 5, hermitian=kind == "hermitian")
     m, n = fam.m, fam.n
     calls = []
-    for name in ("svd", "eigh", "eigvalsh", "inv", "cholesky"):
+    for name in ("svd", "eigh", "eigvalsh", "inv", "cholesky", "solve", "qr"):
         def record(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, np.shape(a)))
+            calls.append((_name, np.shape(a), kwargs.get("compute_uv", True)))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, record)
     report = decomposition_suite(fam)
     assert all(item["pass"] for item in report.values())
     assert report["inverse"]["applicable"]
-    # the characteristic matrix is read off the one factorization: no Gram route
-    assert sorted(name for name, shape in calls if shape == (m * n, m * n)) == assembled
-    assert ("cholesky", (m * n, m * n)) not in calls
+    # one spectral call per kind, for the 2-norm and positivity, and no
+    # other factorization of A: its items are products with the probes
+    dense = [(name, uv) for name, shape, uv in calls if shape == (m * n, m * n)]
+    assert sorted(name for name, _ in dense) == assembled
+    assert ("svd", True) not in dense
     # the fiber side: one batched call per construction, none per fiber; the
-    # Gram pass makes two Cholesky gates and two inverses, and the
-    # injectivity gate reuses the singular values that |F| needs
-    assert sorted(name for name, shape in calls if shape == (m, n, n)) == \
+    # Gram pass makes two Cholesky gates and two inverses, and the svd gives
+    # the closed-formula blocks, |F| and the injectivity gate
+    assert sorted(name for name, shape, _ in calls if shape == (m, n, n)) == \
         ["cholesky", "cholesky", "eigvalsh", "inv", "inv", "inv", "svd"]
-    assert {name for name, shape in calls if shape == (n, n)} == set()
+    assert {shape for _, shape, _ in calls} <= {(m * n, m * n), (m, n, n)}
 
 
 def test_suite_normal_stays_a_product_test():
@@ -371,25 +370,66 @@ def test_suite_norm_is_exact_for_a_nearly_hermitian_family():
 
 
 def test_suite_memory_is_bounded(traced_peak_mb):
-    # the peak counts A, one dense factor and the products formed from it
+    # the peak counts A, one dense temporary (A* for the adjoint and
+    # Hermitian passes) and the fiber stacks; the probes are mn x 8
     rng = np.random.default_rng(59)
     fam = random_family(rng, 32, 16)
     assembled_mb = fam.assemble().nbytes / 2**20
-    assert traced_peak_mb(decomposition_suite, fam) <= 6.5 * assembled_mb
+    assert traced_peak_mb(decomposition_suite, fam) <= 2.5 * assembled_mb
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_block_gap_is_the_dense_difference(order):
-    from charmat.family import _block_gap
-
+def test_adjoint_item_is_the_dense_difference(monkeypatch, order):
+    # an "assembled" matrix that is not block diagonal, in either memory order
     rng = np.random.default_rng(61)
-    blocks, other = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    blocks, _ = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
     W = np.asarray(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)), order=order)
-    grid = ParameterGrid(np.arange(3.0))
-    dense = [np.linalg.norm(W - OperatorFamily(grid, b).assemble()) for b in (blocks, other)]
-    assert _block_gap(W.copy(order=order), blocks) == pytest.approx(dense[:1], rel=1e-15)
-    # a later stack shares the first one's off-diagonal energy
-    assert _block_gap(W.copy(order=order), blocks, other) == pytest.approx(dense, rel=1e-14)
+    fam = OperatorFamily(ParameterGrid(np.arange(3.0)), blocks)
+    dense = np.linalg.norm(W.conj().T - OperatorFamily(fam.grid, blocks.conj().transpose(0, 2, 1)).assemble())
+    monkeypatch.setattr(OperatorFamily, "assemble", lambda self: W)
+    report = decomposition_suite(fam)
+    assert report["adjoint"]["residual"] == pytest.approx(dense / np.linalg.norm(W), rel=1e-14)
+    assert not report["adjoint"]["pass"]
+
+
+def _dense_relative_residuals(fam, A):
+    # each probe item's identity on dense matrices, ||lhs - rhs||_F / max(1, ||rhs||_F)
+    from charmat.family import SUITE_POLY, _matrix_polynomial
+    from charmat.graph import _char_blocks
+
+    def assembled(stack):
+        return OperatorFamily(fam.grid, stack).assemble()
+
+    def rel(lhs, rhs):
+        return np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(rhs))
+
+    p11, _, p21, _ = (assembled(b) for b in _char_blocks(fam.fibers))
+    _, s, Vh = np.linalg.svd(fam.fibers)
+    modulus = assembled(np.conj(np.swapaxes(Vh, -1, -2)) @ (s[..., None] * Vh))
+    Ah, I = A.conj().T, np.eye(len(A))
+    return {
+        "char_matrix": max(rel(p21, A @ p11), rel(I - p11, Ah @ p21)),
+        "modulus": rel(modulus @ modulus, Ah @ A),
+        "inverse": rel(A @ assembled(np.linalg.inv(fam.fibers)), I),
+        "polynomial": rel(assembled(_matrix_polynomial(SUITE_POLY, fam.fibers)),
+                          _matrix_polynomial(SUITE_POLY, A)),
+    }
+
+
+@pytest.mark.parametrize("size", [1e-6, 1e-3])
+def test_probe_residuals_estimate_the_dense_relative_residuals(monkeypatch, size):
+    # an assembly error E of known Frobenius norm, spread over every tile
+    rng = np.random.default_rng(83)
+    fam = random_family(rng, 6, 5)
+    E = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    A = fam.assemble() + size * E / np.linalg.norm(E)
+    dense = _dense_relative_residuals(fam, A)
+    monkeypatch.setattr(OperatorFamily, "assemble", lambda self: A.copy())
+    report = decomposition_suite(fam)
+    for name, expected in dense.items():
+        assert expected > 10 * SUITE_TOL, (name, expected)
+        assert expected / 3 <= report[name]["residual"] <= 3 * expected, (name, report[name], expected)
+        assert not report[name]["pass"]
 
 
 # ------------------------------------------------------------- sum/product

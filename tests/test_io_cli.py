@@ -1,5 +1,7 @@
 import json
+import logging
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from numpy.testing import assert_allclose
 import charmat.io
 from charmat import cli
 from charmat.cli import main
+from charmat.family import SUITE_SEED
 from charmat.graph import char_matrix
 from charmat.io import (
     GENERATOR_KINDS,
@@ -443,6 +446,21 @@ def test_cli_exit_3_on_non_finite_flags(tmp_path, capsys, flag, value):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["charmat", "verify"])
+def test_cli_exit_3_on_a_negative_tol(tmp_path, capsys, command):
+    # no residual is negative, so a negative tolerance is a flag violation
+    mat = tmp_path / "H.json"
+    save_matrix(mat, HERMITIAN)
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"grid": [0.0, 1.0], "fibers": {"kind": "dirichlet-laplacian", "n": 4}}))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(mat if command == "charmat" else fam), "--tol=-1", "--out", str(out)])
+    assert exc.value.code == 3
+    assert "argument --tol: must be non-negative" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_cli_exit_4_on_numerical_failure(tmp_path):
     mat = tmp_path / "T.json"
     save_matrix(mat, np.diag([1.0, 3.0]))
@@ -577,6 +595,30 @@ def test_cli_seed_makes_reports_identical(tmp_path):
         blobs.append(blob)
     assert blobs[0] == blobs[1]
     assert blobs[0]["seed"] == 7
+
+
+def test_cli_verify_seed_makes_reports_byte_identical(tmp_path):
+    # the suite's probes come from --seed, and from a fixed seed when it is unset
+    rng = np.random.default_rng(89)
+    fibers = []
+    for k in range(4):
+        save_matrix(tmp_path / f"F{k}.json", rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        fibers.append(json.loads((tmp_path / f"F{k}.json").read_text()))
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"grid": [0.0, 1.0, 2.0, 3.0], "fibers": fibers}))
+
+    def report(name, *seed):
+        out = tmp_path / name
+        assert main(["verify", str(fam), "--out", str(out), *seed]) == 0
+        text = (out / "report.json").read_text()
+        return re.sub(r'"wall_time_ms": [^,}]+', '"wall_time_ms": 0', text)
+
+    assert report("a", "--seed", "5") == report("b", "--seed", "5")
+    unset, zero, other = (json.loads(report(*args)) for args in
+                          [("c",), ("d", "--seed", str(SUITE_SEED)), ("e", "--seed", "6")])
+    assert unset["residuals"] == zero["residuals"]
+    assert (unset["seed"], zero["seed"]) == (None, SUITE_SEED)
+    assert other["residuals"]["suite_modulus"] != zero["residuals"]["suite_modulus"]
 
 
 def test_cli_verify_family_and_csv_report(tmp_path):
@@ -800,33 +842,37 @@ def test_save_matrices_writes_what_a_writer_did_not(tmp_path, monkeypatch, in_ch
     _assert_no_child_left()
 
 
-def test_cli_writes_the_blocks_its_writers_did_not(tmp_path):
+def test_charmat_log_holds_when_main_runs_in_process(tmp_path, monkeypatch, caplog):
+    # pytest has set up logging before main runs, so basicConfig alone does nothing
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    monkeypatch.setenv("CHARMAT_LOG", "info")
+    assert main(["charmat", str(mat), "--out", str(tmp_path / "o")]) == 0
+    assert ("charmat", logging.INFO, "wrote p11.json") in caplog.record_tuples
+
+
+def test_cli_writes_the_blocks_its_writers_did_not(tmp_path, monkeypatch, caplog, in_children_only):
     # every writer fails, in the child only: the command writes the four
     # blocks itself, exits 0, and logs each retry at CHARMAT_LOG=info
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
     out = tmp_path / "o"
-    script = (
-        "import os, sys\n"
-        "import charmat.io\n"
-        "from charmat.cli import main\n"
-        "parent, save = os.getpid(), charmat.io.save_matrix\n"
-        "def fail_in_writer(path, A):\n"
-        "    if os.getpid() != parent:\n"
-        "        raise OSError('no write in the writer')\n"
-        "    save(path, A)\n"
-        "charmat.io.save_matrix = fail_in_writer\n"
-        f"sys.exit(main(['charmat', {str(mat)!r}, '--out', {str(out)!r}]))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "CHARMAT_LOG": "info"})
-    assert proc.returncode == 0, proc.stderr
+
+    def fail_in_writer(path, A):
+        raise OSError("no write in the writer")
+
+    monkeypatch.setattr(charmat.io, "save_matrix", in_children_only(fail_in_writer, save_matrix))
+    monkeypatch.setenv("CHARMAT_LOG", "info")
+    assert main(["charmat", str(mat), "--out", str(out)]) == 0
+    monkeypatch.undo()
     P = char_matrix(HERMITIAN)
     for name in ("p11", "p12", "p21", "p22"):
         path = out / f"{name}.json"
         save_matrix(tmp_path / f"{name}_inline.json", getattr(P, name))
         assert file_digest(path) == file_digest(tmp_path / f"{name}_inline.json")
-        assert f"INFO charmat: writer of {path} exited with 1; writing it here" in proc.stderr
+        message = f"writer of {path} exited with 1; writing it here"
+        assert ("charmat", logging.INFO, message) in caplog.record_tuples
+    _assert_no_child_left()
 
 
 def test_cli_exit_4_when_a_writer_runs_out_of_memory(tmp_path, monkeypatch, capsys):
