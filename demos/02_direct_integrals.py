@@ -40,12 +40,12 @@ def main():
     out = fam.apply(f)
     print(f"acting fiberwise: section norms {np.round(np.linalg.norm(out.sections, axis=1), 3)}")
 
-    print("\n=== the characteristic matrix passes through the fibers ===")
+    print("\n=== the fibers' characteristic matrices, by two routes ===")
     _, residuals = char_matrix_fiberwise(fam)
     for block, value in residuals.items():
-        print(f"  {block}: assembled-vs-fiberwise {value:.2e}")
+        print(f"  {block}: Gram-vs-SVD {value:.2e}")
 
-    print("\n=== decomposition suite ===")
+    print("\n=== decomposition suite (assembled operator on seeded probe vectors) ===")
     for name, item in decomposition_suite(fam).items():
         status = "pass" if item["pass"] else "FAIL"
         extra = f"  ({item['note']})" if item["note"] else ""
