@@ -107,7 +107,8 @@ def _finite(parse, nonnegative: bool = False):
     """An argparse ``type=`` that parses like ``parse``, rejects nan and +-inf and, if asked, negatives."""
     def finite(text: str):
         value = parse(text)
-        if not np.isfinite(value):
+        # nan is the one value unequal to itself; abs() covers complex parts and never overflows an int
+        if value != value or abs(value) == np.inf:
             raise argparse.ArgumentTypeError("must be finite")
         if nonnegative and value < 0:
             raise argparse.ArgumentTypeError("must be non-negative")
@@ -121,7 +122,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     # no residual is negative, so a negative tolerance could only fail every label
     p.add_argument("--tol", type=_finite(float, nonnegative=True), default=None,
                    help="override every residual tolerance except the yes/no verdicts")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_finite(int, nonnegative=True), default=None,
                    help="seed for randomized probe vectors")
     p.add_argument("--out", default=".", help="output directory (default: .)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
@@ -230,9 +231,9 @@ def cmd_verify(args, outdir: str) -> Report:
         if item["note"]:
             report.notes[f"suite_{name}"] = item["note"]
 
-    assembled_norm = suite["modulus"]["norm"]
-    report.add("norm_consistency",
-               abs(family_norm(fam) - assembled_norm) / max(1.0, assembled_norm), tol)
+    # bounds |family_norm - ||A||_2| / max(1, ||A||_2); 0 or rounding for a block-diagonal A
+    norm, error = suite["modulus"]["norm"], suite["modulus"]["norm_error"]
+    report.add("norm_consistency", (abs(family_norm(fam) - norm) + error) / max(1.0, norm), tol)
     return report
 
 

@@ -16,7 +16,8 @@ batched Gram pass of ``graph``, checked against the closed SVD formula on the
 fibers' batched SVD; the assembled operator is audited by applying it and the
 fiberwise constructions to a few seeded Gaussian probe vectors, so the
 suite's residuals are probe estimates of relative Frobenius residuals and
-no product of dense matrices is formed.  ``hilbert``'s Hermitian and kernel
+no product of dense matrices is formed; its 2-norm and positivity come off
+its diagonal tiles, within Weyl's bound.  ``hilbert``'s Hermitian and kernel
 predicates judge the stack in one call.
 """
 
@@ -287,19 +288,19 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
     that holds and ``1.0`` otherwise.  Precondition violations do not
     raise; the affected item carries ``applicable: False`` and a note.
 
-    ``A`` gets one spectral factorization, for its 2-norm and positivity:
-    ``eigvalsh(A)`` when it equals its adjoint, otherwise ``svd(A,
-    compute_uv=False)``, plus ``eigvalsh((A + A*)/2)`` when ``A`` is
-    Hermitian to ``CLASSIFY_TOL`` (that matrix can miss the singular values
-    by ``A``'s skew part).  The fibers get each factorization once, on the
-    stack.
+    ``A`` is never factored.  The ``adjoint`` pass copies its diagonal tiles
+    ``D`` and measures ``off = ||A - bd(D)||_F``.  By Weyl's inequality each
+    singular value of ``A``, and each eigenvalue of ``(A + A*)/2``, is within
+    ``off`` of one of ``bd(D)``'s: ``svd(D)`` gives ``A``'s 2-norm, and a
+    Hermitian ``A`` is positive if ``eigvalsh((D + D*)/2) - off`` is; for a
+    block-diagonal ``A``, exactly.  The fibers get each factorization once.
 
     Returns
     -------
     dict
         Item name -> ``{"residual", "pass", "applicable", "note"}``.  The
-        ``modulus`` item also carries ``norm``, the assembled operator's
-        2-norm, read off its spectral factorization.
+        ``modulus`` item also carries that 2-norm, ``norm``, and ``norm_error
+        = off``, a bound on its distance to ``||A||_2``.
     """
     F = fam.fibers
     m, n = fam.m, fam.n
@@ -333,38 +334,35 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
         item(name, 0.0 if whole == fiberwise else 1.0, whole == fiberwise,
              note=f"assembled={whole}, all_fibers={fiberwise}")
 
-    gap = np.conjugate(A.T, order="C")  # A*, fresh, less the fibers' adjoints on its diagonal tiles
+    gap = np.conjugate(A.T, order="C")  # A*, fresh; its diagonal tiles are D*
     tiles = np.arange(m)
-    gap.reshape(m, n, m, n)[tiles, :, tiles, :] -= adjoint(F)
-    resid = np.linalg.norm(gap) / max(1.0, np.linalg.norm(A))
-    item("adjoint", resid, resid <= tol)
+    Dh = gap.reshape(m, n, m, n)[tiles, :, tiles, :]
+    gap.reshape(m, n, m, n)[tiles, :, tiles, :] = 0
+    off = float(np.linalg.norm(gap))  # ||A - bd(D)||_F, with no cancellation
     del gap
-
-    hermitian = is_hermitian(A, CLASSIFY_TOL)
-    if hermitian and np.array_equal(A, adjoint(A)):
-        w = np.linalg.eigvalsh(A)
-        norm2 = np.abs(w).max()
-    else:
-        norm2 = np.linalg.svd(A, compute_uv=False)[0]
-        if hermitian:
-            w = np.linalg.eigvalsh((A + adjoint(A)) / 2.0)
+    resid = np.hypot(off, np.linalg.norm(Dh - adjoint(F))) / max(1.0, np.linalg.norm(A))
+    item("adjoint", resid, resid <= tol)
+    D = adjoint(Dh)
 
     AX = A @ X
     modF = _spectral(adjoint(Vhf), sf, Vhf)
     probed("modulus", estimate(fibers_on(modF, fibers_on(modF, X)), adjoint_on(AX)))
-    report["modulus"]["norm"] = float(norm2)
+    # Weyl: A's singular values, and the eigenvalues of (A + A*)/2, are within off of bd(D)'s
+    report["modulus"].update(norm=float(np.linalg.svd(D, compute_uv=False).max()), norm_error=off)
 
     p11X, p21X = fibers_on(f11, X), fibers_on(f21, X)
     probed("char_matrix", estimate(p21X, A @ p11X), estimate(X - p11X, adjoint_on(p21X)))
     report["char_matrix"]["gaps"] = gaps
 
     # property equivalences: assembled iff all fibers
+    hermitian = is_hermitian(A, CLASSIFY_TOL)
     fiber_hermitian = is_hermitian(F, CLASSIFY_TOL)
     fiber_positive = _nonnegative(np.linalg.eigvalsh((F + adjoint(F)) / 2.0), CLASSIFY_TOL)
     fiber_normal = _is_normal(F, CLASSIFY_TOL).all()
     classified("selfadjoint", hermitian, fiber_hermitian.all())
-    classified("positive", hermitian and _nonnegative(w, CLASSIFY_TOL),
-               (fiber_positive & fiber_hermitian).all())
+    classified("positive", hermitian and _nonnegative(
+        np.linalg.eigvalsh((D + Dh) / 2.0).ravel() - off, CLASSIFY_TOL),
+        (fiber_positive & fiber_hermitian).all())
     commutator = np.linalg.norm(A @ adjoint_on(X) - adjoint_on(AX)) / np.sqrt(k)
     classified("normal", commutator <= CLASSIFY_TOL * max(1.0, np.linalg.norm(A) ** 2), fiber_normal)
 

@@ -86,7 +86,7 @@ def is_hermitian(A, tol: float = HERMITIAN_TOL):
     A matrix gives a ``bool``; an ``(m, n, n)`` stack one verdict per matrix.
     """
     A = np.asarray(A)
-    dev = np.conjugate(np.swapaxes(A, -1, -2))  # A*, fresh: the one temporary the size of A
+    dev = np.conjugate(np.swapaxes(A, -1, -2), order="C")  # A*, fresh, in step with a C-order A
     dev -= A
     # a single matrix takes norm's ravel-and-dot route, which copies nothing
     axes = None if A.ndim == 2 else (-2, -1)

@@ -274,6 +274,23 @@ def test_blocked_quadratures_match_one_shot_trapezoid(monkeypatch, steps, rows):
     assert dev == pytest.approx(abs(quad - exact), abs=1e-13 * max(abs(quad), abs(exact)))
 
 
+@pytest.mark.parametrize("steps", [1, 7, 1000, 40_000])
+def test_fourier_closed_form_matches_one_shot_trapezoid(steps):
+    # the geometric sum is the trapezoid rule itself.  h Re(z - w) is 0 for
+    # w = Re z, and 2 pi at 7 steps for w = Re z - 2 pi/h; at more steps that
+    # w would be large enough to cost the one-shot sum its own accuracy
+    rng = np.random.default_rng(47)
+    n, z, smax = 6, 0.5 + 1.0j, 3.5
+    h = smax / steps
+    w = np.array([0.5, 0.5 - 2.0 * np.pi / h if steps == 7 else -2.5, -1.0, 0.0, 1.5, 3.0])
+    Q, _ = np.linalg.qr(random_hermitian(rng, n))
+    T = (Q * w) @ Q.conj().T
+    f, g = random_vectors(rng, n)
+    quad, exact = one_shot_fourier(T, z, f, g, smax, steps)
+    dev = fourier_resolvent_check(T, z, f, g, smax=smax, steps=steps)
+    assert dev == pytest.approx(abs(quad - exact), abs=1e-13 * max(abs(quad), abs(exact)))
+
+
 @pytest.mark.parametrize("steps, rows", BLOCKINGS + [(40_000, 4096), (7, 100)])
 @pytest.mark.parametrize("start, stop", [(0.0, 20.0), (-3.7, 0.01), (-1e3, 1.0 / 3.0)])
 def test_block_nodes_are_linspace(monkeypatch, steps, rows, start, stop):

@@ -318,12 +318,12 @@ def _nearly_hermitian_family():
     return OperatorFamily(ParameterGrid(np.linspace(0.0, 1.0, 3)), np.stack([F] * 3))
 
 
-@pytest.mark.parametrize("kind, assembled", [
-    ("hermitian", ["eigvalsh"]),
+@pytest.mark.parametrize("kind, tiles", [
+    ("hermitian", ["eigvalsh", "svd"]),
     ("random", ["svd"]),
     ("nearly-hermitian", ["eigvalsh", "svd"]),
-])
-def test_suite_factors_the_assembled_matrix_once(monkeypatch, kind, assembled):
+], ids=["hermitian", "random", "nearly-hermitian"])
+def test_suite_factors_only_stacks(monkeypatch, kind, tiles):
     rng = np.random.default_rng(53)
     fam = _nearly_hermitian_family() if kind == "nearly-hermitian" else \
         random_family(rng, 4, 5, hermitian=kind == "hermitian")
@@ -337,17 +337,113 @@ def test_suite_factors_the_assembled_matrix_once(monkeypatch, kind, assembled):
     report = decomposition_suite(fam)
     assert all(item["pass"] for item in report.values())
     assert report["inverse"]["applicable"]
-    # one spectral call per kind, for the 2-norm and positivity, and no
-    # other factorization of A: its items are products with the probes
-    dense = [(name, uv) for name, shape, uv in calls if shape == (m * n, m * n)]
-    assert sorted(name for name, _ in dense) == assembled
-    assert ("svd", True) not in dense
-    # the fiber side: one batched call per construction, none per fiber; the
-    # Gram pass makes two Cholesky gates and two inverses, and the svd gives
-    # the closed-formula blocks, |F| and the injectivity gate
-    assert sorted(name for name, shape, _ in calls if shape == (m, n, n)) == \
-        ["cholesky", "cholesky", "eigvalsh", "inv", "inv", "inv", "svd"]
-    assert {shape for _, shape, _ in calls} <= {(m * n, m * n), (m, n, n)}
+    # nothing the size of A is factored: its items are products with the
+    # probes, and its spectra come off its diagonal tiles
+    assert {shape for _, shape, _ in calls} == {(m, n, n)}
+    # one batched call per construction, none per fiber.  The fibers' Gram
+    # pass makes two Cholesky gates and two inverses, and their svd gives the
+    # closed-formula blocks, |F| and the injectivity gate.  The tiles get one
+    # svd without vectors for the 2-norm, and one eigvalsh of their Hermitian
+    # parts where A is Hermitian, for positivity
+    fibers = ["cholesky", "cholesky", "eigvalsh", "inv", "inv", "inv", "svd"]
+    assert sorted(name for name, _, _ in calls) == sorted(fibers + tiles)
+    assert [uv for name, _, uv in calls if name == "svd"] == [True, False]
+
+
+def _corpus_family(kind):
+    # the seven families on which the tile route must reproduce the dense one
+    from charmat.boundary import GridDiscretization, laplacian
+
+    rng = np.random.default_rng(89)
+    grid = ParameterGrid(np.linspace(0.0, 1.0, 4))
+    if kind == "nearly-hermitian":
+        return _nearly_hermitian_family()
+    if kind == "laplacian":
+        return OperatorFamily(grid, np.stack([laplacian(GridDiscretization(12, "dirichlet"))] * 4))
+    if kind == "hermitian":
+        # P + iS, P positive and S real antisymmetric: not positive, yet its real
+        # part P is, so a Hermitian part taken without the conjugate misjudges it
+        G, S = rng.standard_normal((2, 4, 6, 6))
+        return OperatorFamily(grid, G @ G.transpose(0, 2, 1) / 6 + 1j * (S - S.transpose(0, 2, 1)))
+    fam = random_family(rng, 4, 6, hermitian=kind != "random" and kind != "scaled")
+    if kind == "scaled":
+        return OperatorFamily(grid, 1e6 * fam.fibers)
+    if kind in ("psd", "psd-edge"):
+        # each fiber Q diag(w) Q*, its lowest eigenvalue 0 or just inside -CLASSIFY_TOL
+        Q, _ = np.linalg.qr(fam.fibers)
+        w = np.linspace(0.0, 1.0, 6)
+        w[0] = -0.9 * CLASSIFY_TOL if kind == "psd-edge" else 0.0
+        return OperatorFamily(grid, (Q * w) @ Q.conj().transpose(0, 2, 1))
+    return fam
+
+
+def _dense_verdicts(A):
+    # the verdicts of the dense route, which factored A itself
+    from charmat.family import _nonnegative
+
+    Ah = A.conj().T
+    hermitian = bool(is_hermitian(A, CLASSIFY_TOL))
+    commutator = np.linalg.norm(A @ Ah - Ah @ A)
+    return {
+        "selfadjoint": hermitian,
+        "positive": hermitian and bool(_nonnegative(np.linalg.eigvalsh((A + Ah) / 2.0), CLASSIFY_TOL)),
+        "normal": bool(commutator <= CLASSIFY_TOL * max(1.0, np.linalg.norm(A) ** 2)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["random", "hermitian", "psd", "psd-edge", "nearly-hermitian",
+                                  "laplacian", "scaled"])
+def test_tile_spectra_reproduce_the_dense_route(kind):
+    fam = _corpus_family(kind)
+    A = fam.assemble()
+    report = decomposition_suite(fam)
+    norm2 = np.linalg.norm(A, 2)
+    assert report["modulus"]["norm_error"] == 0.0
+    assert abs(report["modulus"]["norm"] - norm2) <= 1e-14 * norm2
+    for name, assembled in _dense_verdicts(A).items():
+        assert f"assembled={assembled}," in report[name]["note"], (name, report[name])
+    if kind == "psd-edge":
+        assert "assembled=True," in report["positive"]["note"]
+    if kind == "hermitian":
+        assert "assembled=False," in report["positive"]["note"]
+
+
+@pytest.mark.parametrize("size", [1e-6, 1e-3])
+def test_weyl_bounds_hold_off_the_diagonal_tiles(tmp_path, monkeypatch, capsys, size):
+    # identical positive semidefinite fibers, so that the top singular value and
+    # the kernel are shared across tiles, and a Hermitian E off the diagonal
+    # tiles moves both to first order: A leaves the positive cone and its
+    # 2-norm moves, neither of which its diagonal tiles show
+    from charmat.cli import main
+    from charmat.io import save_matrix
+
+    m, n = 4, 4
+    rng = np.random.default_rng(97)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    F = (Q * np.array([0.0, 0.5, 1.0, 2.0])) @ Q.conj().T
+    fam = OperatorFamily(ParameterGrid(np.linspace(0.0, 1.0, m)), np.stack([F] * m))
+    E = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
+    E = E + E.conj().T
+    for k in range(m):
+        E[k * n:(k + 1) * n, k * n:(k + 1) * n] = 0.0
+    E *= size / np.linalg.norm(E)
+    A = fam.assemble() + E
+    assemble = OperatorFamily.assemble
+    monkeypatch.setattr(OperatorFamily, "assemble", lambda self: assemble(self) + E)
+
+    save_matrix(tmp_path / "F.json", F)
+    fiber = json.loads((tmp_path / "F.json").read_text())
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"grid": fam.grid.nodes.tolist(), "fibers": [fiber] * m}))
+    assert main(["verify", str(path), "--out", str(tmp_path / "o")]) == 1
+    out = json.loads(capsys.readouterr().out)
+
+    norm2 = np.linalg.norm(A, 2)
+    dense = abs(family_norm(fam) - norm2) / max(1.0, norm2)
+    assert dense > 1e3 * np.finfo(float).eps
+    assert out["residuals"]["norm_consistency"] >= dense
+    assert not _dense_verdicts(A)["positive"]
+    assert "assembled=False," in out["notes"]["suite_positive"]
 
 
 def test_suite_normal_stays_a_product_test():

@@ -461,6 +461,23 @@ def test_cli_exit_3_on_a_negative_tol(tmp_path, capsys, command):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["charmat", "verify", "stone"])
+def test_cli_exit_3_on_a_negative_seed(tmp_path, capsys, command):
+    # one rule for --seed, whether or not the command draws from it
+    mat = tmp_path / "H.json"
+    save_matrix(mat, HERMITIAN)
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"grid": [0.0, 1.0], "fibers": {"kind": "dirichlet-laplacian", "n": 4}}))
+    argv = {"charmat": ["charmat", str(mat)], "verify": ["verify", str(fam)],
+            "stone": ["selfadjoint", str(mat), "stone", "--lam", "0.5"]}[command]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 3
+    assert "argument --seed: must be non-negative" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_cli_exit_4_on_numerical_failure(tmp_path):
     mat = tmp_path / "T.json"
     save_matrix(mat, np.diag([1.0, 3.0]))
