@@ -409,11 +409,13 @@ def test_tile_spectra_reproduce_the_dense_route(kind):
 
 
 @pytest.mark.parametrize("size", [1e-6, 1e-3])
-def test_weyl_bounds_hold_off_the_diagonal_tiles(tmp_path, monkeypatch, capsys, size):
+def test_weyl_bounds_hold_for_an_assembly_error(tmp_path, monkeypatch, capsys, size):
     # identical positive semidefinite fibers, so that the top singular value and
-    # the kernel are shared across tiles, and a Hermitian E off the diagonal
-    # tiles moves both to first order: A leaves the positive cone and its
-    # 2-norm moves, neither of which its diagonal tiles show
+    # the kernel are shared across tiles, and a Hermitian E of norm `size` off
+    # the diagonal tiles, which moves both to first order: A leaves the
+    # positive cone and its 2-norm moves, neither of which the tiles show.  E
+    # also lifts the top eigenvalue on every tile by 2 size, which only the
+    # tiles, not the fibers, show
     from charmat.cli import main
     from charmat.io import save_matrix
 
@@ -427,6 +429,8 @@ def test_weyl_bounds_hold_off_the_diagonal_tiles(tmp_path, monkeypatch, capsys, 
     for k in range(m):
         E[k * n:(k + 1) * n, k * n:(k + 1) * n] = 0.0
     E *= size / np.linalg.norm(E)
+    for k in range(m):
+        E[k * n:(k + 1) * n, k * n:(k + 1) * n] = 2 * size * np.outer(Q[:, -1], Q[:, -1].conj())
     A = fam.assemble() + E
     assemble = OperatorFamily.assemble
     monkeypatch.setattr(OperatorFamily, "assemble", lambda self: assemble(self) + E)
