@@ -323,6 +323,15 @@ def cmd_selfadjoint(args, outdir: str) -> Report:
                        _tol(args, IDENTITY_TOL))
     elif sub == "stone":
         lam = need("lam")
+        # only nodes at most epsilon apart over [w_min - 1, lam + delta] resolve the Poisson
+        # kernels; a nonpositive epsilon or steps is left to stone_formula_check's own error
+        eps, width = args.epsilon, lam + args.delta - (np.linalg.eigvalsh(T)[0] - 1.0)
+        if eps > 0 and args.steps >= 1 and width / args.steps > eps:
+            q = width / eps  # below 2**53, the smallest passing --steps is within 1 of q
+            fewest = q if q >= 2**53 else next(
+                k for k in range(max(1, int(q) - 1), int(q) + 3) if width / k <= eps)
+            raise ValueError(f"quadrature node spacing {width / args.steps:.6g} exceeds "
+                             f"--epsilon {eps:g}; use --steps {fewest:.17g} or more")
         f, g = _probe_vectors(len(T), args.seed)
         resid = stone_formula_check(T, lam, f, g, args.epsilon, args.delta, args.steps)
         report.add("stone", resid, _tol(args, STONE_TOL))

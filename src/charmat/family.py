@@ -12,8 +12,8 @@ the classical truncation of sections by growth level.
 
 Fiberwise constructions run once on the stack with numpy's batched linear
 algebra and are never assembled.  The fiber characteristic matrices are one
-batched Gram pass of ``graph``, checked against the closed SVD formula on the
-fibers' batched SVD; the assembled operator is audited by applying it and the
+batched Gram pass of ``graph``, checked against the projection onto the SVD
+basis of each fiber's graph; the assembled operator is audited by applying it and the
 fiberwise constructions to a few seeded Gaussian probe vectors, so the
 suite's residuals are probe estimates of relative Frobenius residuals and
 no product of dense matrices is formed; its 2-norm and positivity come off
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # char_matrix is unused here, but perfbench/tracer.py wraps family.char_matrix
-from .graph import CharacteristicMatrix, _char_blocks, _svd_blocks, char_matrix  # noqa: F401
+from .graph import CharacteristicMatrix, _basis_blocks, _char_blocks, char_matrix  # noqa: F401
 from .hilbert import _as_operator, _kernel_trivial, _spectral, adjoint, is_hermitian
 
 __all__ = [
@@ -192,12 +192,13 @@ def _fiber_char(F: np.ndarray):
 
     Returns the Gram-route blocks ``(p11, p12, p21, p22)`` of the ``(m, n, n)``
     stack, its batched ``svd`` ``(U, s, Vh)``, and per block name the absolute
-    Frobenius distance, over all fibers, between the Gram-route block and the
-    closed SVD formula (``graph._svd_blocks``) applied to that ``svd``.
+    Frobenius distance, over all fibers, between the Gram-route block and the blocks of
+    the SVD basis ``[V c; U s c]``, ``c = 1/sqrt(1 + s^2)``, finite where ``s^2`` overflows.
     """
     blocks = _char_blocks(F)  # first: an overflowing Gram matrix raises before any other work
     U, s, Vh = np.linalg.svd(F)
-    s11, s21, s22 = _svd_blocks(U, s, Vh)
+    c = 1.0 / np.hypot(1.0, s)
+    s11, s21, s22 = _basis_blocks(adjoint(Vh) * c[..., None, :], U * (s * c)[..., None, :])
     f11, f12, f21, f22 = blocks
     gaps = {"p11": f11 - s11, "p12": f12 - adjoint(s21), "p21": f21 - s21, "p22": f22 - s22}
     return blocks, (U, s, Vh), {b: float(np.linalg.norm(g)) for b, g in gaps.items()}
@@ -213,8 +214,8 @@ def char_matrix_fiberwise(fam: OperatorFamily):
         one batched Gram pass over the ``(m, n, n)`` stack.
     residuals : dict
         For each block name, the absolute Frobenius distance, over all
-        fibers, between those blocks and the closed SVD formula applied to
-        the fibers' batched ``svd``: the ``gaps`` of
+        fibers, between those blocks and the projection onto the SVD basis
+        of each fiber's graph: the ``gaps`` of
         :func:`decomposition_suite`'s ``char_matrix`` item.  All four are at
         rounding level for any family; nothing dense is factored.
     """
@@ -264,7 +265,7 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
     - ``adjoint``    : conjugate transpose (always applicable)
     - ``char_matrix``: the fibers' Gram-route blocks satisfy ``p21 = A p11``
       and ``I - p11 = A* p21``; ``gaps`` holds each block's absolute Frobenius
-      distance to the closed SVD formula on the fibers' batched ``svd``
+      distance to the projection onto the SVD basis of each fiber's graph
     - ``modulus``    : ``B^2 = A* A`` for ``B = |F|``, positive by
       construction, so ``B = |A|`` (always applicable)
     - ``selfadjoint``: the assembled operator is Hermitian iff every fiber is

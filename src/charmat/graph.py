@@ -7,15 +7,14 @@ closed subspace of ``C^n (+) C^n``.  The orthogonal projection onto it is a
     p11 = (T* T + I)^-1          p12 = T* (T T* + I)^-1
     p21 = T (T* T + I)^-1        p22 = I - (T T* + I)^-1
 
-:func:`char_matrix` forms each of the two Gram matrices ``T* T + I`` and
-``T T* + I`` with one matrix product, checks it positive definite with a
-Cholesky factorization and inverts it by an LU solve against ``I``; numpy
-alone does all of it.  The Gram inverses and the block products run
-unchanged on an ``(m, n, n)`` stack of operators, which is how ``family``
-builds every fiber's blocks in one pass (and checks them against the closed
-SVD formula on the fibers' batched SVD).  A real ``T`` stays real throughout, so its
-blocks are ``float64``; a Gram matrix that overflows, or fails its Cholesky
-factorization, raises ``numpy.linalg.LinAlgError``.
+:func:`char_matrix` inverts the two Gram matrices ``T* T + I`` and
+``T T* + I`` with numpy alone, and runs unchanged on an ``(m, n, n)`` stack
+of operators: ``family`` builds every fiber's blocks in one pass and checks
+them against the fibers' SVD basis.  A real ``T`` gives ``float64`` blocks.
+An orthonormal graph basis ``[Q1; Q2]`` gives the blocks ``Q1 Q1*``,
+``Q2 Q1*``, ``Q2 Q2*`` and ``p12 = p21*``: the independent
+:func:`char_matrix_oracle` takes these three products of one QR
+factorization of ``[I; T]``.  No ``2n x 2n`` matrix is formed here.
 
 The block structure satisfies a family of algebraic identities (block
 symmetry, idempotency, trivial kernels, factorization through ``T``) that
@@ -71,7 +70,7 @@ class CharacteristicMatrix:
         return self.p11.shape[0]
 
     def assemble(self) -> np.ndarray:
-        """The full ``2n x 2n`` projection ``[[p11, p12], [p21, p22]]``."""
+        """The full ``2n x 2n`` projection, for demos and tests; no library path calls it."""
         return np.block([[self.p11, self.p12], [self.p21, self.p22]])
 
     def blockwise_distance(self, other: "CharacteristicMatrix") -> float:
@@ -145,16 +144,13 @@ def _char_blocks(T: np.ndarray) -> tuple:
     return p11, Th @ q, T @ p11, np.eye(T.shape[-1]) - q
 
 
-def _svd_blocks(U: np.ndarray, s: np.ndarray, Vh: np.ndarray):
-    """Yield ``p11``, ``p21``, ``p22`` (``p12 = p21*``) of ``T = U diag(s) Vh`` by the closed SVD formula.
+def _basis_blocks(Q1: np.ndarray, Q2: np.ndarray) -> tuple:
+    """``(p11, p21, p22) = (Q1 Q1*, Q2 Q1*, Q2 Q2*)``, ``p12 = p21*``, of an orthonormal graph basis.
 
-    ``T`` may be a matrix or an ``(m, n, n)`` stack with its batched ``svd``.  Finite where
-    ``s^2`` overflows; a Hermitian ``T`` may pass its ``eigh`` as ``(V, w, V*)``.
+    ``[Q1; Q2]`` is a matrix with orthonormal columns or an ``(m, 2n, n)`` stack of them.
     """
-    c = 1.0 / np.hypot(1.0, s)
-    yield np.swapaxes(np.conjugate(Vh) * (c * c)[..., :, None], -1, -2) @ Vh
-    yield (U * (s * c * c)[..., None, :]) @ Vh
-    yield U @ np.swapaxes(np.conjugate(U) * ((s * c) ** 2)[..., None, :], -1, -2)
+    Q1h = adjoint(Q1)
+    return Q1 @ Q1h, Q2 @ Q1h, Q2 @ adjoint(Q2)
 
 
 def char_matrix_oracle(T) -> CharacteristicMatrix:
@@ -163,18 +159,15 @@ def char_matrix_oracle(T) -> CharacteristicMatrix:
     Stacks ``[I; T]`` columnwise (its columns span the graph), orthonormalizes
     them with a Householder QR factorization -- which keeps the basis
     orthonormal to machine precision regardless of the conditioning of the
-    stacked matrix -- and forms ``Q Q*``.  Entirely independent of the
-    closed-form route in :func:`char_matrix`, which makes the two usable as
-    cross-checks of one another.
+    stacked matrix -- and takes three products of its halves (``_basis_blocks``)
+    instead of ``Q Q*``.  Entirely independent of the closed-form route in
+    :func:`char_matrix`, which makes the two usable as cross-checks of one another.
     """
     T = _as_operator(T)
     n = T.shape[0]
-    S = np.vstack([np.eye(n), T])
-    Q, _ = np.linalg.qr(S)  # reduced: Q is 2n x n with orthonormal columns
-    P = Q @ Q.conj().T
-    return CharacteristicMatrix(
-        p11=P[:n, :n], p12=P[:n, n:], p21=P[n:, :n], p22=P[n:, n:]
-    )
+    Q, _ = np.linalg.qr(np.vstack([np.eye(n), T]))  # reduced: Q is 2n x n with orthonormal columns
+    p11, p21, p22 = _basis_blocks(Q[:n], Q[n:])
+    return CharacteristicMatrix(p11=p11, p12=adjoint(p21), p21=p21, p22=p22)
 
 
 @dataclass
@@ -188,7 +181,7 @@ class IdentityReport:
     ======  ==========================================================
     A6      block symmetry: ``p21 == p12*`` and Hermitian diagonal
             blocks (largest Frobenius deviation)
-    A7      idempotency of the assembled projection ``||P^2 - P||_F``
+    A7      idempotency ``||P^2 - P||_F``, computed block by block
     A8      kernel triviality: smallest singular value of ``p11`` and
             of ``I - p22`` (the *minimum* of the two; passes when it
             exceeds the kernel threshold, unlike the other labels)
@@ -242,8 +235,11 @@ def verify_identities(T, P: CharacteristicMatrix, tol: float = IDENTITY_TOL) -> 
         np.linalg.norm(P.p11 - adjoint(P.p11), "fro"),
         np.linalg.norm(P.p22 - adjoint(P.p22), "fro"),
     )
-    full = P.assemble()
-    r["A7"] = np.linalg.norm(full @ full - full, "fro")
+    # block (i, j) of P^2 - P is P_i1 P_1j + P_i2 P_2j - P_ij
+    rows = ((P.p11, P.p12), (P.p21, P.p22))
+    r["A7"] = np.linalg.norm([
+        np.linalg.norm(rows[i][0] @ rows[0][j] + rows[i][1] @ rows[1][j] - rows[i][j])
+        for i in (0, 1) for j in (0, 1)])
     # p11 and I - p22 are Hermitian: their eigenvalue moduli are their singular values
     kernels_ok, r["A8"], threshold = _kernel_trivial(np.abs(np.concatenate(
         [np.linalg.eigvalsh(P.p11), np.linalg.eigvalsh(I - P.p22)])))

@@ -220,7 +220,7 @@ def test_verify_audit_is_independent_of_the_fiber_route(tmp_path, monkeypatch, c
 def test_fiberwise_residuals_are_the_suite_char_matrix_gaps(hermitian):
     fam = random_family(np.random.default_rng(71), 4, 5, hermitian=hermitian)
     gaps = decomposition_suite(fam)["char_matrix"]["gaps"]
-    # one route: the fibers' Gram blocks against the closed SVD formula on their svd
+    # one route: the fibers' Gram blocks against the blocks of their SVD basis
     assert char_matrix_fiberwise(fam)[1] == gaps
 
 

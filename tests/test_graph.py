@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from charmat.graph import (
     IDENTITY_TOL,
     CharacteristicMatrix,
+    _basis_blocks,
     adjoint_char_matrix,
     char_matrix,
     char_matrix_oracle,
@@ -354,12 +355,16 @@ def test_gram_matrix_that_fails_cholesky_raises():
         char_matrix(T)
 
 
-def test_svd_blocks_stay_finite_and_accurate_at_extreme_singular_values():
-    from charmat.graph import _svd_blocks
+def svd_basis_blocks(U, s, Vh):
+    # the blocks of the SVD basis [V c; U s c], c = 1/sqrt(1 + s^2), of the graph of U diag(s) Vh
+    c = 1.0 / np.hypot(1.0, s)
+    return _basis_blocks(adjoint(Vh) * c, U * (s * c))
 
+
+def test_svd_basis_blocks_stay_finite_and_accurate_at_extreme_singular_values():
     s = np.array([1e200, 1.0, 1e-8, 0.0])
     I = np.eye(4)
-    p11, p21, p22 = _svd_blocks(I, s, I)
+    p11, p21, p22 = svd_basis_blocks(I, s, I)
     for block in (p11, p21, p22):
         assert np.isfinite(block).all()
     # c^2 = 1/(1+s^2), s c^2 and s^2 c^2, to a few ulps, with no cancellation at 1e-8
@@ -369,18 +374,60 @@ def test_svd_blocks_stay_finite_and_accurate_at_extreme_singular_values():
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
-def test_svd_blocks_match_the_oracle(is_complex):
-    from charmat.graph import _svd_blocks
-
+def test_svd_basis_blocks_match_the_oracle(is_complex):
     rng = np.random.default_rng(73)
     T = rng.standard_normal((12, 12)) + (1j * rng.standard_normal((12, 12)) if is_complex else 0)
     ref = char_matrix_oracle(T)
-    p11, p21, p22 = _svd_blocks(*np.linalg.svd(T))
+    p11, p21, p22 = svd_basis_blocks(*np.linalg.svd(T))
     got = CharacteristicMatrix(p11, adjoint(p21), p21, p22)
     assert got.blockwise_distance(ref) <= 1e-14
     # a Hermitian T passes its eigh: eigenvectors, signed eigenvalues, adjoint
     H = (T + adjoint(T)) / 2.0
     w, V = np.linalg.eigh(H)
-    p11, p21, p22 = _svd_blocks(V, w, adjoint(V))
+    p11, p21, p22 = svd_basis_blocks(V, w, adjoint(V))
     got = CharacteristicMatrix(p11, adjoint(p21), p21, p22)
     assert got.blockwise_distance(char_matrix_oracle(H)) <= 1e-14
+
+
+def test_oracle_sets_p12_to_the_adjoint_of_p21():
+    rng = np.random.default_rng(29)
+    for T in (rng.standard_normal((9, 9)), random_operator(rng, 9)):
+        P = char_matrix_oracle(T)
+        assert np.array_equal(P.p12, adjoint(P.p21))
+
+
+# ------------------------------------------------- A7 without the 2n x 2n P
+
+
+A7_CASES = [(kind, n, norm) for kind in ("real", "complex") for n in (1, 2, 40)
+            for norm in (1e-8, 1.0, 1e4)] + ["laplacian", "corrupted"]
+
+
+@pytest.mark.parametrize("case", A7_CASES, ids=lambda c: c if isinstance(c, str) else "-".join(map(str, c)))
+def test_blockwise_a7_equals_the_dense_residual(case):
+    from charmat.boundary import GridDiscretization, laplacian
+
+    if case in ("laplacian", "corrupted"):
+        T = laplacian(GridDiscretization(40, "dirichlet"))
+    else:
+        kind, n, norm = case
+        rng = np.random.default_rng(n)
+        T = rng.standard_normal((n, n)) if kind == "real" else random_operator(rng, n)
+        T *= norm / np.linalg.norm(T, 2)
+    P = char_matrix(T)
+    if case == "corrupted":
+        E = np.random.default_rng(4).standard_normal(P.p21.shape)
+        P = CharacteristicMatrix(P.p11, P.p12, P.p21 + 1e-6 * E, P.p22)
+    full = np.block([[P.p11, P.p12], [P.p21, P.p22]])
+    a7, dense = verify_identities(T, P).residuals["A7"], np.linalg.norm(full @ full - full)
+    assert abs(a7 - dense) <= 1e-14 * max(1.0, dense)
+    if case == "corrupted":
+        assert dense > 1e-8  # far above rounding, where a misplaced block would show
+
+
+def test_verify_identities_forms_no_2n_by_2n_array(traced_peak_mb):
+    # the assembled complex P alone is 4 n^2 entries, and P^2 - P needs two more
+    n = 300
+    T = random_operator(np.random.default_rng(31), n)
+    P = char_matrix(T)
+    assert traced_peak_mb(verify_identities, T, P) <= 6 * n * n * 16 / 2**20

@@ -17,7 +17,7 @@ import charmat.io
 from charmat import cli
 from charmat.cli import main
 from charmat.family import SUITE_SEED
-from charmat.graph import char_matrix
+from charmat.graph import CharacteristicMatrix, char_matrix
 from charmat.io import (
     GENERATOR_KINDS,
     ParseError,
@@ -351,6 +351,22 @@ def test_cli_charmat_happy_path(tmp_path):
     assert report_blob == blob
 
 
+def test_cli_oracle_label_sees_an_error_in_p12(tmp_path, monkeypatch):
+    # the oracle's p12 is its p21*: an error in char_matrix's p12 alone must still reach the label
+    def scaled_p12(T):
+        P = char_matrix(T)
+        return CharacteristicMatrix(P.p11, P.p12 * (1 + 1e-8), P.p21, P.p22)
+
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    out = tmp_path / "o"
+    assert main(["charmat", str(mat), "--oracle", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["residuals"]["oracle"] <= 1e-14
+    monkeypatch.setattr(cli, "char_matrix", scaled_p12)
+    assert main(["charmat", str(mat), "--oracle", "--out", str(out)]) == 1
+    assert json.loads((out / "report.json").read_text())["residuals"]["oracle"] > 1e-10
+
+
 def test_cli_exit_1_on_residual_failure(tmp_path):
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
@@ -507,6 +523,26 @@ def test_cli_exit_4_when_out_of_memory(tmp_path, monkeypatch, capsys, command, k
     err = capsys.readouterr().err
     assert "numerical failure: out of memory: Unable to allocate 8.00 EiB" in err
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_cli_stone_exit_3_when_nodes_are_farther_apart_than_epsilon(tmp_path, capsys):
+    # spectrum -5.6 ... 6.8: at --lam 0.5 the window [w_min - 1, lam + delta] is 7.11
+    # wide, so 40000 steps space the nodes 1.8e-4 apart, wider than the Poisson
+    # kernels' 1e-4 (the quadrature then misses STONE_TOL on this correct matrix)
+    rng = np.random.default_rng(12)
+    V, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+    mat = tmp_path / "H12.json"
+    save_matrix(mat, (V * np.linspace(-5.6, 6.8, 12)) @ V.conj().T)
+    argv = ["selfadjoint", str(mat), "stone", "--lam", "0.5", "--seed", "3", "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    found = re.search(r"invariant violation: quadrature node spacing (\S+) exceeds --epsilon 0.0001; "
+                      r"use --steps (\d+) or more", err)
+    assert float(found.group(1)) == pytest.approx(1.78e-4, rel=1e-2)
+    fewest = int(found.group(2))
+    assert main([*argv, "--steps", str(fewest - 1)]) == 3
+    assert main([*argv, "--steps", str(fewest)]) != 3
+    assert main([*argv, "--epsilon", "1e-3", "--steps", "200000"]) == 0
 
 
 def test_cli_exit_4_when_a_gram_matrix_overflows(tmp_path):
