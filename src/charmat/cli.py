@@ -118,6 +118,21 @@ def _finite(parse, nonnegative: bool = False):
     return finite
 
 
+def _count(text: str) -> int:
+    """An argparse ``type=`` for ``--steps``: an int from 1 up to the float range.
+
+    The quadratures turn ``steps`` into floats, so a larger int would end in
+    an ``OverflowError`` there.
+    """
+    value = int(text)
+    if not 1 <= value <= sys.float_info.max:  # an int compares with a float exactly
+        raise argparse.ArgumentTypeError(f"must lie in [1, {sys.float_info.max:g}]")
+    return value
+
+
+_count.__name__ = "int"  # as in argparse's "invalid int value: ..."
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     # no residual is negative, so a negative tolerance could only fail every label
     p.add_argument("--tol", type=_finite(float, nonnegative=True), default=None,
@@ -158,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=_finite(float), default=None, help="spectral height")
     p.add_argument("--s", type=_finite(float), default=None, help="group time")
     p.add_argument("--smax", type=_finite(float), default=20.0, help="integral truncation")
-    p.add_argument("--steps", type=int, default=40_000, help="quadrature subintervals")
+    p.add_argument("--steps", type=_count, default=40_000, help="quadrature subintervals")
     p.add_argument("--epsilon", type=_finite(float), default=1e-4, help="resolvent offset")
     p.add_argument("--delta", type=_finite(float), default=1e-2, help="endpoint overshoot")
     _add_common(p)
@@ -324,9 +339,9 @@ def cmd_selfadjoint(args, outdir: str) -> Report:
     elif sub == "stone":
         lam = need("lam")
         # only nodes at most epsilon apart over [w_min - 1, lam + delta] resolve the Poisson
-        # kernels; a nonpositive epsilon or steps is left to stone_formula_check's own error
+        # kernels; a nonpositive epsilon is left to stone_formula_check's own error
         eps, width = args.epsilon, lam + args.delta - (np.linalg.eigvalsh(T)[0] - 1.0)
-        if eps > 0 and args.steps >= 1 and width / args.steps > eps:
+        if eps > 0 and width / args.steps > eps:
             q = width / eps  # below 2**53, the smallest passing --steps is within 1 of q
             fewest = q if q >= 2**53 else next(
                 k for k in range(max(1, int(q) - 1), int(q) + 3) if width / k <= eps)

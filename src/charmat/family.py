@@ -341,7 +341,8 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
     gap.reshape(m, n, m, n)[tiles, :, tiles, :] = 0
     off = float(np.linalg.norm(gap))  # ||A - bd(D)||_F, with no cancellation
     del gap
-    resid = np.hypot(off, np.linalg.norm(Dh - adjoint(F))) / max(1.0, np.linalg.norm(A))
+    norm_fro = np.linalg.norm(A)  # ||A||_F, for the adjoint item and the normal verdict
+    resid = np.hypot(off, np.linalg.norm(Dh - adjoint(F))) / max(1.0, norm_fro)
     item("adjoint", resid, resid <= tol)
     D = adjoint(Dh)
 
@@ -365,7 +366,7 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
         np.linalg.eigvalsh((D + Dh) / 2.0).ravel() - off, CLASSIFY_TOL),
         (fiber_positive & fiber_hermitian).all())
     commutator = np.linalg.norm(A @ adjoint_on(X) - adjoint_on(AX)) / np.sqrt(k)
-    classified("normal", commutator <= CLASSIFY_TOL * max(1.0, np.linalg.norm(A) ** 2), fiber_normal)
+    classified("normal", commutator <= CLASSIFY_TOL * max(1.0, norm_fro ** 2), fiber_normal)
 
     # injectivity is read off sf
     if _kernel_trivial(sf)[0].all():

@@ -16,6 +16,12 @@ An orthonormal graph basis ``[Q1; Q2]`` gives the blocks ``Q1 Q1*``,
 :func:`char_matrix_oracle` takes these three products of one QR
 factorization of ``[I; T]``.  No ``2n x 2n`` matrix is formed here.
 
+Memory bounds the operator scale, so the kernels form no temporaries they
+can avoid.  The oracle's QR runs in place, in one ``2n x n`` buffer,
+through ``numpy.linalg.lapack_lite``: numpy's own QR holds the stacked
+matrix, its copy, two work buffers and ``Q`` at once.  ``I - X`` is
+formed with no identity matrix, and ``p22`` overwrites ``(T T* + I)^-1``.
+
 The block structure satisfies a family of algebraic identities (block
 symmetry, idempotency, trivial kernels, factorization through ``T``) that
 are checked by :func:`verify_identities`, and it transforms simply under
@@ -30,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .hilbert import _as_operator, _kernel_trivial, adjoint
 
@@ -136,21 +143,78 @@ def char_matrix(T) -> CharacteristicMatrix:
     return CharacteristicMatrix(*_char_blocks(_as_operator(T)))
 
 
+def _identity_minus(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``I - X`` for a matrix or an ``(m, n, n)`` stack, into ``out`` (``X`` itself may be it).
+
+    No identity matrix is formed.  Subtracting from ``0.0``, not negating,
+    gives the zeros of ``np.eye(n) - X``: ``+0.0``, never ``-0.0``.
+    """
+    out = np.subtract(0.0, X, out=out)
+    np.einsum("...ii->...i", out)[...] += 1.0  # a writable view of the diagonal
+    return out
+
+
 def _char_blocks(T: np.ndarray) -> tuple:
-    """``(p11, p12, p21, p22)`` of an operator or of each operator of an ``(m, n, n)`` stack."""
-    Th = adjoint(T)
-    p11 = _inverse_gram(Th, T, "T*T + I")
-    q = _inverse_gram(T, Th, "TT* + I")
-    return p11, Th @ q, T @ p11, np.eye(T.shape[-1]) - q
+    """``(p11, p12, p21, p22)`` of an operator or of each operator of an ``(m, n, n)`` stack.
+
+    ``T*`` is taken afresh at each use, so no copy of it is held across both
+    Gram inverses, and ``p22`` overwrites ``(T T* + I)^-1``.
+    """
+    p11 = _inverse_gram(adjoint(T), T, "T*T + I")
+    q = _inverse_gram(T, adjoint(T), "TT* + I")
+    return p11, adjoint(T) @ q, T @ p11, _identity_minus(q, out=q)
 
 
 def _basis_blocks(Q1: np.ndarray, Q2: np.ndarray) -> tuple:
     """``(p11, p21, p22) = (Q1 Q1*, Q2 Q1*, Q2 Q2*)``, ``p12 = p21*``, of an orthonormal graph basis.
 
     ``[Q1; Q2]`` is a matrix with orthonormal columns or an ``(m, 2n, n)`` stack of them.
+    ``Q1*`` is freed before ``Q2*`` is formed.
     """
     Q1h = adjoint(Q1)
-    return Q1 @ Q1h, Q2 @ Q1h, Q2 @ adjoint(Q2)
+    p11, p21 = Q1 @ Q1h, Q2 @ Q1h
+    del Q1h
+    return p11, p21, Q2 @ adjoint(Q2)
+
+
+def _lapack(routine: str, *args) -> None:
+    """Run ``lapack_lite``'s ``routine`` on ``args`` (up to ``tau``) with its optimal workspace.
+
+    A workspace query comes first, as in numpy's own QR, so the blocking and
+    the result are the same.  A nonzero ``info`` or a ``LapackError`` raises
+    ``LinAlgError``.
+    """
+    run = getattr(lapack_lite, routine)
+    work = np.empty(1, args[-1].dtype)
+    try:
+        info = run(*args, work, -1, 0)["info"]  # the query writes the optimal size to work[0]
+        if info == 0:
+            work = np.empty(max(1, int(work[0].real)), work.dtype)
+            info = run(*args, work, work.size, 0)["info"]
+    except lapack_lite.LapackError as exc:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed: {exc}") from exc
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info = {info}")
+
+
+def _graph_basis(T: np.ndarray) -> tuple:
+    """Halves ``(Q1, Q2)`` of the Householder QR factor ``Q`` of ``[I; T]``, in one buffer.
+
+    LAPACK works on column-major storage and ``lapack_lite`` takes C-ordered
+    arrays, so the ``n x 2n`` C-ordered buffer ``[I, T^T]`` is ``[I; T]``
+    column-major.  ``geqrf`` factors it and ``orgqr``/``ungqr`` overwrite it
+    with ``Q``; ``Q1`` and ``Q2`` are views of it.
+    """
+    n = T.shape[0]
+    lda = max(1, 2 * n)
+    geqrf, orgqr = ("dgeqrf", "dorgqr") if T.dtype == np.float64 else ("zgeqrf", "zungqr")
+    a = np.zeros((n, 2 * n), T.dtype)
+    np.einsum("ii->i", a[:, :n])[...] = 1.0
+    a[:, n:] = T.T
+    tau = np.empty(n, T.dtype)
+    _lapack(geqrf, 2 * n, n, a, lda, tau)
+    _lapack(orgqr, 2 * n, n, n, a, lda, tau)
+    return a[:, :n].T, a[:, n:].T
 
 
 def char_matrix_oracle(T) -> CharacteristicMatrix:
@@ -162,11 +226,20 @@ def char_matrix_oracle(T) -> CharacteristicMatrix:
     stacked matrix -- and takes three products of its halves (``_basis_blocks``)
     instead of ``Q Q*``.  Entirely independent of the closed-form route in
     :func:`char_matrix`, which makes the two usable as cross-checks of one another.
+
+    The QR runs in place: LAPACK's ``geqrf`` and ``orgqr``/``ungqr``, called
+    through ``numpy.linalg.lapack_lite``, overwrite one ``2n x n`` buffer
+    with ``Q``, where numpy's ``qr`` would hold about twice that in copies.
+    The blocks are bitwise those of numpy's ``qr``; a test compares the two
+    routes, so a change in ``lapack_lite`` shows there.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If LAPACK reports a nonzero ``info`` or ``lapack_lite`` rejects an
+        argument.
     """
-    T = _as_operator(T)
-    n = T.shape[0]
-    Q, _ = np.linalg.qr(np.vstack([np.eye(n), T]))  # reduced: Q is 2n x n with orthonormal columns
-    p11, p21, p22 = _basis_blocks(Q[:n], Q[n:])
+    p11, p21, p22 = _basis_blocks(*_graph_basis(_as_operator(T)))  # the QR buffer is freed here
     return CharacteristicMatrix(p11=p11, p12=adjoint(p21), p21=p21, p22=p22)
 
 
@@ -227,7 +300,6 @@ def verify_identities(T, P: CharacteristicMatrix, tol: float = IDENTITY_TOL) -> 
     if T.shape[0] != P.n:
         raise ValueError(f"operator is {T.shape[0]}-dimensional but blocks are {P.n}")
     Th = adjoint(T)
-    I = np.eye(P.n)
 
     r = {}
     r["A6"] = max(
@@ -241,16 +313,20 @@ def verify_identities(T, P: CharacteristicMatrix, tol: float = IDENTITY_TOL) -> 
         np.linalg.norm(rows[i][0] @ rows[0][j] + rows[i][1] @ rows[1][j] - rows[i][j])
         for i in (0, 1) for j in (0, 1)])
     # p11 and I - p22 are Hermitian: their eigenvalue moduli are their singular values
+    Ip22 = _identity_minus(P.p22)
     kernels_ok, r["A8"], threshold = _kernel_trivial(np.abs(np.concatenate(
-        [np.linalg.eigvalsh(P.p11), np.linalg.eigvalsh(I - P.p22)])))
+        [np.linalg.eigvalsh(P.p11), np.linalg.eigvalsh(Ip22)])))
+    # A13 reads I - p22 too.  It is freed before the difference, which is taken in
+    # place: ||T* (I - p22) - p12|| is ||p12 - T* (I - p22)|| bit for bit.
+    D = Th @ Ip22
+    del Ip22
+    a13_p12 = np.linalg.norm(np.subtract(D, P.p12, out=D), "fro")
+    del D
     r["A12"] = max(
         np.linalg.norm(P.p21 - T @ P.p11, "fro"),
         np.linalg.norm(P.p22 - T @ P.p12, "fro"),
     )
-    r["A13"] = max(
-        np.linalg.norm((I - P.p11) - Th @ P.p21, "fro"),
-        np.linalg.norm(P.p12 - Th @ (I - P.p22), "fro"),
-    )
+    r["A13"] = max(np.linalg.norm(_identity_minus(P.p11) - Th @ P.p21, "fro"), a13_p12)
     r = {k: float(v) for k, v in r.items()}
 
     passes = {k: (v <= tol) for k, v in r.items() if k != "A8"}
@@ -265,9 +341,8 @@ def adjoint_char_matrix(P: CharacteristicMatrix) -> CharacteristicMatrix:
     ``(I - p22, p21, p12, I - p11)`` project onto the graph of ``T*``.
     Involutive: applying it twice returns the original blocks.
     """
-    I = np.eye(P.n)
     return CharacteristicMatrix(
-        p11=I - P.p22, p12=P.p21, p21=P.p12, p22=I - P.p11
+        p11=_identity_minus(P.p22), p12=P.p21, p21=P.p12, p22=_identity_minus(P.p11)
     )
 
 
@@ -285,7 +360,7 @@ def inverse_char_matrix(P: CharacteristicMatrix) -> CharacteristicMatrix:
         If the injectivity gate fails, i.e. the smallest singular value of
         ``I - p11`` is at or below ``KERNEL_TOL * (1 + ||I - p11||_2)``.
     """
-    ok, sig, threshold = _kernel_trivial(np.abs(np.linalg.eigvalsh(np.eye(P.n) - P.p11)))
+    ok, sig, threshold = _kernel_trivial(np.abs(np.linalg.eigvalsh(_identity_minus(P.p11))))
     if not ok:
         raise ValueError(
             f"operator has a nontrivial kernel: sigma_min(I - p11) = {sig:.3e} "

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -396,6 +400,78 @@ def test_oracle_sets_p12_to_the_adjoint_of_p21():
         assert np.array_equal(P.p12, adjoint(P.p21))
 
 
+# ------------------------------------------------------ the in-place QR oracle
+
+
+@pytest.mark.parametrize("norm", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("n", [1, 2, 40, 300])
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+def test_in_place_oracle_is_bitwise_numpy_qr(is_complex, n, norm):
+    # the oracle calls LAPACK through numpy.linalg.lapack_lite; numpy's qr is the reference
+    rng = np.random.default_rng(n)
+    T = random_operator(rng, n) if is_complex else rng.standard_normal((n, n))
+    T *= norm / np.linalg.norm(T, 2)
+    Q, _ = np.linalg.qr(np.vstack([np.eye(n), T]))
+    p11, p21, p22 = _basis_blocks(Q[:n], Q[n:])
+    P = char_matrix_oracle(T)
+    for got, want in ((P.p11, p11), (P.p12, adjoint(p21)), (P.p21, p21), (P.p22, p22)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("failure", ["info", "LapackError"])
+@pytest.mark.parametrize("routine", ["zgeqrf", "zungqr"])
+def test_oracle_lapack_failure_is_a_linalg_error(monkeypatch, routine, failure):
+    from numpy.linalg import lapack_lite
+
+    def failing(*args):
+        if failure == "info":
+            return {"info": 2}
+        raise lapack_lite.LapackError("Parameter a is not contiguous")
+
+    monkeypatch.setattr(lapack_lite, routine, failing)
+    with pytest.raises(np.linalg.LinAlgError, match=f"LAPACK {routine} failed"):
+        char_matrix_oracle(random_operator(np.random.default_rng(3), 4))
+
+
+def test_diagonal_operators_give_positive_zero_blocks():
+    # I - X is formed as 0 - X, +1 on the diagonal: negating X would give -0.0
+    for d in (np.array([-2.0, 0.5, 3.0]), np.array([1j, -2.0 + 1j, 0.0])):
+        for P in (char_matrix(np.diag(d)), adjoint_char_matrix(char_matrix(np.diag(d)))):
+            for b in BLOCKS:
+                X = getattr(P, b).view(float)
+                assert not np.signbit(X[X == 0]).any(), b
+
+
+_ORACLE_RSS_CHILD = """
+import sys
+import numpy as np
+from charmat.graph import char_matrix_oracle
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+
+n, dtype = 400, np.dtype(sys.argv[1])
+rng = np.random.default_rng(5)
+T = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if dtype.kind == "c" else 0)
+char_matrix_oracle(T[:16, :16])  # LAPACK's code and buffers are paged in here
+rss = status("VmRSS")
+P = char_matrix_oracle(T)
+print((status("VmHWM") - rss) / (n * n * dtype.itemsize))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("dtype", ["float64", "complex128"])
+def test_oracle_rss_high_water_is_bounded(dtype):
+    # numpy's qr held the stacked [I; T], its copy, two work buffers and Q at
+    # once: 10.6 n^2 entries (real 11.3) above the RSS before the call
+    proc = subprocess.run([sys.executable, "-c", _ORACLE_RSS_CHILD, dtype], capture_output=True,
+                          text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, check=True)
+    assert float(proc.stdout) <= 8.5
+
+
 # ------------------------------------------------- A7 without the 2n x 2n P
 
 
@@ -431,3 +507,13 @@ def test_verify_identities_forms_no_2n_by_2n_array(traced_peak_mb):
     T = random_operator(np.random.default_rng(31), n)
     P = char_matrix(T)
     assert traced_peak_mb(verify_identities, T, P) <= 6 * n * n * 16 / 2**20
+
+
+def test_char_matrix_and_identity_suite_memory_is_bounded(traced_peak_mb):
+    # four complex blocks are 4 n^2 entries; neither T* nor an identity matrix
+    # outlives its use, and p22 overwrites the second Gram inverse
+    n = 300
+    T = random_operator(np.random.default_rng(37), n)
+    assert traced_peak_mb(char_matrix, T) <= 5.5 * n * n * 16 / 2**20
+    # verify_identities holds T* throughout; I - p22 is formed once and freed before A12
+    assert traced_peak_mb(verify_identities, T, char_matrix(T)) <= 3.5 * n * n * 16 / 2**20

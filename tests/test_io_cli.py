@@ -545,6 +545,52 @@ def test_cli_stone_exit_3_when_nodes_are_farther_apart_than_epsilon(tmp_path, ca
     assert main([*argv, "--epsilon", "1e-3", "--steps", "200000"]) == 0
 
 
+@pytest.mark.parametrize("steps", [HUGE_INT, "0", "-3"], ids=["1e400", "0", "-3"])
+def test_cli_exit_3_on_steps_outside_the_float_range(tmp_path, capsys, steps):
+    # the quadratures turn --steps into floats; 10^400 overflowed there with a traceback
+    mat = tmp_path / "H.json"
+    save_matrix(mat, HERMITIAN)
+    out = tmp_path / "o"
+    for sub in (["stone", "--lam", "0.5"], ["fourier", "--z", "2j"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["selfadjoint", str(mat), *sub, "--steps", steps, "--out", str(out)])
+        assert exc.value.code == 3
+        assert "argument --steps: must lie in [1, 1.79769e+308]" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("failure", ["info", "LapackError"])
+def test_cli_exit_4_when_the_oracle_qr_fails(tmp_path, monkeypatch, capsys, failure):
+    from numpy.linalg import lapack_lite
+
+    def failing(*args):
+        if failure == "info":
+            return {"info": 1}
+        raise lapack_lite.LapackError("Parameter a is not contiguous in lapack_lite.zgeqrf")
+
+    mat = tmp_path / "T.json"
+    save_matrix(mat, np.array([[1.0, 2.0j], [0.5, 3.0]]))
+    monkeypatch.setattr(lapack_lite, "zgeqrf", failing)
+    assert main(["charmat", str(mat), "--oracle", "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure: LAPACK zgeqrf failed" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("diagonal", [[-2.0, 0.5, 3.0, 0.0], [1j, -2.0 + 1j, 0.0, -1.0]],
+                         ids=["real", "complex"])
+def test_cli_block_files_of_a_diagonal_operator_hold_no_negative_zero(tmp_path, capsys, diagonal):
+    mat = tmp_path / "D.json"
+    save_matrix(mat, np.diag(diagonal))
+    out = tmp_path / "o"
+    assert main(["charmat", str(mat), "--oracle", "--out", str(out)]) == 0
+    for b in ("p11", "p12", "p21", "p22"):
+        values = np.array(json.loads((out / f"{b}.json").read_text())["data"])
+        zeros = values[values == 0]
+        assert zeros.size and not np.signbit(zeros).any(), b
+
+
 def test_cli_exit_4_when_a_gram_matrix_overflows(tmp_path):
     # finite entries whose squares overflow: a numerical failure naming the
     # Gram matrix, with no numpy RuntimeWarning and no traceback
