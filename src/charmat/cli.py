@@ -205,7 +205,7 @@ def cmd_charmat(args, outdir: str) -> Report:
     blocks = ("p11", "p12", "p21", "p22")
     # the blocks are written while the checks below run
     with save_matrices({os.path.join(outdir, f"{b}.json"): getattr(P, b) for b in blocks}):
-        ident = verify_identities(T, P, tol=tol)
+        ident = verify_identities(T, P)
         for label in ("A6", "A7", "A12", "A13"):
             report.add(label, ident.residuals[label], tol)
         # kernel triviality: encode as margin below threshold so that the
@@ -234,7 +234,7 @@ def cmd_verify(args, outdir: str) -> Report:
     report = Report(command="verify", inputs=file_digest(args.input), seed=args.seed)
     tol = _tol(args, IDENTITY_TOL)
 
-    suite = decomposition_suite(fam, tol=_tol(args, SUITE_TOL), seed=args.seed)
+    suite = decomposition_suite(fam, seed=args.seed)
     for block, value in suite.pop("char_matrix")["gaps"].items():
         report.add(f"fiberwise_{block}", value, tol)
     for name, item in suite.items():

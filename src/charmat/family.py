@@ -224,18 +224,6 @@ def char_matrix_fiberwise(fam: OperatorFamily):
     return chars, gaps
 
 
-def _matrix_polynomial(coeffs, A: np.ndarray) -> np.ndarray:
-    # Horner evaluation on a matrix or an (m, n, n) stack; coeffs are ascending
-    # (c0 + c1 x + ... + cd x^d), d >= 1.  Starting from cd A + c(d-1) I skips
-    # the products 0 A and I A.
-    *lower, c_next, c_top = coeffs
-    I = np.eye(A.shape[-1])
-    out = c_top * A + c_next * I
-    for c in reversed(lower):
-        out = out @ A + c * I
-    return out
-
-
 def _nonnegative(w: np.ndarray, tol: float) -> np.ndarray:
     # every eigenvalue of a row of w is >= -tol * max(1, max |w|) of its row
     return w.min(axis=-1) >= -tol * np.maximum(1.0, np.abs(w).max(axis=-1))
@@ -249,7 +237,8 @@ def _is_normal(A: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _polynomial_on(coeffs, A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # p(A) X by Horner's rule on the columns of X; coeffs ascending, as in _matrix_polynomial
+    # p(A) X by Horner's rule on the columns of X, for a matrix or an (m, n, n) stack A
+    # with X of shape (n, k) or (m, n, k); coeffs ascending (c0 + c1 x + ... + cd x^d)
     out = coeffs[-1] * X
     for c in reversed(coeffs[:-1]):
         out = A @ out + c * X
@@ -272,9 +261,10 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
     - ``positive``   : positive semidefinite iff every fiber is
     - ``normal``     : normal iff every fiber is
     - ``inverse``    : ``A B = I``; skipped unless every fiber is injective
-    - ``polynomial`` : the fixed polynomial ``x^3 - 2x`` (``SUITE_POLY``);
-      meaningful for normal fibers, and reported with a note when some
-      fiber is not normal
+    - ``polynomial`` : the fixed polynomial ``x^3 - 2x`` (``SUITE_POLY``),
+      one Horner rule on both sides: the fibers on the stacked probes, ``A``
+      on ``X``; meaningful for normal fibers, and reported with a note when
+      some fiber is not normal
 
     ``adjoint`` is one dense pass, its residual ``||A* - B||_F / max(1,
     ||A||_F)``.  The other items never multiply or invert dense matrices:
@@ -347,8 +337,9 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
     D = adjoint(Dh)
 
     AX = A @ X
+    AhAX = adjoint_on(AX)  # for the modulus identity and the normal verdict
     modF = _spectral(adjoint(Vhf), sf, Vhf)
-    probed("modulus", estimate(fibers_on(modF, fibers_on(modF, X)), adjoint_on(AX)))
+    probed("modulus", estimate(fibers_on(modF, fibers_on(modF, X)), AhAX))
     # Weyl: A's singular values, and the eigenvalues of (A + A*)/2, are within off of bd(D)'s
     report["modulus"].update(norm=float(np.linalg.svd(D, compute_uv=False).max()), norm_error=off)
 
@@ -365,7 +356,7 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
     classified("positive", hermitian and _nonnegative(
         np.linalg.eigvalsh((D + Dh) / 2.0).ravel() - off, CLASSIFY_TOL),
         (fiber_positive & fiber_hermitian).all())
-    commutator = np.linalg.norm(A @ adjoint_on(X) - adjoint_on(AX)) / np.sqrt(k)
+    commutator = np.linalg.norm(A @ adjoint_on(X) - AhAX) / np.sqrt(k)
     classified("normal", commutator <= CLASSIFY_TOL * max(1.0, norm_fro ** 2), fiber_normal)
 
     # injectivity is read off sf
@@ -375,8 +366,9 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
         item("inverse", 0.0, True, applicable=False,
              note="skipped: some fiber is not injective")
 
-    probed("polynomial", estimate(fibers_on(_matrix_polynomial(SUITE_POLY, F), X),
-                                  _polynomial_on(SUITE_POLY, A, X)))
+    # one Horner rule on both sides: the fibers on the (m, n, k) probe stack, A on X
+    pFX = _polynomial_on(SUITE_POLY, F, X.reshape(m, n, k)).reshape(m * n, k)
+    probed("polynomial", estimate(pFX, _polynomial_on(SUITE_POLY, A, X)))
     if not fiber_normal:
         report["polynomial"]["note"] = \
             "some fiber is not normal; the block identity still holds for plain polynomials"
@@ -424,16 +416,14 @@ def resolvent_reconstruct(res: OperatorFamily, alpha) -> OperatorFamily:
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (res.m,):
         raise ValueError(f"need {res.m} shifts, got shape {alpha.shape}")
-    I = np.eye(res.n)
-    fibers = []
-    for k, R in enumerate(res.fibers):
-        try:
-            Rinv = np.linalg.inv(R)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"resolvent fiber {k} is singular and cannot be inverted") from exc
-        fibers.append(alpha[k] * I + Rinv)
-    return OperatorFamily(res.grid, np.stack(fibers))
+    try:
+        Rinv = np.linalg.inv(res.fibers)
+    except np.linalg.LinAlgError as exc:
+        # slogdet runs the same LU: a zero pivot is a zero sign, with no warning
+        k = np.argmin(np.linalg.slogdet(res.fibers)[0] != 0)
+        raise np.linalg.LinAlgError(
+            f"resolvent fiber {k} is singular and cannot be inverted") from exc
+    return OperatorFamily(res.grid, alpha[:, None, None] * np.eye(res.n) + Rinv)
 
 
 def resolvent_limit_check(

@@ -199,6 +199,14 @@ def _fork_writer(path, A) -> int:
         os._exit(1)  # save_matrix raised
 
 
+def _write_here(path, A) -> None:
+    # save_matrix in this process; running out of memory names the file
+    try:
+        save_matrix(path, A)
+    except MemoryError as exc:
+        raise MemoryError(f"writing {path}") from exc
+
+
 @contextmanager
 def save_matrices(files: dict):
     """Write each ``{path: matrix}`` of ``files`` while the body runs.
@@ -214,7 +222,7 @@ def save_matrices(files: dict):
             try:
                 writers[_fork_writer(path, A)] = path
             except OSError:  # no process to spare: write it here
-                save_matrix(path, A)
+                _write_here(path, A)
         yield
     finally:
         codes = {path: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -222,10 +230,7 @@ def save_matrices(files: dict):
     for path, code in codes.items():
         if code:
             log.info("writer of %s exited with %d; writing it here", path, code)
-            try:
-                save_matrix(path, files[path])
-            except MemoryError as exc:
-                raise MemoryError(f"writing {path}") from exc
+            _write_here(path, files[path])
 
 
 def load_family(path) -> OperatorFamily:

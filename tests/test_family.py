@@ -275,29 +275,35 @@ def test_suite_polynomial_default_is_cubic_minus_two_x():
     fam = OperatorFamily(grid, np.array([[[3.0]]]))
     report = decomposition_suite(fam)
     assert report["polynomial"]["pass"]
-    # sanity-check the default coefficients on a scalar: 27 - 6 = 21
-    from charmat.family import _matrix_polynomial
+    # the suite runs one Horner rule on both sides, so only a scalar check sees a
+    # reversed reading of the coefficients: 27 - 6 = 21
+    from charmat.family import SUITE_POLY, _polynomial_on
 
-    assert _matrix_polynomial((0.0, -2.0, 0.0, 1.0), np.array([[3.0]]))[0, 0] == pytest.approx(21.0)
+    assert _polynomial_on(SUITE_POLY, np.array([[3.0]]), np.array([[1.0]]))[0, 0] == 21.0
 
 
 def _horner_from_zero(coeffs, A):
-    # reference: Horner started from the zero matrix, as the suite used to
-    n = A.shape[0]
-    out = np.zeros((n, n), dtype=complex)
+    # dense reference: p(A) by Horner started from the zero matrix
+    n = A.shape[-1]
+    out = np.zeros(A.shape, dtype=complex)
     for c in reversed(list(coeffs)):
         out = out @ A + c * np.eye(n)
     return out
 
 
 @pytest.mark.parametrize("n", [1, 16, 64])
-def test_matrix_polynomial_is_bit_identical_to_horner_from_zero(n):
-    from charmat.family import SUITE_POLY, _matrix_polynomial
+def test_polynomial_on_a_stack_is_the_polynomial_on_each_fiber(n):
+    from charmat.family import SUITE_POLY, _polynomial_on
 
     rng = np.random.default_rng(n)
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    F = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    X = rng.standard_normal((3, n, 4))
     for coeffs in (SUITE_POLY, (1.5, -2.0), (0.5, 1.0 - 1.0j, 0.0, -3.0, 2.0)):
-        assert np.array_equal(_matrix_polynomial(coeffs, A), _horner_from_zero(coeffs, A))
+        out = _polynomial_on(coeffs, F, X)
+        for j in range(3):
+            assert np.array_equal(out[j], _polynomial_on(coeffs, F[j], X[j]))
+            dense = _horner_from_zero(coeffs, F[j]) @ X[j]
+            assert np.linalg.norm(out[j] - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
 def test_suite_modulus_item_carries_the_assembled_norm():
@@ -408,6 +414,13 @@ def test_tile_spectra_reproduce_the_dense_route(kind):
         assert "assembled=False," in report["positive"]["note"]
 
 
+@pytest.mark.parametrize("kind", ["random", "hermitian", "psd", "psd-edge", "nearly-hermitian",
+                                  "laplacian", "scaled"])
+def test_suite_polynomial_is_at_rounding_level_on_an_assembled_family(kind):
+    # both sides run the same Horner rule, so only the sums inside A @ Y can differ
+    assert decomposition_suite(_corpus_family(kind))["polynomial"]["residual"] <= 1e-15
+
+
 @pytest.mark.parametrize("size", [1e-6, 1e-3])
 def test_weyl_bounds_hold_for_an_assembly_error(tmp_path, monkeypatch, capsys, size):
     # identical positive semidefinite fibers, so that the top singular value and
@@ -494,7 +507,7 @@ def test_adjoint_item_is_the_dense_difference(monkeypatch, order):
 
 def _dense_relative_residuals(fam, A):
     # each probe item's identity on dense matrices, ||lhs - rhs||_F / max(1, ||rhs||_F)
-    from charmat.family import SUITE_POLY, _matrix_polynomial
+    from charmat.family import SUITE_POLY
     from charmat.graph import _char_blocks
 
     def assembled(stack):
@@ -511,8 +524,8 @@ def _dense_relative_residuals(fam, A):
         "char_matrix": max(rel(p21, A @ p11), rel(I - p11, Ah @ p21)),
         "modulus": rel(modulus @ modulus, Ah @ A),
         "inverse": rel(A @ assembled(np.linalg.inv(fam.fibers)), I),
-        "polynomial": rel(assembled(_matrix_polynomial(SUITE_POLY, fam.fibers)),
-                          _matrix_polynomial(SUITE_POLY, A)),
+        "polynomial": rel(assembled(_horner_from_zero(SUITE_POLY, fam.fibers)),
+                          _horner_from_zero(SUITE_POLY, A)),
     }
 
 
@@ -578,6 +591,22 @@ def test_resolvent_reconstruct_rejects_singular_fiber():
     res = OperatorFamily(grid, np.array([[[1.0]], [[0.0]]]))
     with pytest.raises(np.linalg.LinAlgError, match="fiber 1"):
         resolvent_reconstruct(res, np.zeros(2))
+    # of two singular fibers, the first is named
+    fibers = np.stack([np.eye(3)] * 5)
+    fibers[2, 1] = fibers[2, 0]  # two equal rows
+    fibers[4] = 0.0
+    res = OperatorFamily(ParameterGrid(np.arange(5.0)), fibers)
+    with pytest.raises(np.linalg.LinAlgError, match="resolvent fiber 2 is singular"):
+        resolvent_reconstruct(res, np.zeros(5))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (7, 5), (16, 24)])
+def test_resolvent_reconstruct_on_the_stack_is_the_per_fiber_result(m, n):
+    rng = np.random.default_rng(m * n)
+    res = random_family(rng, m, n)
+    alpha = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    per_fiber = [a * np.eye(n) + np.linalg.inv(R) for R, a in zip(res.fibers, alpha)]
+    assert np.array_equal(resolvent_reconstruct(res, alpha).fibers, np.stack(per_fiber))
 
 
 def test_resolvent_reconstruct_needs_one_shift_per_node():

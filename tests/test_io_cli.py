@@ -983,3 +983,23 @@ def test_cli_exit_4_when_a_writer_runs_out_of_memory(tmp_path, monkeypatch, caps
     save_matrix(mat, HERMITIAN)
     assert main(["charmat", str(mat), "--out", str(tmp_path / "o")]) == 4
     assert "numerical failure: out of memory: writing" in capsys.readouterr().err
+
+
+def test_cli_exit_4_names_the_file_when_no_writer_can_fork(tmp_path, monkeypatch, capsys):
+    # with no process to spare the blocks are written in process; running out of
+    # memory there names the file, as the retry after a failed writer does
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    def exhausted(path, A):
+        raise MemoryError
+
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(charmat.io, "save_matrix", exhausted)
+    out = tmp_path / "o"
+    assert main(["charmat", str(mat), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"numerical failure: out of memory: writing {out / 'p11.json'}" in err
+    _assert_no_child_left()
