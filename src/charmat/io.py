@@ -13,38 +13,35 @@ Three JSON schemas:
   overall ``pass`` flag (true exactly when every residual is at most its
   tolerance), and wall time.
 
-Floats serialize through Python's shortest round-trip repr (at most 17
+Floats serialize as Python's shortest round-trip repr (at most 17
 significant digits), so writing and re-reading a matrix reproduces it
 bit for bit.  Malformed files raise :class:`ParseError`; well-formed files
 with invalid *values* (non-finite entries, inconsistent fiber shapes)
 raise :class:`ValueError`.
 
-Both directions of a matrix file stay on CPython's C JSON code.  The
-writer encodes each matrix with one ``json.dumps`` call and a single
-write: ``json.dump`` to a file is not one-shot, so it streams through the
-pure-Python encoder, which is slower and formats every float with the
-same ``float.__repr__`` (the bytes are identical).  The
-reader checks the ``[re, im]`` pairs with an exact-type gate over
-``map``/``set`` (``bool`` is not ``int`` there, so booleans stay
-rejected); only when the gate fails does a per-pair loop run, to name
-the first bad ``data[i]``.  The pairs become complex numbers by viewing
-the ``(N, 2)`` float array as complex, not by ``re + 1j*im``, whose
-arithmetic turns ``-0.0`` into ``0.0``.  A JSON integer beyond the float
-range reads as the infinity it rounds to, so it is reported exactly like
-``Infinity``.
+The writer produces the bytes of ``json.dumps`` without it: numpy finds
+the repr digits of every value in a range that covers typical matrices
+and ``repr`` spells the rest (see :func:`save_matrix`).  The reader stays
+on CPython's C JSON code.  It checks the ``[re, im]`` pairs with an
+exact-type gate over ``map``/``set`` (``bool`` is not ``int`` there, so
+booleans stay rejected); only when the gate fails does a per-pair loop
+run, to name the first bad ``data[i]``.  The pairs become complex numbers
+by viewing the ``(N, 2)`` float array as complex, not by ``re + 1j*im``,
+whose arithmetic turns ``-0.0`` into ``0.0``.  A JSON integer beyond the
+float range reads as the infinity it rounds to, so it is reported exactly
+like ``Infinity``.
 
-Formatting the floats is most of a write and holds the GIL, so the CLI
-writes its matrices through :func:`save_matrices`: a forked writer per
-file runs :func:`save_matrix` (POSIX ``os.fork``) while the parent
-computes.  The parent reaps every writer before it reports and writes,
-itself, any file whose writer did not, so a failed write raises
-:func:`save_matrix`'s own error and a killed writer does not fail the
-command.
+The CLI writes its matrices through :func:`save_matrices`: one forked
+writer (POSIX ``os.fork``) writes them while the parent computes.  If it
+does not exit 0, the parent writes every file itself, so a failed write
+raises :func:`save_matrix`'s own error and a killed writer does not fail
+the command.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -166,34 +163,192 @@ def load_matrix(path) -> np.ndarray:
     return _matrix_from_obj(_load_json(path), str(path))
 
 
-def _matrix_to_obj(A: np.ndarray) -> dict:
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    return {
-        "rows": int(A.shape[0]),
-        "cols": int(A.shape[1]),
-        "data": np.ascontiguousarray(A).view(float).reshape(-1, 2).tolist(),
-    }
+# Matrix files are written as json.dumps would write them, but the floats
+# are encoded with numpy.  float.__repr__ gives the shortest digits that read
+# back to the same double, and of those the closest (Steele & White 1990;
+# Gay 1990).  For 0 and for finite |x| in [1e-6, 1e17) they are computed
+# exactly here: y = |x| 10**k lies in [1e16, 1e17) for some k <= 22, so
+# 10**k is an exact double and Dekker's (1971) product gives y = hi + lo
+# exactly.  The reals that round to x, times 10**k, form an interval around
+# y, kept in int64 fixed point.  Of the multiples of the largest power of
+# ten in it, the one closest to y gives the digits.  Every other value goes
+# through repr.
+
+_CHUNK = 1 << 15  # values encoded and written at a time
+
+#: 10**k, an exact double for k <= 22 (5**22 < 2**53)
+_POW10 = np.array([float(10**k) for k in range(23)])
+_IPOW10 = 10 ** np.arange(17, dtype=np.int64)
+
+
+def _halves(a):
+    # Veltkamp's split: a = hi + lo exactly, each of at most 26 significant bits
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _times_pow10(a, k):
+    """``a * 10**k`` as ``hi + lo`` exactly (Dekker's TwoProduct); ``a < 1e300``."""
+    hi = a * _POW10[k]
+    a1, a2 = _halves(a)
+    b1, b2 = _POW10_HI[k], _POW10_LO[k]
+    return hi, ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+@functools.cache
+def _text_tables():
+    """The text rows of ``float.__repr__``, one per decimal point ``p`` and digit count ``n``.
+
+    A row is ``[-0.000`` then the 17 digit columns, each followed by a ``.``
+    column, then an exponent and ``], ``; it holds the characters that
+    ``(p, n)`` shows, with 0 in every other column.  Also returned: how many
+    digit columns ``(p, n)`` shows, and the ASCII of 0000..9999, four bytes
+    each.  Built at the first write: a command that writes no matrix does
+    not pay for them at start-up.
+    """
+    rows = np.zeros((23, 17, 48), np.uint8)
+    shown = np.zeros((23, 17), np.uint8)
+    for p in range(-5, 18):  # the value is 0.d1d2... * 10**p
+        for n in range(1, 18):
+            row = rows[p + 5, n - 1]
+            row[45:47] = list(b", ")
+            dot = None
+            if p <= -4 or p == 17:  # d.ddde-05
+                row[40:44] = list({-5: b"e-06", -4: b"e-05", 17: b"e+16"}[p])
+                dot, shown[p + 5, n - 1] = (0 if n > 1 else None), n
+            elif p <= 0:  # 0.00ddd
+                row[2:4 - p] = list(b"0.000"[:2 - p])
+                shown[p + 5, n - 1] = n
+            else:  # ddd.ddd, ddd00.0
+                dot, shown[p + 5, n - 1] = p - 1, max(n, p + 1)
+            if dot is not None:
+                row[8 + 2 * dot] = ord(".")
+    digits4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    return rows.reshape(-1, 48).view("<u8"), shown.ravel(), digits4.view("<u4").ravel()
+
+
+def _float_text(v: float) -> str:
+    # json.dumps's spelling of one float
+    if math.isfinite(v):
+        return repr(v)
+    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+
+
+def _shortest_digits(x: np.ndarray) -> tuple:
+    """``float.__repr__``'s digits of each of ``x``, as ``(c, k, j, redo)``.
+
+    The digits are those of the integer ``c``, 0 or 17 digits long, less
+    its ``j`` trailing zeros, and ``|x|`` reads as ``c / 10**k``.  ``redo``
+    indexes the values whose digits were not computed.
+    """
+    zero = x == 0
+    ax = np.abs(x)
+    ax[~(ax < 1e300)] = 0.0  # inf, nan and huge values go through repr; none overflows below
+    k = (16 - np.floor(np.log10(np.maximum(ax, 5e-324)))).astype(np.intp)
+    np.clip(k, 0, 22, out=k)
+    hi, lo = _times_pow10(ax, k)
+    # floor(log10) misses by one next to a power of ten: move y = hi + lo into [1e16, 1e17)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    k += low
+    k -= high
+    exact = (ax > 0) & (k >= 0) & (k <= 22)
+    moved = np.flatnonzero((low | high) & exact)
+    hi[moved], lo[moved] = _times_pow10(ax[moved], k[moved])
+    rest = ~exact  # computed as 1.0, then set to 0 for zeros and redone for the others
+    ax[rest], hi[rest], lo[rest], k[rest] = 1.0, 1e16, 0.0, 16
+
+    # The interval, in units of 2**-52 from the integer hi: y >= 1e16 and
+    # k <= 22 put the last bit of lo, and of the half gaps to x's
+    # neighbours times 10**k, at or above 2**-52, so these are exact.  The
+    # interval is closed when x's mantissa is even (reading rounds half to
+    # even), and its lower half is half as wide at a power of two.
+    bits = ax.view(np.int64)
+    up = (np.spacing(ax) * _POW10[k] * 2.0**51).astype(np.int64)
+    down = up >> ((bits & (2**52 - 1)) == 0)
+    odd = bits & 1
+    H = hi.astype(np.int64)
+    LO = (lo * 2.0**52).astype(np.int64)
+    first = H - ((down - LO - odd) >> 52)  # the least integer in the interval
+    final = H + ((LO + up - odd) >> 52)  # and the greatest
+
+    j = np.zeros(x.size, np.intp)  # the largest power 10**j with a multiple in [first, final]
+    rows = np.flatnonzero(exact)
+    for e in range(1, 17):
+        rows = rows[final[rows] // _IPOW10[e] * _IPOW10[e] >= first[rows]]
+        if not rows.size:
+            break
+        j[rows] = e
+    step = _IPOW10[j]
+    below = (H + (LO >> 52)) // step * step  # the multiples on either side of y
+    above = below + step
+    in_below, in_above = below >= first, above <= final
+    both = in_below & in_above  # then step <= 10, so this does not overflow:
+    side = ((2 * (H - below) - step) * both << 52) + 2 * LO  # 2 (y - below) - step
+    c = np.where(in_above & (~in_below | (side > 0)), above, below)
+    c[zero], j[zero] = 0, 16
+    redo = np.flatnonzero(rest & ~zero | both & (side == 0))  # and ties: repr rounds them half even
+    return c, k, j, redo
+
+
+def _encode_pairs(x: np.ndarray, last: bool) -> bytes:
+    """The ``[re, im], `` text of the float pairs ``x``, with no ``, `` after the last if ``last``."""
+    layouts, shown, digits4 = _text_tables()
+    c, k, j, redo = _shortest_digits(x)
+    code = (22 - k) * 17 + (16 - j)
+    text = layouts.take(code, axis=0).view(np.uint8)
+    digits = np.empty((x.size, 5), np.uint32)  # c's 17 digits, after 3 bytes
+    for i, scale in enumerate((10**16, 10**12, 10**8, 10**4, 1)):
+        group = c // scale
+        digits[:, i] = digits4.take(group)
+        c -= group * scale
+    text[:, 7:40:2] = digits.view(np.uint8)[:, 3:] * (np.arange(17) < shown.take(code)[:, None])
+    text[:, 1] = np.signbit(x) * ord("-")
+    text[0::2, 0] = ord("[")
+    text[1::2, 44] = ord("]")
+    if last:
+        text[-1, 45:] = 0
+    if redo.size:  # a float's repr has at most 24 characters
+        spelled = np.array([_float_text(v).encode() for v in x[redo].tolist()], dtype="S24")
+        text[redo, 1:44] = 0
+        text[redo, 7:31] = spelled.view(np.uint8).reshape(-1, 24)
+    return text.tobytes().translate(None, b"\0")
 
 
 def save_matrix(path, A) -> None:
-    """Write a matrix file; floats keep shortest round-trip precision."""
-    text = json.dumps(_matrix_to_obj(A))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    """Write a matrix file, byte for byte what ``json.dumps`` makes of it.
+
+    Each float is written as ``float.__repr__`` spells it.  numpy computes
+    those digits for 0 and for finite ``|x|`` in [1e-6, 1e17); ``repr``
+    spells every other value.  The pairs are encoded ``_CHUNK`` values at a
+    time, and each chunk is written as soon as it is made.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    values = np.ascontiguousarray(A).view(float).ravel()
+    with open(path, "wb") as fh:
+        fh.write(f'{{"rows": {A.shape[0]}, "cols": {A.shape[1]}, "data": ['.encode())
+        for start in range(0, values.size, _CHUNK):
+            stop = start + _CHUNK
+            fh.write(_encode_pairs(values[start:stop], last=stop >= values.size))
+        fh.write(b"]}\n")
 
 
-def _fork_writer(path, A) -> int:
-    """Fork a child that runs ``save_matrix(path, A)``; return its pid.
+def _fork_writer(files: dict) -> int:
+    """Fork a child that runs ``save_matrix`` on each of ``files``; return its pid.
 
     The child makes no BLAS, import or logging call (the parent may have
     BLAS threads at the fork) and never returns into the caller: it leaves
-    by ``os._exit``, 0 once it has written, 1 otherwise.
+    by ``os._exit``, 0 once it has written every file, 1 otherwise.
     """
     if pid := os.fork():
         return pid
     try:
-        save_matrix(path, A)
+        for path, A in files.items():
+            save_matrix(path, A)
         os._exit(0)
     finally:
         os._exit(1)  # save_matrix raised
@@ -211,26 +366,26 @@ def _write_here(path, A) -> None:
 def save_matrices(files: dict):
     """Write each ``{path: matrix}`` of ``files`` while the body runs.
 
-    Each file gets a forked writer running :func:`save_matrix`, or where no
-    process can be forked is written here before the body.  Every writer is
-    reaped when the body ends; unless the body raised, each file whose
-    writer did not exit 0 is then written here, and any error is raised.
+    One forked writer runs :func:`save_matrix` on every file, or where no
+    process can be forked the files are written here before the body.  The
+    writer is reaped when the body ends; unless the body raised, every file
+    is then written here if the writer did not exit 0, and any error is
+    raised.
     """
-    writers = {}
     try:
+        pid = _fork_writer(files)
+    except OSError:  # no process to spare: write them here
+        pid = None
         for path, A in files.items():
-            try:
-                writers[_fork_writer(path, A)] = path
-            except OSError:  # no process to spare: write it here
-                _write_here(path, A)
+            _write_here(path, A)
+    try:
         yield
     finally:
-        codes = {path: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                 for pid, path in writers.items()}
-    for path, code in codes.items():
-        if code:
+        code = 0 if pid is None else os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        for path, A in files.items():
             log.info("writer of %s exited with %d; writing it here", path, code)
-            _write_here(path, files[path])
+            _write_here(path, A)
 
 
 def load_family(path) -> OperatorFamily:

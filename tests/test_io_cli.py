@@ -141,6 +141,96 @@ def test_matrix_file_round_trips_bit_for_bit(tmp_path, A):
         assert file_digest(tmp_path / "again.json") == file_digest(tmp_path / "m.json")
 
 
+def _stress_values() -> np.ndarray:
+    """About a million floats aimed at the edges of the writer's float encoder, shuffled."""
+    rng = np.random.default_rng(22)
+
+    def signs(n):
+        return rng.choice([-1.0, 1.0], n)
+
+    mantissas = (rng.integers(0, 2**52, 1 << 19) | 1023 << 52).view(float)  # in [1, 2)
+    digits, tens = rng.integers(-99999, 100000, 1 << 17), rng.integers(-22, 23, 1 << 17)
+    short = np.where(tens >= 0, digits * 10.0 ** np.abs(tens), digits / 10.0 ** np.abs(tens))
+    powers = np.concatenate([2.0 ** np.arange(-40, 70), [float(f"1e{e}") for e in range(-12, 24)]])
+    ints = 2.0**53 + np.arange(-4096, 4096)
+    bounds = np.array([1e-6, 1e-5, 1e-4, 1e16, 1e17])
+    parts = [
+        # binary exponents covering [1e-7, 1e18]
+        np.ldexp(mantissas, rng.integers(-24, 60, mantissas.size)) * signs(mantissas.size),
+        short,  # up to 5 digits, correctly rounded from d * 10**e
+        np.nextafter(short, signs(short.size) * np.inf),
+        rng.integers(-10**6, 10**6, 1 << 17) / 1000.0,  # 3 decimals
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        np.concatenate([ints, -ints]),
+        np.ldexp(rng.integers(2**52, 2**53, 1 << 15).astype(float), rng.integers(1, 5, 1 << 15)),
+        (rng.integers(2**52, 2**53, 1 << 14) | 1) / 4.0,  # times 10, ends in .5: ties
+        (bounds[:, None] + np.arange(-16, 17) * np.spacing(bounds)[:, None]).ravel(),
+        np.repeat([0.0, -0.0], 1 << 12),
+        # repr's alone: subnormals, below 1e-6, from 1e17 on
+        rng.integers(1, 2**52, 1 << 12).view(float) * signs(1 << 12),
+        np.ldexp(mantissas[:1 << 13], rng.integers(-1074, 1024, 1 << 13)),
+        [5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308],
+    ]
+    return rng.permutation(np.concatenate(parts))
+
+
+def _first_difference(got: str, want: str) -> str:
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return f"first difference at {i}: {got[i - 40:i + 40]!r} against {want[i - 40:i + 40]!r}"
+
+
+def test_saved_matrix_text_is_the_documented_bytes_over_a_million_values(tmp_path):
+    values = _stress_values()
+    values = values[:values.size // 2000 * 2000]
+    assert values.size >= 1_000_000 and values.size > 8 * charmat.io._CHUNK
+    stress = values.view(complex).reshape(-1, 1000)
+    rng = np.random.default_rng(23)
+    real_block = char_matrix(rng.standard_normal((200, 200))).p21  # its imaginary parts are +0.0
+    assert real_block.dtype == np.float64
+    for A in (stress, real_block):
+        save_matrix(tmp_path / "m.json", A)
+        got, want = (tmp_path / "m.json").read_text(encoding="utf-8"), _documented_text(A)
+        if got != want:  # pytest's own diff of two 20 MB strings takes minutes
+            pytest.fail(_first_difference(got, want))
+
+
+def test_saved_non_finite_entries_are_spelled_as_json_dumps_does(tmp_path):
+    A = np.empty((2, 3), dtype=complex)
+    A.real = [[np.nan, np.inf, -np.inf], [1.0, -0.0, 1e300]]
+    A.imag = [[-np.inf, -np.nan, 0.5], [np.nan, np.inf, 1e-7]]
+    save_matrix(tmp_path / "m.json", A)
+    obj = {"rows": 2, "cols": 3, "data": A.view(float).reshape(-1, 2).tolist()}
+    assert (tmp_path / "m.json").read_text(encoding="utf-8") == json.dumps(obj) + "\n"
+
+
+_WRITER_RSS_CHILD = """
+import sys
+import numpy as np
+from charmat.io import save_matrix
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+
+n = 400
+rng = np.random.default_rng(6)
+A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+save_matrix(sys.argv[1], A[:8, :8])  # the writer's code and tables are paged in here
+rss = status("VmRSS")
+save_matrix(sys.argv[1], A)
+print((status("VmHWM") - rss) / 2**20)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_writer_rss_high_water_is_bounded(tmp_path):
+    # json.dumps held every pair as a list of two Python floats and then the
+    # whole text: 38.6 MB above the RSS before the call, for a 2.6 MB matrix
+    proc = subprocess.run([sys.executable, "-c", _WRITER_RSS_CHILD, str(tmp_path / "m.json")],
+                          capture_output=True, text=True, check=True)
+    assert float(proc.stdout) <= 12.0
+
+
 def test_load_matrix_parse_errors(tmp_path):
     path = tmp_path / "bad.json"
 
@@ -818,6 +908,26 @@ def test_save_matrices_writes_the_bytes_of_save_matrix(tmp_path):
         assert file_digest(tmp_path / f"{k}.json") == file_digest(tmp_path / f"{k}_inline.json")
 
 
+def test_charmat_forks_one_writer_for_its_four_blocks(tmp_path, monkeypatch, capsys):
+    # a writer per file cost four forks and exits: 21-30 ms of a 2x2 call's wall time
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    assert main(["charmat", str(mat), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert forks == [os.getpid()]
+    P = char_matrix(HERMITIAN)
+    for name in ("p11", "p12", "p21", "p22"):
+        assert load_matrix(tmp_path / "o" / f"{name}.json").tobytes() == getattr(P, name).tobytes()
+    _assert_no_child_left()
+
+
 def test_save_matrices_writes_in_process_when_no_fork_is_possible(tmp_path, monkeypatch):
     def no_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -846,7 +956,7 @@ def test_cli_block_files_match_in_process_save_matrix(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("command, target", [
     ("charmat", "p11.json"),
-    ("charmat", "p12.json"),  # a writer that is not the first
+    ("charmat", "p12.json"),  # a file that is not the first
     ("charmat", "report.json"),
     ("example-dirichlet", "eigenvalues.csv"),
 ])
@@ -951,7 +1061,7 @@ def test_charmat_log_holds_when_main_runs_in_process(tmp_path, monkeypatch, capl
 
 
 def test_cli_writes_the_blocks_its_writers_did_not(tmp_path, monkeypatch, caplog, in_children_only):
-    # every writer fails, in the child only: the command writes the four
+    # the writer fails, in the child only: the command writes the four
     # blocks itself, exits 0, and logs each retry at CHARMAT_LOG=info
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
