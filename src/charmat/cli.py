@@ -14,14 +14,15 @@ Four commands, all emitting a machine-readable report (JSON on stdout and
 - ``selfadjoint INPUT SUBCOMMAND``: resolvent / spectral projection /
   unitary group / quadrature identity checks for a Hermitian matrix file.
 
+A label passes when its residual is at most its tolerance: the bound that
+the library returns with the residual, or this module's constant.  ``--tol``
+(non-negative) overrides every tolerance but those of the ``VERDICTS``.
+
 Exit codes: 0 all residuals within tolerance, 1 residual failure, 2 parse
 error, 3 invariant or flag violation (or an output that cannot be
 written), 4 numerical failure.  The
 ``CHARMAT_LOG`` environment variable (``error``, ``info``, ``debug``)
-controls log verbosity.  ``--tol``, which must be non-negative, overrides
-every residual tolerance but those of the yes/no verdicts (``A8``,
-``suite_selfadjoint``, ``suite_positive``, ``suite_normal``), which stay 0.
-``--seed`` seeds the randomized probe vectors of the
+controls log verbosity.  ``--seed`` seeds the randomized probe vectors of the
 quadrature subcommands and of ``verify``, whose ``suite_*`` residuals are
 probe estimates of relative Frobenius residuals; ``verify`` without it uses
 a fixed seed, so one file always gives one report.
@@ -55,7 +56,7 @@ from .calculus import (
     unitary_group,
 )
 # char_matrix_fiberwise is unused here, but perfbench/tracer.py wraps cli.char_matrix_fiberwise
-from .family import SUITE_TOL, char_matrix_fiberwise, decomposition_suite, family_norm  # noqa: F401
+from .family import char_matrix_fiberwise, decomposition_suite, family_norm  # noqa: F401
 from .graph import (
     IDENTITY_TOL,
     adjoint_char_matrix,
@@ -79,8 +80,8 @@ from .io import (  # noqa: F401
 
 log = logging.getLogger("charmat")
 
-#: Default residual tolerances per report label family, beside the library's
-#: IDENTITY_TOL (identity residuals) and SUITE_TOL (decomposition suite).
+#: Default bounds of the labels computed here; the library returns the bounds of
+#: the identity suite and the decomposition suite with their residuals.
 INVERSE_TOL = 1e-9  # A11: its reference graph goes through inv(T)
 STONE_TOL = 1e-3
 FOURIER_TOL = 1e-4
@@ -89,6 +90,9 @@ FIRST_EIGENVALUE_REL_TOL = 5e-3
 KERNEL_EIGENVALUE_TOL = 1e-8
 WITNESS_PERIODIC_TOL = 1e-8
 MISMATCH_TOL = 1e-3
+
+#: Yes/no verdicts, bounded by 0 whatever --tol says: no tolerance passes a disagreement.
+VERDICTS = ("A8", "suite_selfadjoint", "suite_positive", "suite_normal")
 
 #: Analytic mismatch of the normalized defect state: (1 - 1/e) / sqrt((1 - e^-2)/2).
 MISMATCH_TARGET = 0.9613710597474939
@@ -181,10 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tol(args, default: float) -> float:
-    return default if args.tol is None else args.tol
-
-
 def _probe_vectors(n: int, seed):
     """Deterministic probe pair: seeded complex Gaussians, or flat vectors."""
     if seed is None:
@@ -199,31 +199,27 @@ def _probe_vectors(n: int, seed):
 def cmd_charmat(args, outdir: str) -> Report:
     T = load_matrix(args.input)
     report = Report(command="charmat", inputs=file_digest(args.input), seed=args.seed)
-    tol = _tol(args, IDENTITY_TOL)
 
     P = char_matrix(T)
     blocks = ("p11", "p12", "p21", "p22")
     # the blocks are written while the checks below run
     with save_matrices({os.path.join(outdir, f"{b}.json"): getattr(P, b) for b in blocks}):
         ident = verify_identities(T, P)
-        for label in ("A6", "A7", "A12", "A13"):
-            report.add(label, ident.residuals[label], tol)
-        # kernel triviality: encode as margin below threshold so that the
-        # uniform "residual <= tolerance" pass rule applies
-        report.add("A8", max(0.0, ident.kernel_threshold - ident.residuals["A8"]), 0.0)
-        report.notes["A8_sigma_min"] = repr(ident.residuals["A8"])
+        for label, residual in ident.residuals.items():
+            report.add(label, residual, ident.bounds[label])
+        report.notes["A8_sigma_min"] = repr(ident.sigma_min)
 
-        report.add("A9", adjoint_char_matrix(P).blockwise_distance(char_matrix(adjoint(T))), tol)
+        report.add("A9", adjoint_char_matrix(P).blockwise_distance(char_matrix(adjoint(T))),
+                   IDENTITY_TOL)
         try:
             Pinv = inverse_char_matrix(P)
         except ValueError as exc:
             report.notes["A11"] = f"skipped: {exc}"
         else:
-            report.add("A11", Pinv.blockwise_distance(char_matrix(np.linalg.inv(T))),
-                       _tol(args, INVERSE_TOL))
+            report.add("A11", Pinv.blockwise_distance(char_matrix(np.linalg.inv(T))), INVERSE_TOL)
 
         if args.oracle:
-            report.add("oracle", P.blockwise_distance(char_matrix_oracle(T)), tol)
+            report.add("oracle", P.blockwise_distance(char_matrix_oracle(T)), IDENTITY_TOL)
     for b in blocks:
         log.info("wrote %s.json", b)
     return report
@@ -232,23 +228,21 @@ def cmd_charmat(args, outdir: str) -> Report:
 def cmd_verify(args, outdir: str) -> Report:
     fam = load_family(args.input)
     report = Report(command="verify", inputs=file_digest(args.input), seed=args.seed)
-    tol = _tol(args, IDENTITY_TOL)
 
     suite = decomposition_suite(fam, seed=args.seed)
-    for block, value in suite.pop("char_matrix")["gaps"].items():
-        report.add(f"fiberwise_{block}", value, tol)
+    fiberwise = suite.pop("char_matrix")
+    for block, value in fiberwise["gaps"].items():
+        report.add(f"fiberwise_{block}", value, fiberwise["gap_bound"])
     for name, item in suite.items():
         if item["applicable"]:
-            # a verdict's residual is 0 (agree) or 1 (disagree), never a tolerance case
-            verdict = name in ("selfadjoint", "positive", "normal")
-            report.add(f"suite_{name}", item["residual"],
-                       0.0 if verdict else _tol(args, SUITE_TOL))
+            report.add(f"suite_{name}", item["residual"], item["bound"])
         if item["note"]:
             report.notes[f"suite_{name}"] = item["note"]
 
     # bounds |family_norm - ||A||_2| / max(1, ||A||_2); 0 or rounding for a block-diagonal A
     norm, error = suite["modulus"]["norm"], suite["modulus"]["norm_error"]
-    report.add("norm_consistency", (abs(family_norm(fam) - norm) + error) / max(1.0, norm), tol)
+    report.add("norm_consistency", (abs(family_norm(fam) - norm) + error) / max(1.0, norm),
+               IDENTITY_TOL)
     return report
 
 
@@ -283,22 +277,21 @@ def cmd_example_dirichlet(args, outdir: str) -> Report:
             w.writerow([row[0]] + [repr(float(x)) for x in row[1:]])
     log.info("wrote %s", csv_path)
 
-    report.add("dirichlet_rel_err_max", max(r[3] for r in rows), _tol(args, SPECTRUM_REL_TOL))
-    report.add("dirichlet_rel_err_first", rows[0][3], _tol(args, FIRST_EIGENVALUE_REL_TOL))
-    report.add("periodic_kernel", abs(periodic_eigs[0]), _tol(args, KERNEL_EIGENVALUE_TOL))
+    report.add("dirichlet_rel_err_max", max(r[3] for r in rows), SPECTRUM_REL_TOL)
+    report.add("dirichlet_rel_err_first", rows[0][3], FIRST_EIGENVALUE_REL_TOL)
+    report.add("periodic_kernel", abs(periodic_eigs[0]), KERNEL_EIGENVALUE_TOL)
     report.add("periodic_pair_rel_err", max(r[6] for r in rows[: min(2, len(rows))]),
-               _tol(args, SPECTRUM_REL_TOL))
+               SPECTRUM_REL_TOL)
 
     valD, valP = separation_witness(n)
-    report.add("witness_periodic_dev", abs(valP - 1.0), _tol(args, WITNESS_PERIODIC_TOL))
-    report.add("witness_dirichlet_window",
-               max(0.0, 0.070 - valD, valD - 0.081), _tol(args, 0.0))
-    report.add("witness_gap_margin", max(0.0, 0.8 - abs(valP - valD)), _tol(args, 0.0))
+    report.add("witness_periodic_dev", abs(valP - 1.0), WITNESS_PERIODIC_TOL)
+    report.add("witness_dirichlet_window", max(0.0, 0.070 - valD, valD - 0.081), 0.0)
+    report.add("witness_gap_margin", max(0.0, 0.8 - abs(valP - valD)), 0.0)
     report.notes["witness_values"] = f"valD={valD!r}, valP={valP!r}"
 
     e = deficiency_vector(gd)
     mismatch = boundary_mismatch(e, gd) / trapezoid_norm(gd, e)
-    report.add("mismatch_dev", abs(mismatch - MISMATCH_TARGET), _tol(args, MISMATCH_TOL))
+    report.add("mismatch_dev", abs(mismatch - MISMATCH_TARGET), MISMATCH_TOL)
     report.notes["mismatch_value"] = repr(mismatch)
     return report
 
@@ -319,15 +312,13 @@ def cmd_selfadjoint(args, outdir: str) -> Report:
         R = resolvent(T, z)
         with save_matrices({os.path.join(outdir, "resolvent.json"): R}):
             resid = np.linalg.norm((T - z * np.eye(len(T))) @ R - np.eye(len(T)), "fro")
-        report.add("resolvent_identity", resid, _tol(args, IDENTITY_TOL))
+        report.add("resolvent_identity", resid, IDENTITY_TOL)
     elif sub == "projection":
         lam = need("lam")
         E = spectral_projection(T, lam)
         with save_matrices({os.path.join(outdir, "projection.json"): E}):
-            report.add("projection_idempotent", np.linalg.norm(E @ E - E, "fro"),
-                       _tol(args, IDENTITY_TOL))
-            report.add("projection_hermitian", np.linalg.norm(E - adjoint(E), "fro"),
-                       _tol(args, IDENTITY_TOL))
+            report.add("projection_idempotent", np.linalg.norm(E @ E - E, "fro"), IDENTITY_TOL)
+            report.add("projection_hermitian", np.linalg.norm(E - adjoint(E), "fro"), IDENTITY_TOL)
         # the trace of an orthogonal projection is its rank, up to rounding
         report.notes["rank"] = str(round(float(np.real(np.trace(E)))))
     elif sub == "group":
@@ -335,7 +326,7 @@ def cmd_selfadjoint(args, outdir: str) -> Report:
         U = unitary_group(T, s)
         with save_matrices({os.path.join(outdir, "unitary.json"): U}):
             report.add("group_unitary", np.linalg.norm(adjoint(U) @ U - np.eye(len(U)), "fro"),
-                       _tol(args, IDENTITY_TOL))
+                       IDENTITY_TOL)
     elif sub == "stone":
         lam = need("lam")
         # only nodes at most epsilon apart over [w_min - 1, lam + delta] resolve the Poisson
@@ -349,12 +340,12 @@ def cmd_selfadjoint(args, outdir: str) -> Report:
                              f"--epsilon {eps:g}; use --steps {fewest:.17g} or more")
         f, g = _probe_vectors(len(T), args.seed)
         resid = stone_formula_check(T, lam, f, g, args.epsilon, args.delta, args.steps)
-        report.add("stone", resid, _tol(args, STONE_TOL))
+        report.add("stone", resid, STONE_TOL)
     elif sub == "fourier":
         z = need("z")
         f, g = _probe_vectors(len(T), args.seed)
         resid = fourier_resolvent_check(T, z, f, g, args.smax, args.steps)
-        report.add("fourier", resid, _tol(args, FOURIER_TOL))
+        report.add("fourier", resid, FOURIER_TOL)
     return report
 
 
@@ -391,6 +382,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = _DISPATCH[args.command](args, outdir)
+        if args.tol is not None:
+            report.tolerances = {k: v if k in VERDICTS else args.tol
+                                 for k, v in report.tolerances.items()}
         report.wall_time_ms = 1000.0 * (time.perf_counter() - start)
         report.save(os.path.join(outdir, f"report.{args.format}"), args.format)
     except ParseError as exc:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # char_matrix is unused here, but perfbench/tracer.py wraps family.char_matrix
-from .graph import CharacteristicMatrix, _basis_blocks, _char_blocks, char_matrix  # noqa: F401
+from .graph import (  # noqa: F401
+    IDENTITY_TOL, CharacteristicMatrix, _basis_blocks, _char_blocks, char_matrix)
 from .hilbert import _as_operator, _kernel_trivial, _spectral, adjoint, is_hermitian
 
 __all__ = [
@@ -245,7 +246,7 @@ def _polynomial_on(coeffs, A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int | None = None) -> dict:
+def decomposition_suite(fam: OperatorFamily, seed: int | None = None) -> dict:
     """Verify that operator calculus commutes with block-diagonal assembly.
 
     Each item compares a construction applied to the assembled operator ``A``
@@ -276,7 +277,8 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
     residual; it is not the dense distance.  ``normal`` judges ``||A A* -
     A* A||_F``, so estimated, against ``CLASSIFY_TOL * max(1,
     ||A||_F^2)``.  Classification items record ``0.0`` for an equivalence
-    that holds and ``1.0`` otherwise.  Precondition violations do not
+    that holds and ``1.0`` otherwise, against a bound of 0; every other
+    item is bounded by ``SUITE_TOL``.  Precondition violations do not
     raise; the affected item carries ``applicable: False`` and a note.
 
     ``A`` is never factored.  The ``adjoint`` pass copies its diagonal tiles
@@ -289,9 +291,11 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
     Returns
     -------
     dict
-        Item name -> ``{"residual", "pass", "applicable", "note"}``.  The
-        ``modulus`` item also carries that 2-norm, ``norm``, and ``norm_error
-        = off``, a bound on its distance to ``||A||_2``.
+        Item name -> ``{"residual", "bound", "applicable", "note"}``; an item
+        holds when ``residual <= bound``.  The ``char_matrix`` item also
+        carries ``gaps``, each bounded by ``gap_bound = IDENTITY_TOL``, and
+        ``modulus`` that 2-norm, ``norm``, and ``norm_error = off``, a bound
+        on its distance to ``||A||_2``.
     """
     F = fam.fibers
     m, n = fam.m, fam.n
@@ -301,8 +305,8 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
     X = np.random.default_rng(SUITE_SEED if seed is None else seed).standard_normal((m * n, k))
     report = {}
 
-    def item(name, residual, ok, applicable=True, note=""):
-        report[name] = {"residual": float(residual), "pass": bool(ok),
+    def item(name, residual, bound=SUITE_TOL, applicable=True, note=""):
+        report[name] = {"residual": float(residual), "bound": bound,
                         "applicable": applicable, "note": note}
 
     def fibers_on(B, Y):
@@ -317,12 +321,9 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
         # the relative residual of lhs = rhs on the probes
         return np.linalg.norm(lhs - rhs) / max(np.sqrt(k), np.linalg.norm(rhs))
 
-    def probed(name, *residuals):
-        item(name, max(residuals), max(residuals) <= tol)
-
     def classified(name, whole, fiberwise):
         whole, fiberwise = bool(whole), bool(fiberwise)
-        item(name, 0.0 if whole == fiberwise else 1.0, whole == fiberwise,
+        item(name, 0.0 if whole == fiberwise else 1.0, 0.0,
              note=f"assembled={whole}, all_fibers={fiberwise}")
 
     gap = np.conjugate(A.T, order="C")  # A*, fresh; its diagonal tiles are D*
@@ -333,19 +334,19 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
     del gap
     norm_fro = np.linalg.norm(A)  # ||A||_F, for the adjoint item and the normal verdict
     resid = np.hypot(off, np.linalg.norm(Dh - adjoint(F))) / max(1.0, norm_fro)
-    item("adjoint", resid, resid <= tol)
+    item("adjoint", resid)
     D = adjoint(Dh)
 
     AX = A @ X
     AhAX = adjoint_on(AX)  # for the modulus identity and the normal verdict
     modF = _spectral(adjoint(Vhf), sf, Vhf)
-    probed("modulus", estimate(fibers_on(modF, fibers_on(modF, X)), AhAX))
+    item("modulus", estimate(fibers_on(modF, fibers_on(modF, X)), AhAX))
     # Weyl: A's singular values, and the eigenvalues of (A + A*)/2, are within off of bd(D)'s
     report["modulus"].update(norm=float(np.linalg.svd(D, compute_uv=False).max()), norm_error=off)
 
     p11X, p21X = fibers_on(f11, X), fibers_on(f21, X)
-    probed("char_matrix", estimate(p21X, A @ p11X), estimate(X - p11X, adjoint_on(p21X)))
-    report["char_matrix"]["gaps"] = gaps
+    item("char_matrix", max(estimate(p21X, A @ p11X), estimate(X - p11X, adjoint_on(p21X))))
+    report["char_matrix"].update(gaps=gaps, gap_bound=IDENTITY_TOL)
 
     # property equivalences: assembled iff all fibers
     hermitian = is_hermitian(A, CLASSIFY_TOL)
@@ -361,14 +362,14 @@ def decomposition_suite(fam: OperatorFamily, tol: float = SUITE_TOL, seed: int |
 
     # injectivity is read off sf
     if _kernel_trivial(sf)[0].all():
-        probed("inverse", estimate(A @ fibers_on(np.linalg.inv(F), X), X))
+        item("inverse", estimate(A @ fibers_on(np.linalg.inv(F), X), X))
     else:
-        item("inverse", 0.0, True, applicable=False,
+        item("inverse", 0.0, applicable=False,
              note="skipped: some fiber is not injective")
 
     # one Horner rule on both sides: the fibers on the (m, n, k) probe stack, A on X
     pFX = _polynomial_on(SUITE_POLY, F, X.reshape(m, n, k)).reshape(m * n, k)
-    probed("polynomial", estimate(pFX, _polynomial_on(SUITE_POLY, A, X)))
+    item("polynomial", estimate(pFX, _polynomial_on(SUITE_POLY, A, X)))
     if not fiber_normal:
         report["polynomial"]["note"] = \
             "some fiber is not normal; the block identity still holds for plain polynomials"

@@ -245,9 +245,11 @@ def char_matrix_oracle(T) -> CharacteristicMatrix:
 
 @dataclass
 class IdentityReport:
-    """Residuals of the block-identity suite for one characteristic matrix.
+    """Residuals of the block-identity suite for one characteristic matrix, with their bounds.
 
-    ``residuals`` maps an identity label to a nonnegative number:
+    ``residuals`` maps an identity label to a nonnegative number, ``bounds``
+    to its bound (``IDENTITY_TOL``, and 0 for A8); a label holds when its
+    residual is at most its bound:
 
     ======  ==========================================================
     label   meaning
@@ -255,25 +257,24 @@ class IdentityReport:
     A6      block symmetry: ``p21 == p12*`` and Hermitian diagonal
             blocks (largest Frobenius deviation)
     A7      idempotency ``||P^2 - P||_F``, computed block by block
-    A8      kernel triviality: smallest singular value of ``p11`` and
-            of ``I - p22`` (the *minimum* of the two; passes when it
-            exceeds the kernel threshold, unlike the other labels)
+    A8      kernel triviality: how far ``sigma_min``, the smallest
+            singular value of ``p11`` and of ``I - p22``, falls short
+            of the kernel threshold: ``max(0, threshold - sigma_min)``
     A12     factorization ``p21 == T p11`` and ``p22 == T p12``
     A13     factorization ``I - p11 == T* p21`` and ``p12 == T* (I - p22)``
     ======  ==========================================================
     """
 
     residuals: dict = field(default_factory=dict)
-    passes: dict = field(default_factory=dict)
-    tol: float = IDENTITY_TOL
-    kernel_threshold: float = 0.0
+    bounds: dict = field(default_factory=dict)
+    sigma_min: float = 0.0
 
     @property
     def all_pass(self) -> bool:
-        return all(self.passes.values())
+        return all(v <= self.bounds[k] for k, v in self.residuals.items())
 
 
-def verify_identities(T, P: CharacteristicMatrix, tol: float = IDENTITY_TOL) -> IdentityReport:
+def verify_identities(T, P: CharacteristicMatrix) -> IdentityReport:
     """Check the block-identity suite of a characteristic matrix.
 
     Since ``sigma_min(p11) = 1/(1 + ||T||_2^2)`` exactly, label ``A8``
@@ -287,14 +288,12 @@ def verify_identities(T, P: CharacteristicMatrix, tol: float = IDENTITY_TOL) -> 
         The operator that ``P`` is claimed to belong to.
     P : CharacteristicMatrix
         Candidate projection blocks.
-    tol : float, optional
-        Absolute Frobenius tolerance for the residual labels.
 
     Returns
     -------
     IdentityReport
-        Residual and pass/fail per label; see :class:`IdentityReport` for
-        the label key.
+        Residual and bound per label, and A8's ``sigma_min``; see
+        :class:`IdentityReport` for the label key.
     """
     T = _as_operator(T)
     if T.shape[0] != P.n:
@@ -314,7 +313,7 @@ def verify_identities(T, P: CharacteristicMatrix, tol: float = IDENTITY_TOL) -> 
         for i in (0, 1) for j in (0, 1)])
     # p11 and I - p22 are Hermitian: their eigenvalue moduli are their singular values
     Ip22 = _identity_minus(P.p22)
-    kernels_ok, r["A8"], threshold = _kernel_trivial(np.abs(np.concatenate(
+    _, sigma, threshold = _kernel_trivial(np.abs(np.concatenate(
         [np.linalg.eigvalsh(P.p11), np.linalg.eigvalsh(Ip22)])))
     # A13 reads I - p22 too.  It is freed before the difference, which is taken in
     # place: ||T* (I - p22) - p12|| is ||p12 - T* (I - p22)|| bit for bit.
@@ -327,11 +326,10 @@ def verify_identities(T, P: CharacteristicMatrix, tol: float = IDENTITY_TOL) -> 
         np.linalg.norm(P.p22 - T @ P.p12, "fro"),
     )
     r["A13"] = max(np.linalg.norm(_identity_minus(P.p11) - Th @ P.p21, "fro"), a13_p12)
-    r = {k: float(v) for k, v in r.items()}
-
-    passes = {k: (v <= tol) for k, v in r.items() if k != "A8"}
-    passes["A8"] = bool(kernels_ok)
-    return IdentityReport(residuals=r, passes=passes, tol=tol, kernel_threshold=float(threshold))
+    # A8 holds above its threshold, so its residual is the shortfall, against 0
+    r["A8"] = max(0.0, threshold - sigma)
+    bounds = {**dict.fromkeys(r, IDENTITY_TOL), "A8": 0.0}
+    return IdentityReport({k: float(v) for k, v in r.items()}, bounds, float(sigma))
 
 
 def adjoint_char_matrix(P: CharacteristicMatrix) -> CharacteristicMatrix:

@@ -21,12 +21,13 @@ raise :class:`ValueError`.
 
 The writer produces the bytes of ``json.dumps`` without it: numpy finds
 the repr digits of every value in a range that covers typical matrices
-and ``repr`` spells the rest (see :func:`save_matrix`).  The reader stays
-on CPython's C JSON code.  It checks the ``[re, im]`` pairs with an
-exact-type gate over ``map``/``set`` (``bool`` is not ``int`` there, so
-booleans stay rejected); only when the gate fails does a per-pair loop
-run, to name the first bad ``data[i]``.  The pairs become complex numbers
-by viewing the ``(N, 2)`` float array as complex, not by ``re + 1j*im``,
+and ``json.dumps`` spells the rest (see :func:`save_matrix`).  The reader stays
+on CPython's C JSON code, with the cyclic garbage collector paused.  It
+flattens the ``[re, im]`` pairs once, checks them with an exact-type gate
+over ``map``/``set`` (``bool`` is not ``int`` there, so booleans stay
+rejected) and converts the flat list; only when the gate fails does a
+per-pair loop run, to name the first bad ``data[i]``.  The pairs become
+complex numbers by viewing the float array as complex, not by ``re + 1j*im``,
 whose arithmetic turns ``-0.0`` into ``0.0``.  A JSON integer beyond the
 float range reads as the infinity it rounds to, so it is reported exactly
 like ``Infinity``.
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -81,6 +83,8 @@ class ParseError(Exception):
 
 
 def _load_json(path) -> object:
+    collecting = gc.isenabled()
+    gc.disable()  # json.load's lists, one per pair, are no garbage: collecting them frees nothing
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -89,6 +93,9 @@ def _load_json(path) -> object:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _as_floats(values: list) -> np.ndarray:
@@ -104,15 +111,6 @@ def _int_to_float(x) -> float:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
-
-
-def _is_pair_list(data: list) -> bool:
-    """True when every item of non-empty ``data`` is a list of two ints/floats."""
-    return (
-        set(map(type, data)) == {list}
-        and set(map(len, data)) == {2}
-        and set(map(type, itertools.chain.from_iterable(data))) <= {int, float}
-    )
 
 
 def _matrix_from_obj(obj, where: str) -> np.ndarray:
@@ -133,7 +131,10 @@ def _matrix_from_obj(obj, where: str) -> np.ndarray:
         raise ParseError(
             f"{where}: data must hold exactly rows*cols = {rows * cols} entries, got {got}"
         )
-    if not _is_pair_list(data):
+    # one flat pass checks and converts the pairs; the loop only names the first bad one
+    pairs = set(map(type, data)) == {list} and set(map(len, data)) == {2}
+    flat = list(itertools.chain.from_iterable(data)) if pairs else []
+    if not (pairs and set(map(type, flat)) <= {int, float}):
         for i, pair in enumerate(data):
             if (
                 not isinstance(pair, list)
@@ -141,10 +142,10 @@ def _matrix_from_obj(obj, where: str) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
             ):
                 raise ParseError(f"{where}: data[{i}] must be a [re, im] pair of numbers")
-    flat = _as_floats(data)
+    flat = _as_floats(flat)
     A = flat.view(complex).reshape(rows, cols)  # bit-exact, signed zeros included
     if not np.all(np.isfinite(flat)):
-        bad = int(np.argwhere(~np.isfinite(flat))[0][0])
+        bad = int(np.flatnonzero(~np.isfinite(flat))[0]) // 2
         raise ValueError(f"{where}: non-finite entry at data[{bad}]")
     return A
 
@@ -166,15 +167,16 @@ def load_matrix(path) -> np.ndarray:
 # Matrix files are written as json.dumps would write them, but the floats
 # are encoded with numpy.  float.__repr__ gives the shortest digits that read
 # back to the same double, and of those the closest (Steele & White 1990;
-# Gay 1990).  For 0 and for finite |x| in [1e-6, 1e17) they are computed
-# exactly here: y = |x| 10**k lies in [1e16, 1e17) for some k <= 22, so
-# 10**k is an exact double and Dekker's (1971) product gives y = hi + lo
-# exactly.  The reals that round to x, times 10**k, form an interval around
-# y, kept in int64 fixed point.  Of the multiples of the largest power of
-# ten in it, the one closest to y gives the digits.  Every other value goes
-# through repr.
+# Gay 1990).  Zeros take a fixed text.  For |x| in (1e-6, 1e17), and only
+# for those values, the digits are computed exactly here: y = |x| 10**k lies
+# in [1e16, 1e17) for some k <= 22, so 10**k is an exact double and Dekker's
+# (1971) product gives y = hi + lo exactly.  The reals that round to x,
+# times 10**k, form an interval around y, kept in int64 fixed point.  Of the
+# multiples of the largest power of ten in it, the one closest to y gives
+# the digits.  json.dumps spells every other value, non-finite ones included.
 
 _CHUNK = 1 << 15  # values encoded and written at a time
+_ZERO = (1 + 5) * 17  # the layout of 0.0: one digit at p = 1 (see _text_tables)
 
 #: 10**k, an exact double for k <= 22 (5**22 < 2**53)
 _POW10 = np.array([float(10**k) for k in range(23)])
@@ -205,7 +207,7 @@ def _text_tables():
 
     A row is ``[-0.000`` then the 17 digit columns, each followed by a ``.``
     column, then an exponent and ``], ``; it holds the characters that
-    ``(p, n)`` shows, with 0 in every other column.  Also returned: how many
+    ``(p, n)`` shows, with 0 in every other column.  Also returned: which
     digit columns ``(p, n)`` shows, and the ASCII of 0000..9999, four bytes
     each.  Built at the first write: a command that writes no matrix does
     not pay for them at start-up.
@@ -228,39 +230,27 @@ def _text_tables():
             if dot is not None:
                 row[8 + 2 * dot] = ord(".")
     digits4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
-    return rows.reshape(-1, 48).view("<u8"), shown.ravel(), digits4.view("<u4").ravel()
+    shows = np.arange(17) < shown.reshape(-1, 1)  # a gather of this is cheaper than the compare
+    return rows.reshape(-1, 48).view("<u8"), shows, digits4.view("<u4").ravel()
 
 
-def _float_text(v: float) -> str:
-    # json.dumps's spelling of one float
-    if math.isfinite(v):
-        return repr(v)
-    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+def _shortest_digits(ax: np.ndarray) -> tuple:
+    """``float.__repr__``'s digits of each of ``ax``, all in (1e-6, 1e17), as ``(c, k, j, ties)``.
 
-
-def _shortest_digits(x: np.ndarray) -> tuple:
-    """``float.__repr__``'s digits of each of ``x``, as ``(c, k, j, redo)``.
-
-    The digits are those of the integer ``c``, 0 or 17 digits long, less
-    its ``j`` trailing zeros, and ``|x|`` reads as ``c / 10**k``.  ``redo``
-    indexes the values whose digits were not computed.
+    The digits are those of the 17-digit integer ``c``, less its ``j``
+    trailing zeros, and ``ax`` reads as ``c / 10**k``.  ``ties`` indexes the
+    values halfway between two candidates, whose digits are left to repr.
     """
-    zero = x == 0
-    ax = np.abs(x)
-    ax[~(ax < 1e300)] = 0.0  # inf, nan and huge values go through repr; none overflows below
-    k = (16 - np.floor(np.log10(np.maximum(ax, 5e-324)))).astype(np.intp)
+    k = (16 - np.floor(np.log10(ax))).astype(np.intp)
     np.clip(k, 0, 22, out=k)
     hi, lo = _times_pow10(ax, k)
     # floor(log10) misses by one next to a power of ten: move y = hi + lo into [1e16, 1e17)
     low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
     high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    k += low
+    k += low  # at most 22: ax > 1e-6 puts y = ax 10**22 above 1e16
     k -= high
-    exact = (ax > 0) & (k >= 0) & (k <= 22)
-    moved = np.flatnonzero((low | high) & exact)
+    moved = np.flatnonzero(low | high)
     hi[moved], lo[moved] = _times_pow10(ax[moved], k[moved])
-    rest = ~exact  # computed as 1.0, then set to 0 for zeros and redone for the others
-    ax[rest], hi[rest], lo[rest], k[rest] = 1.0, 1e16, 0.0, 16
 
     # The interval, in units of 2**-52 from the integer hi: y >= 1e16 and
     # k <= 22 put the last bit of lo, and of the half gaps to x's
@@ -276,8 +266,8 @@ def _shortest_digits(x: np.ndarray) -> tuple:
     first = H - ((down - LO - odd) >> 52)  # the least integer in the interval
     final = H + ((LO + up - odd) >> 52)  # and the greatest
 
-    j = np.zeros(x.size, np.intp)  # the largest power 10**j with a multiple in [first, final]
-    rows = np.flatnonzero(exact)
+    j = np.zeros(ax.size, np.intp)  # the largest power 10**j with a multiple in [first, final]
+    rows = np.arange(ax.size)
     for e in range(1, 17):
         rows = rows[final[rows] // _IPOW10[e] * _IPOW10[e] >= first[rows]]
         if not rows.size:
@@ -290,30 +280,35 @@ def _shortest_digits(x: np.ndarray) -> tuple:
     both = in_below & in_above  # then step <= 10, so this does not overflow:
     side = ((2 * (H - below) - step) * both << 52) + 2 * LO  # 2 (y - below) - step
     c = np.where(in_above & (~in_below | (side > 0)), above, below)
-    c[zero], j[zero] = 0, 16
-    redo = np.flatnonzero(rest & ~zero | both & (side == 0))  # and ties: repr rounds them half even
-    return c, k, j, redo
+    return c, k, j, np.flatnonzero(both & (side == 0))  # ties: repr rounds them half even
 
 
 def _encode_pairs(x: np.ndarray, last: bool) -> bytes:
     """The ``[re, im], `` text of the float pairs ``x``, with no ``, `` after the last if ``last``."""
-    layouts, shown, digits4 = _text_tables()
-    c, k, j, redo = _shortest_digits(x)
-    code = (22 - k) * 17 + (16 - j)
+    layouts, shows, digits4 = _text_tables()
+    ax = np.abs(x)
+    fits = (ax > 1e-6) & (ax < 1e17)  # the digit pass spells these; nan compares False
+    inside = np.flatnonzero(fits)
+    c = np.zeros(x.size, np.int64)  # 0.0 is the text of c = 0 in the _ZERO layout
+    code = np.full(x.size, _ZERO)
+    c[inside], k, j, ties = _shortest_digits(ax[inside])
+    code[inside] = (22 - k) * 17 + (16 - j)
     text = layouts.take(code, axis=0).view(np.uint8)
     digits = np.empty((x.size, 5), np.uint32)  # c's 17 digits, after 3 bytes
     for i, scale in enumerate((10**16, 10**12, 10**8, 10**4, 1)):
         group = c // scale
         digits[:, i] = digits4.take(group)
         c -= group * scale
-    text[:, 7:40:2] = digits.view(np.uint8)[:, 3:] * (np.arange(17) < shown.take(code)[:, None])
+    text[:, 7:40:2] = digits.view(np.uint8)[:, 3:] * shows.take(code, axis=0)
     text[:, 1] = np.signbit(x) * ord("-")
     text[0::2, 0] = ord("[")
     text[1::2, 44] = ord("]")
     if last:
         text[-1, 45:] = 0
-    if redo.size:  # a float's repr has at most 24 characters
-        spelled = np.array([_float_text(v).encode() for v in x[redo].tolist()], dtype="S24")
+    fits[inside[ties]] = False
+    redo = np.flatnonzero(~fits & (x != 0))  # json.dumps spells the rest, with repr
+    if redo.size:  # a float's text has at most 24 characters
+        spelled = np.array(json.dumps(x[redo].tolist())[1:-1].encode().split(b", "), dtype="S24")
         text[redo, 1:44] = 0
         text[redo, 7:31] = spelled.view(np.uint8).reshape(-1, 24)
     return text.tobytes().translate(None, b"\0")
@@ -322,10 +317,11 @@ def _encode_pairs(x: np.ndarray, last: bool) -> bytes:
 def save_matrix(path, A) -> None:
     """Write a matrix file, byte for byte what ``json.dumps`` makes of it.
 
-    Each float is written as ``float.__repr__`` spells it.  numpy computes
-    those digits for 0 and for finite ``|x|`` in [1e-6, 1e17); ``repr``
-    spells every other value.  The pairs are encoded ``_CHUNK`` values at a
-    time, and each chunk is written as soon as it is made.
+    Each float is written as ``float.__repr__`` spells it.  Zeros take a
+    fixed text, numpy computes the digits of ``|x|`` in (1e-6, 1e17), and
+    ``json.dumps`` spells every other value.  The pairs are encoded
+    ``_CHUNK`` values at a time, and each chunk is written as soon as it is
+    made.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     values = np.ascontiguousarray(A).view(float).ravel()

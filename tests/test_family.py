@@ -19,6 +19,7 @@ from charmat.family import (
     resolvent_reconstruct,
     truncate_family_vector,
 )
+from charmat.graph import IDENTITY_TOL
 from charmat.hilbert import is_hermitian
 
 
@@ -194,7 +195,6 @@ def test_verify_audit_is_independent_of_the_fiber_route(tmp_path, monkeypatch, c
     import importlib
 
     from charmat.cli import main
-    from charmat.graph import IDENTITY_TOL
     from charmat.io import save_matrix
 
     fam = random_family(np.random.default_rng(67), 4, 5, hermitian=hermitian)
@@ -232,7 +232,12 @@ def test_suite_random_family_all_items_pass():
     fam = random_family(rng, 3, 4)
     report = decomposition_suite(fam)
     for name, item in report.items():
-        assert item["pass"], (name, item)
+        assert item["residual"] <= item["bound"], (name, item)
+    # the verdicts are bounded by 0, every other item by SUITE_TOL
+    assert {name: item["bound"] for name, item in report.items()} == {
+        **dict.fromkeys(("adjoint", "modulus", "char_matrix", "inverse", "polynomial"), SUITE_TOL),
+        **dict.fromkeys(("selfadjoint", "positive", "normal"), 0.0)}
+    assert report["char_matrix"]["gap_bound"] == IDENTITY_TOL
     assert report["adjoint"]["residual"] <= 1e-12
     assert report["modulus"]["residual"] <= 1e-9
     # generic random fibers are injective, so the inverse item is live
@@ -244,7 +249,7 @@ def test_suite_hermitian_family_classified_selfadjoint():
     rng = np.random.default_rng(23)
     fam = random_family(rng, 3, 3, hermitian=True)
     report = decomposition_suite(fam)
-    assert report["selfadjoint"]["pass"]
+    assert report["selfadjoint"]["residual"] <= report["selfadjoint"]["bound"]
     assert "assembled=True" in report["selfadjoint"]["note"]
     assert report["polynomial"]["note"] == ""
 
@@ -255,10 +260,10 @@ def test_suite_positivity_needs_every_fiber():
     grid = ParameterGrid(np.array([0.0, 1.0]))
     fam = OperatorFamily(grid, np.array([[[1.0]], [[-1.0]]]))
     report = decomposition_suite(fam)
-    assert report["positive"]["pass"]
+    assert report["positive"]["residual"] <= report["positive"]["bound"]
     assert "assembled=False" in report["positive"]["note"]
     assert "all_fibers=False" in report["positive"]["note"]
-    assert report["selfadjoint"]["pass"]
+    assert report["selfadjoint"]["residual"] <= report["selfadjoint"]["bound"]
 
 
 def test_suite_skips_inverse_for_singular_fiber():
@@ -266,7 +271,7 @@ def test_suite_skips_inverse_for_singular_fiber():
     fam = OperatorFamily(grid, np.array([[[1.0]], [[0.0]]]))
     report = decomposition_suite(fam)
     assert not report["inverse"]["applicable"]
-    assert report["inverse"]["pass"]
+    assert report["inverse"]["residual"] <= report["inverse"]["bound"]
     assert "injective" in report["inverse"]["note"]
 
 
@@ -274,7 +279,7 @@ def test_suite_polynomial_default_is_cubic_minus_two_x():
     grid = ParameterGrid(np.array([0.0]))
     fam = OperatorFamily(grid, np.array([[[3.0]]]))
     report = decomposition_suite(fam)
-    assert report["polynomial"]["pass"]
+    assert report["polynomial"]["residual"] <= report["polynomial"]["bound"]
     # the suite runs one Horner rule on both sides, so only a scalar check sees a
     # reversed reading of the coefficients: 27 - 6 = 21
     from charmat.family import SUITE_POLY, _polynomial_on
@@ -341,7 +346,7 @@ def test_suite_factors_only_stacks(monkeypatch, kind, tiles):
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, record)
     report = decomposition_suite(fam)
-    assert all(item["pass"] for item in report.values())
+    assert all(item["residual"] <= item["bound"] for item in report.values())
     assert report["inverse"]["applicable"]
     # nothing the size of A is factored: its items are products with the
     # probes, and its spectra come off its diagonal tiles
@@ -479,7 +484,7 @@ def test_suite_norm_is_exact_for_a_nearly_hermitian_family():
     assert report["selfadjoint"]["note"] == "assembled=True, all_fibers=True"
     assert report["positive"]["note"] == "assembled=False, all_fibers=False"
     assert abs(report["modulus"]["norm"] - family_norm(fam)) <= 1e-15
-    assert all(item["pass"] for item in report.values())
+    assert all(item["residual"] <= item["bound"] for item in report.values())
 
 
 def test_suite_memory_is_bounded(traced_peak_mb):
@@ -502,7 +507,7 @@ def test_adjoint_item_is_the_dense_difference(monkeypatch, order):
     monkeypatch.setattr(OperatorFamily, "assemble", lambda self: W)
     report = decomposition_suite(fam)
     assert report["adjoint"]["residual"] == pytest.approx(dense / np.linalg.norm(W), rel=1e-14)
-    assert not report["adjoint"]["pass"]
+    assert report["adjoint"]["residual"] > report["adjoint"]["bound"]
 
 
 def _dense_relative_residuals(fam, A):
@@ -542,7 +547,7 @@ def test_probe_residuals_estimate_the_dense_relative_residuals(monkeypatch, size
     for name, expected in dense.items():
         assert expected > 10 * SUITE_TOL, (name, expected)
         assert expected / 3 <= report[name]["residual"] <= 3 * expected, (name, report[name], expected)
-        assert not report[name]["pass"]
+        assert report[name]["residual"] > report[name]["bound"]
 
 
 # ------------------------------------------------------------- sum/product

@@ -77,7 +77,7 @@ def test_identity_suite_passes_for_random_operators():
         assert report.all_pass, report.residuals
         for label in ("A6", "A7", "A12", "A13"):
             assert report.residuals[label] <= 1e-12
-        assert report.residuals["A8"] > report.kernel_threshold
+        assert report.residuals["A8"] <= report.bounds["A8"] == 0.0
 
 
 def test_identity_suite_flags_corrupted_block():
@@ -87,8 +87,8 @@ def test_identity_suite_flags_corrupted_block():
         p11=P.p11, p12=P.p12, p21=np.array([[0.5]]), p22=P.p22
     )
     report = verify_identities(np.array([[2.0]]), bad)
-    assert not report.passes["A6"]
-    assert not report.passes["A12"]
+    assert report.residuals["A6"] > report.bounds["A6"]
+    assert report.residuals["A12"] > report.bounds["A12"]
     assert not report.all_pass
 
 
@@ -198,14 +198,16 @@ def test_kernel_rule_range_limit_is_documented_behavior():
     # trips A8 while every residual label stays clean
     T = np.diag([1e6, 1e-6]).astype(complex)
     report = verify_identities(T, char_matrix(T))
-    assert not report.passes["A8"]
-    assert all(report.passes[k] for k in ("A6", "A7", "A12", "A13"))
+    assert report.residuals["A8"] > report.bounds["A8"]
+    assert all(report.residuals[k] <= report.bounds[k] for k in ("A6", "A7", "A12", "A13"))
+    assert not report.all_pass  # A8 alone fails it
     # the threshold is KERNEL_TOL * (1 + ||p11||_2): sigma_min(p11) = 1e-12 sits
-    # below it, and an operator inside the range passes
-    assert report.residuals["A8"] == pytest.approx(1.0 / (1.0 + 1e12), rel=1e-12)
-    assert report.kernel_threshold == pytest.approx(2.0 * KERNEL_TOL, rel=1e-12)
+    # below it, A8 reads the shortfall, and an operator inside the range passes
+    assert report.sigma_min == pytest.approx(1.0 / (1.0 + 1e12), rel=1e-12)
+    assert report.residuals["A8"] + report.sigma_min == pytest.approx(2.0 * KERNEL_TOL, rel=1e-12)
     T = np.diag([1e4, 1e-4]).astype(complex)
-    assert verify_identities(T, char_matrix(T)).passes["A8"]
+    report = verify_identities(T, char_matrix(T))
+    assert report.residuals["A8"] <= report.bounds["A8"]
 
 
 KERNEL_CASES = [(n, scale) for n in (2, 40, 300) for scale in (1e-6, 1e-3, 1.0, 1e3)]
@@ -231,9 +233,10 @@ def test_kernel_predicate_equals_two_factorization_formulas(case):
     w11, w22, wc = (np.abs(np.linalg.eigvalsh(M)) for M in blocks)
 
     report = verify_identities(T, P)
-    assert report.residuals["A8"] == min(float(w11.min()), float(w22.min()))
-    assert report.kernel_threshold == KERNEL_TOL * (1.0 + max(float(w11.max()), float(w22.max())))
-    assert report.passes["A8"] == (report.residuals["A8"] > report.kernel_threshold)
+    assert report.sigma_min == min(float(w11.min()), float(w22.min()))
+    threshold = KERNEL_TOL * (1.0 + max(float(w11.max()), float(w22.max())))
+    assert report.residuals["A8"] == max(0.0, threshold - report.sigma_min)
+    assert report.bounds["A8"] == 0.0
 
     gate_open = float(wc.min()) > KERNEL_TOL * (1.0 + float(wc.max()))
     try:
@@ -279,9 +282,11 @@ def test_real_operator_gives_real_blocks_equal_to_complex_route(n, scale):
         assert P.blockwise_distance(Pc) <= tol
     real = verify_identities(T, char_matrix(T))
     cplx = verify_identities(Tc, char_matrix(Tc))
-    assert real.passes == cplx.passes
+    assert real.bounds == cplx.bounds
     for label, value in real.residuals.items():
+        assert (value <= real.bounds[label]) == (cplx.residuals[label] <= cplx.bounds[label])
         assert abs(value - cplx.residuals[label]) <= tol, label
+    assert abs(real.sigma_min - cplx.sigma_min) <= tol
 
 
 @pytest.mark.parametrize(
@@ -316,14 +321,16 @@ def test_cholesky_route_matches_oracle_across_scales(n, log_norm, is_complex, se
     P = char_matrix(T)
     assert P.p11.dtype == T.dtype
     # Up to ||T||_2 = 1e2 the bounds are the oracle tests' 1e-11 and the
-    # default IDENTITY_TOL.  Beyond it, rounding in forming T*T and in
-    # evaluating A12/A13 grows as eps*n*||T||_2^2 while both tolerances are
-    # absolute, so both scale with (||T||_2 / 1e2)^2 there; the test below
-    # pins a draw where the absolute tolerance alone fails.
+    # library's (IDENTITY_TOL, and 0 for A8).  Beyond it, rounding in forming
+    # T*T and in evaluating A12/A13 grows as eps*n*||T||_2^2 while both
+    # tolerances are absolute, so both scale with (||T||_2 / 1e2)^2 there; the
+    # test below pins a draw where the absolute tolerance alone fails.
     growth = max(1.0, (norm / 1e2) ** 2)
     assert P.blockwise_distance(char_matrix_oracle(T)) <= 1e-11 * growth
-    report = verify_identities(T, P, tol=IDENTITY_TOL * growth)
-    assert report.all_pass, report.residuals
+    report = verify_identities(T, P)
+    assert report.bounds == {**dict.fromkeys(report.residuals, IDENTITY_TOL), "A8": 0.0}
+    for label, value in report.residuals.items():
+        assert value <= report.bounds[label] * growth, report.residuals
 
 
 def test_absolute_identity_tolerance_fails_at_large_norm():
@@ -335,9 +342,10 @@ def test_absolute_identity_tolerance_fails_at_large_norm():
     T *= 10.0**3.75 / np.linalg.norm(T, 2)
     P = char_matrix(T)
     report = verify_identities(T, P)
-    assert not report.passes["A12"] and not report.passes["A13"]
+    assert report.residuals["A12"] > report.bounds["A12"] == IDENTITY_TOL
+    assert report.residuals["A13"] > report.bounds["A13"] == IDENTITY_TOL
     growth = (10.0**3.75 / 1e2) ** 2
-    assert verify_identities(T, P, tol=IDENTITY_TOL * growth).all_pass
+    assert all(v <= report.bounds[k] * growth for k, v in report.residuals.items())
     assert P.blockwise_distance(char_matrix_oracle(T)) <= 1e-11 * growth
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import logging
 import os
@@ -187,7 +188,9 @@ def test_saved_matrix_text_is_the_documented_bytes_over_a_million_values(tmp_pat
     rng = np.random.default_rng(23)
     real_block = char_matrix(rng.standard_normal((200, 200))).p21  # its imaginary parts are +0.0
     assert real_block.dtype == np.float64
-    for A in (stress, real_block):
+    real = rng.standard_normal((400, 400))
+    huge = 1e200 * (rng.standard_normal((400, 400)) + 1j * rng.standard_normal((400, 400)))
+    for A in (stress, real_block, real, huge):
         save_matrix(tmp_path / "m.json", A)
         got, want = (tmp_path / "m.json").read_text(encoding="utf-8"), _documented_text(A)
         if got != want:  # pytest's own diff of two 20 MB strings takes minutes
@@ -299,6 +302,23 @@ def test_load_matrix_rejects_nonfinite(tmp_path):
         with pytest.raises(ValueError) as exc:
             load_matrix(path)
         assert str(exc.value) == f"{path}: non-finite entry at data[1]"  # first bad pair
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_load_matrix_gives_the_garbage_collector_back_as_it_was(tmp_path, collecting):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_matrix(good, HERMITIAN)
+    bad.write_text('{"rows": 1, "cols": 1, "data": [[1.0, 0.0]')
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert load_matrix(good).tobytes() == HERMITIAN.tobytes()
+        assert gc.isenabled() is collecting
+        for path in (bad, tmp_path / "missing.json"):
+            with pytest.raises(ParseError):
+                load_matrix(path)
+            assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------- family files
@@ -1113,3 +1133,83 @@ def test_cli_exit_4_names_the_file_when_no_writer_can_fork(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert f"numerical failure: out of memory: writing {out / 'p11.json'}" in err
     _assert_no_child_left()
+
+
+# ------------------------------------------------------------ the --tol table
+
+#: The default bound of every report label (README, "Common flags").
+DEFAULT_BOUNDS = {
+    **dict.fromkeys(("A6", "A7", "A9", "A12", "A13", "oracle"), 1e-10),
+    "A8": 0.0, "A11": 1e-9,
+    **{f"fiberwise_{b}": 1e-10 for b in ("p11", "p12", "p21", "p22")},
+    **{f"suite_{s}": 1e-9 for s in ("adjoint", "modulus", "inverse", "polynomial")},
+    **dict.fromkeys(("suite_selfadjoint", "suite_positive", "suite_normal"), 0.0),
+    "norm_consistency": 1e-10,
+    "dirichlet_rel_err_max": 1e-2, "dirichlet_rel_err_first": 5e-3, "periodic_kernel": 1e-8,
+    "periodic_pair_rel_err": 1e-2, "witness_periodic_dev": 1e-8,
+    "witness_dirichlet_window": 0.0, "witness_gap_margin": 0.0, "mismatch_dev": 1e-3,
+    **dict.fromkeys(("resolvent_identity", "projection_idempotent", "projection_hermitian",
+                     "group_unitary"), 1e-10),
+    "stone": 1e-3, "fourier": 1e-4,
+}
+
+#: The yes/no verdicts, whose bound of 0 no --tol moves.
+VERDICT_LABELS = {"A8", "suite_selfadjoint", "suite_positive", "suite_normal"}
+
+CHARMAT_LABELS = {"A6", "A7", "A8", "A9", "A12", "A13", "oracle"}
+VERIFY_LABELS = {f"fiberwise_{b}" for b in ("p11", "p12", "p21", "p22")} | {
+    f"suite_{s}" for s in ("adjoint", "modulus", "selfadjoint", "positive", "normal",
+                           "polynomial")} | {"norm_consistency"}
+
+
+def _matrix_obj(A) -> dict:
+    A = np.asarray(A, dtype=complex)
+    return {"rows": A.shape[0], "cols": A.shape[1], "data": A.view(float).reshape(-1, 2).tolist()}
+
+
+TOL_TABLE_CASES = {
+    "charmat-injective": (["charmat", "{T}", "--oracle"], CHARMAT_LABELS | {"A11"}),
+    "charmat-singular": (["charmat", "{S}", "--oracle"], CHARMAT_LABELS),
+    "verify-injective": (["verify", "{F}"], VERIFY_LABELS | {"suite_inverse"}),
+    "verify-singular": (["verify", "{G}"], VERIFY_LABELS),
+    "example-dirichlet": (["example-dirichlet", "--n", "100", "--k", "5"],
+                          {"dirichlet_rel_err_max", "dirichlet_rel_err_first", "periodic_kernel",
+                           "periodic_pair_rel_err", "witness_periodic_dev",
+                           "witness_dirichlet_window", "witness_gap_margin", "mismatch_dev"}),
+    "resolvent": (["selfadjoint", "{H}", "resolvent", "--z", "2j"], {"resolvent_identity"}),
+    "projection": (["selfadjoint", "{H}", "projection", "--lam", "2"],
+                   {"projection_idempotent", "projection_hermitian"}),
+    "group": (["selfadjoint", "{H}", "group", "--s", "0.5"], {"group_unitary"}),
+    "stone": (["selfadjoint", "{H}", "stone", "--lam", "2", "--seed", "1"], {"stone"}),
+    "fourier": (["selfadjoint", "{H}", "fourier", "--z", "2j", "--seed", "1"], {"fourier"}),
+}
+
+
+@pytest.mark.parametrize("tol", [None, 0.5], ids=["default", "tol-0.5"])
+@pytest.mark.parametrize("case", TOL_TABLE_CASES)
+def test_cli_tol_overrides_every_bound_but_the_verdicts(tmp_path, capsys, case, tol):
+    rng = np.random.default_rng(41)
+    files = {
+        "T": rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+        "S": np.array([[1.0, 2.0], [2.0, 4.0]]),  # singular: A11 is skipped
+        "H": HERMITIAN,
+    }
+    for name, A in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(_matrix_obj(A)))
+    fibers = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    (tmp_path / "F.json").write_text(json.dumps(
+        {"grid": [0.0, 1.0, 2.0], "fibers": [_matrix_obj(F) for F in fibers]}))
+    (tmp_path / "G.json").write_text(json.dumps(  # a singular fiber: suite_inverse is skipped
+        {"grid": [0.0, 1.0], "fibers": [_matrix_obj([[1.0]]), _matrix_obj([[0.0]])]}))
+
+    argv, labels = TOL_TABLE_CASES[case]
+    argv = [a.format(**{k: tmp_path / f"{k}.json" for k in "TSHFG"}) for a in argv]
+    out = tmp_path / "out"
+    extra = [] if tol is None else ["--tol", str(tol)]
+    assert main([*argv, "--out", str(out), *extra]) in (0, 1)
+    capsys.readouterr()
+    tolerances = json.loads((out / "report.json").read_text())["tolerances"]
+    assert set(tolerances) == labels
+    expected = {label: DEFAULT_BOUNDS[label] if tol is None or label in VERDICT_LABELS else tol
+                for label in labels}
+    assert tolerances == expected
