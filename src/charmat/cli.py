@@ -232,7 +232,7 @@ def cmd_verify(args, outdir: str) -> Report:
     suite = decomposition_suite(fam, seed=args.seed)
     fiberwise = suite.pop("char_matrix")
     for block, value in fiberwise["gaps"].items():
-        report.add(f"fiberwise_{block}", value, fiberwise["gap_bound"])
+        report.add(f"fiberwise_{block}", value, fiberwise["bound"])
     for name, item in suite.items():
         if item["applicable"]:
             report.add(f"suite_{name}", item["residual"], item["bound"])

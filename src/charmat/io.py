@@ -32,11 +32,9 @@ whose arithmetic turns ``-0.0`` into ``0.0``.  A JSON integer beyond the
 float range reads as the infinity it rounds to, so it is reported exactly
 like ``Infinity``.
 
-The CLI writes its matrices through :func:`save_matrices`: one forked
-writer (POSIX ``os.fork``) writes them while the parent computes.  If it
-does not exit 0, the parent writes every file itself, so a failed write
-raises :func:`save_matrix`'s own error and a killed writer does not fail
-the command.
+The CLI writes its matrices through :func:`save_matrices`: one thread
+writes them while the command computes, and its first error is raised when
+the command's work is done.
 """
 
 from __future__ import annotations
@@ -47,9 +45,8 @@ import gc
 import hashlib
 import itertools
 import json
-import logging
 import math
-import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -67,8 +64,6 @@ __all__ = [
     "load_family",
     "file_digest",
 ]
-
-log = logging.getLogger("charmat")
 
 GENERATOR_KINDS = (
     "dirichlet-derivative",
@@ -333,25 +328,8 @@ def save_matrix(path, A) -> None:
         fh.write(b"]}\n")
 
 
-def _fork_writer(files: dict) -> int:
-    """Fork a child that runs ``save_matrix`` on each of ``files``; return its pid.
-
-    The child makes no BLAS, import or logging call (the parent may have
-    BLAS threads at the fork) and never returns into the caller: it leaves
-    by ``os._exit``, 0 once it has written every file, 1 otherwise.
-    """
-    if pid := os.fork():
-        return pid
-    try:
-        for path, A in files.items():
-            save_matrix(path, A)
-        os._exit(0)
-    finally:
-        os._exit(1)  # save_matrix raised
-
-
 def _write_here(path, A) -> None:
-    # save_matrix in this process; running out of memory names the file
+    # save_matrix in this thread; running out of memory names the file
     try:
         save_matrix(path, A)
     except MemoryError as exc:
@@ -362,26 +340,36 @@ def _write_here(path, A) -> None:
 def save_matrices(files: dict):
     """Write each ``{path: matrix}`` of ``files`` while the body runs.
 
-    One forked writer runs :func:`save_matrix` on every file, or where no
-    process can be forked the files are written here before the body.  The
-    writer is reaped when the body ends; unless the body raised, every file
-    is then written here if the writer did not exit 0, and any error is
-    raised.
+    One thread runs :func:`save_matrix` on every file in turn and stops at
+    the first error; where no thread can start, the files are written here
+    before the body.  The thread is joined when the body ends, and unless
+    the body raised, its error is raised then: an ``OSError``, or a
+    ``MemoryError`` that names the file.  The writer reads the matrices
+    while the body runs, so the body must not write into them.
     """
+    errors = []
+
+    def write_all():
+        try:
+            for path, A in files.items():
+                _write_here(path, A)
+        except BaseException as exc:  # raised where the writer is joined
+            errors.append(exc)
+
+    writer = threading.Thread(target=write_all, name="charmat-writer")
     try:
-        pid = _fork_writer(files)
-    except OSError:  # no process to spare: write them here
-        pid = None
+        writer.start()
+    except RuntimeError:  # no thread to spare: write them here
+        writer = None
         for path, A in files.items():
             _write_here(path, A)
     try:
         yield
     finally:
-        code = 0 if pid is None else os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:
-        for path, A in files.items():
-            log.info("writer of %s exited with %d; writing it here", path, code)
-            _write_here(path, A)
+        if writer is not None:
+            writer.join()
+    if errors:
+        raise errors[0]
 
 
 def load_family(path) -> OperatorFamily:

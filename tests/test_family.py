@@ -19,7 +19,7 @@ from charmat.family import (
     resolvent_reconstruct,
     truncate_family_vector,
 )
-from charmat.graph import IDENTITY_TOL
+from charmat.graph import IDENTITY_TOL, CharacteristicMatrix, verify_identities
 from charmat.hilbert import is_hermitian
 
 
@@ -167,9 +167,14 @@ def test_char_matrix_commutes_with_assembly(monkeypatch):
     # one batched Gram pass and one batched svd over the fibers; nothing dense
     assert sorted(name for name, shape in calls) == ["cholesky", "cholesky", "inv", "inv", "svd"]
     assert {shape for name, shape in calls} == {(m, n, n)}
-    # the fiber blocks satisfy A12 and A13 with the assembled operator, on the probes
+    # assembled, the fiber blocks satisfy A12 and A13 with the assembled operator
     monkeypatch.undo()
-    assert decomposition_suite(fam)["char_matrix"]["residual"] <= 1e-14
+    P = CharacteristicMatrix(*(OperatorFamily(fam.grid, np.stack([getattr(c, b) for c in chars]))
+                               .assemble() for b in ("p11", "p12", "p21", "p22")))
+    ident = verify_identities(fam.assemble(), P)
+    assert max(ident.residuals["A12"], ident.residuals["A13"]) <= 1e-14
+    # and the suite's char_matrix item is the largest of the gaps
+    assert decomposition_suite(fam)["char_matrix"]["residual"] == max(residuals.values())
 
 
 def _skew_p11(route):
@@ -233,11 +238,13 @@ def test_suite_random_family_all_items_pass():
     report = decomposition_suite(fam)
     for name, item in report.items():
         assert item["residual"] <= item["bound"], (name, item)
-    # the verdicts are bounded by 0, every other item by SUITE_TOL
+    # the verdicts are bounded by 0, the fiber cross-check by IDENTITY_TOL, every
+    # other item by SUITE_TOL
     assert {name: item["bound"] for name, item in report.items()} == {
-        **dict.fromkeys(("adjoint", "modulus", "char_matrix", "inverse", "polynomial"), SUITE_TOL),
+        **dict.fromkeys(("adjoint", "modulus", "inverse", "polynomial"), SUITE_TOL),
+        "char_matrix": IDENTITY_TOL,
         **dict.fromkeys(("selfadjoint", "positive", "normal"), 0.0)}
-    assert report["char_matrix"]["gap_bound"] == IDENTITY_TOL
+    assert report["char_matrix"]["residual"] == max(report["char_matrix"]["gaps"].values())
     assert report["adjoint"]["residual"] <= 1e-12
     assert report["modulus"]["residual"] <= 1e-9
     # generic random fibers are injective, so the inverse item is live
@@ -513,7 +520,6 @@ def test_adjoint_item_is_the_dense_difference(monkeypatch, order):
 def _dense_relative_residuals(fam, A):
     # each probe item's identity on dense matrices, ||lhs - rhs||_F / max(1, ||rhs||_F)
     from charmat.family import SUITE_POLY
-    from charmat.graph import _char_blocks
 
     def assembled(stack):
         return OperatorFamily(fam.grid, stack).assemble()
@@ -521,12 +527,10 @@ def _dense_relative_residuals(fam, A):
     def rel(lhs, rhs):
         return np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(rhs))
 
-    p11, _, p21, _ = (assembled(b) for b in _char_blocks(fam.fibers))
     _, s, Vh = np.linalg.svd(fam.fibers)
     modulus = assembled(np.conj(np.swapaxes(Vh, -1, -2)) @ (s[..., None] * Vh))
     Ah, I = A.conj().T, np.eye(len(A))
     return {
-        "char_matrix": max(rel(p21, A @ p11), rel(I - p11, Ah @ p21)),
         "modulus": rel(modulus @ modulus, Ah @ A),
         "inverse": rel(A @ assembled(np.linalg.inv(fam.fibers)), I),
         "polynomial": rel(assembled(_horner_from_zero(SUITE_POLY, fam.fibers)),
@@ -542,12 +546,16 @@ def test_probe_residuals_estimate_the_dense_relative_residuals(monkeypatch, size
     E = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
     A = fam.assemble() + size * E / np.linalg.norm(E)
     dense = _dense_relative_residuals(fam, A)
+    clean = decomposition_suite(fam)["char_matrix"]
     monkeypatch.setattr(OperatorFamily, "assemble", lambda self: A.copy())
     report = decomposition_suite(fam)
     for name, expected in dense.items():
         assert expected > 10 * SUITE_TOL, (name, expected)
         assert expected / 3 <= report[name]["residual"] <= 3 * expected, (name, report[name], expected)
         assert report[name]["residual"] > report[name]["bound"]
+    # the fiber cross-check reads only the fibers; the adjoint item sees the error in A
+    assert report["char_matrix"] == clean
+    assert report["adjoint"]["residual"] > report["adjoint"]["bound"]
 
 
 # ------------------------------------------------------------- sum/product

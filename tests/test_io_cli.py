@@ -3,9 +3,9 @@ import json
 import logging
 import os
 import re
-import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -908,7 +908,7 @@ def test_cli_projection_rank_note_is_the_integer_rank(tmp_path, capsys):
         assert report["notes"]["rank"] == str(int(np.sum(w <= lam)))
 
 
-# ------------------------------------------------------------ forked writers
+# ------------------------------------------------------------ the writer thread
 
 
 def _awkward_matrix() -> np.ndarray:
@@ -928,33 +928,55 @@ def test_save_matrices_writes_the_bytes_of_save_matrix(tmp_path):
         assert file_digest(tmp_path / f"{k}.json") == file_digest(tmp_path / f"{k}_inline.json")
 
 
-def test_charmat_forks_one_writer_for_its_four_blocks(tmp_path, monkeypatch, capsys):
-    # a writer per file cost four forks and exits: 21-30 ms of a 2x2 call's wall time
+def test_charmat_starts_one_writer_thread_for_its_four_blocks(tmp_path, monkeypatch, capsys):
+    # one writer thread for all four files, and no child process
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
-    forks, fork = [], os.fork
+    threads = threading.active_count()
+    starts, forks, start = [], [], threading.Thread.start
 
-    def counted():
+    def counted(self):
+        starts.append(self.name)
+        return start(self)
+
+    def no_fork():
         forks.append(os.getpid())
-        return fork()
+        raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert main(["charmat", str(mat), "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
-    assert forks == [os.getpid()]
+    assert len(starts) == 1 and forks == []
     P = char_matrix(HERMITIAN)
     for name in ("p11", "p12", "p21", "p22"):
         assert load_matrix(tmp_path / "o" / f"{name}.json").tobytes() == getattr(P, name).tobytes()
-    _assert_no_child_left()
+    _assert_no_child_left(threads)
 
 
-def test_save_matrices_writes_in_process_when_no_fork_is_possible(tmp_path, monkeypatch):
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
+def _no_thread(self):
+    raise RuntimeError("can't start new thread")
 
-    monkeypatch.setattr(os, "fork", no_fork)
+
+def test_save_matrices_writes_in_process_when_no_thread_can_start(tmp_path, monkeypatch):
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
     with save_matrices({tmp_path / "a.json": HERMITIAN}):
+        # written before the body starts
         assert load_matrix(tmp_path / "a.json").tobytes() == HERMITIAN.tobytes()
+
+
+def test_charmat_runs_where_os_has_no_fork(tmp_path, monkeypatch, capsys):
+    # the writer is a thread: a platform without os.fork writes the same blocks
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    monkeypatch.delattr(os, "fork")
+    out = tmp_path / "o"
+    assert main(["charmat", str(mat), "--out", str(out)]) == 0
+    capsys.readouterr()
+    P = char_matrix(HERMITIAN)
+    for name in ("p11", "p12", "p21", "p22"):
+        save_matrix(tmp_path / f"{name}_inline.json", getattr(P, name))
+        assert file_digest(out / f"{name}.json") == file_digest(tmp_path / f"{name}_inline.json")
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "awkward"])
@@ -993,12 +1015,15 @@ def test_cli_exit_3_when_an_output_cannot_be_written(tmp_path, capsys, command, 
         assert not (out / "report.json").exists()
 
 
-def _assert_no_child_left():
+def _assert_no_child_left(threads: int):
+    # no child process, and no thread beyond the ``threads`` alive before the call
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads
 
 
 def test_cli_reaps_every_writer(tmp_path, monkeypatch, capsys):
+    threads = threading.active_count()
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
     P = char_matrix(HERMITIAN)
@@ -1017,58 +1042,29 @@ def test_cli_reaps_every_writer(tmp_path, monkeypatch, capsys):
     for name in ("p11", "p12", "p21", "p22"):
         assert load_matrix(tmp_path / "linalg" / f"{name}.json").tobytes() == \
             getattr(P, name).tobytes()
-    _assert_no_child_left()
+    _assert_no_child_left(threads)
 
 
-def test_writers_never_return_into_the_caller(tmp_path, monkeypatch, capsys, in_children_only):
-    mat = tmp_path / "T.json"
-    save_matrix(mat, HERMITIAN)
-    (tmp_path / "bad" / "p22.json").mkdir(parents=True)
-    assert main(["charmat", str(mat), "--out", str(tmp_path / "ok")]) == 0
-    assert main(["charmat", str(mat), "--out", str(tmp_path / "bad")]) == 3
-    resolvent_argv = ["selfadjoint", str(mat), "resolvent", "--z", "2j", "--out"]
-    assert main([*resolvent_argv, str(tmp_path / "ref")]) == 0
-    for escape in (SystemExit(0), KeyboardInterrupt()):
-        def leave(path, A, escape=escape):
-            raise escape
+def test_save_matrices_writes_what_a_writer_did_not(tmp_path, monkeypatch):
+    # what the writer did not write is an error: raised when the body ends,
+    # unless the body raised
+    threads = threading.active_count()
+    writes = []
 
-        monkeypatch.setattr(charmat.io, "save_matrix", in_children_only(leave, save_matrix))
-        out = tmp_path / type(escape).__name__
-        # the writer left without writing; the command wrote the file itself
-        assert main([*resolvent_argv, str(out)]) == 0
-        assert file_digest(out / "resolvent.json") == file_digest(tmp_path / "ref" / "resolvent.json")
-    capsys.readouterr()
-    marker = tmp_path / "marker.txt"
-    with open(marker, "a", encoding="utf-8") as fh:
-        fh.write(f"{os.getpid()}\n")
-    assert marker.read_text().splitlines() == [str(os.getpid())]
-    _assert_no_child_left()
-
-
-def test_save_matrices_writes_what_a_writer_did_not(tmp_path, monkeypatch, in_children_only):
     def exhausted(path, A):
+        writes.append(path)
         raise MemoryError
 
-    def killed(path, A):  # a partial file, then SIGKILL mid-write
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write('{"rows": 2, ')
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    # out of memory in the writer and again here
     monkeypatch.setattr(charmat.io, "save_matrix", exhausted)
     with pytest.raises(MemoryError, match="a.json"):
-        with save_matrices({tmp_path / "a.json": HERMITIAN}):
+        with save_matrices({tmp_path / "a.json": HERMITIAN, tmp_path / "b.json": HERMITIAN}):
             pass
-    monkeypatch.setattr(charmat.io, "save_matrix", in_children_only(killed, save_matrix))
-    with save_matrices({tmp_path / "b.json": HERMITIAN}):
-        pass
-    save_matrix(tmp_path / "b_inline.json", HERMITIAN)
-    assert file_digest(tmp_path / "b.json") == file_digest(tmp_path / "b_inline.json")
+    assert writes == [tmp_path / "a.json"]  # the writer stops at its first error
     # the body's exception wins over a writer's failure
     with pytest.raises(ValueError, match="body"):
         with save_matrices({tmp_path / "c.json": HERMITIAN}):
             raise ValueError("body")
-    _assert_no_child_left()
+    _assert_no_child_left(threads)
 
 
 def test_charmat_log_holds_when_main_runs_in_process(tmp_path, monkeypatch, caplog):
@@ -1080,28 +1076,34 @@ def test_charmat_log_holds_when_main_runs_in_process(tmp_path, monkeypatch, capl
     assert ("charmat", logging.INFO, "wrote p11.json") in caplog.record_tuples
 
 
-def test_cli_writes_the_blocks_its_writers_did_not(tmp_path, monkeypatch, caplog, in_children_only):
-    # the writer fails, in the child only: the command writes the four
-    # blocks itself, exits 0, and logs each retry at CHARMAT_LOG=info
+def test_cli_exit_3_when_the_writer_fails_and_retries_nothing(tmp_path, monkeypatch, capsys,
+                                                               caplog):
+    # an error in the writer thread ends the command: nothing is written again
+    # in the main thread, and only the files written are logged at CHARMAT_LOG=info
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
     out = tmp_path / "o"
+    threads = threading.active_count()
 
     def fail_in_writer(path, A):
-        raise OSError("no write in the writer")
+        if threading.current_thread() is not threading.main_thread():
+            raise PermissionError(13, "Permission denied", str(path))
+        save_matrix(path, A)
 
-    monkeypatch.setattr(charmat.io, "save_matrix", in_children_only(fail_in_writer, save_matrix))
+    monkeypatch.setattr(charmat.io, "save_matrix", fail_in_writer)
     monkeypatch.setenv("CHARMAT_LOG", "info")
+    assert main(["charmat", str(mat), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"invariant violation: cannot write {out / 'p11.json'}: Permission denied" in err
+    assert not any((out / f"{name}.json").exists() for name in ("p11", "p12", "p21", "p22"))
+    assert not (out / "report.json").exists()
+    assert [m for name, _, m in caplog.record_tuples if name == "charmat"] == []
+    monkeypatch.setattr(charmat.io, "save_matrix", save_matrix)
     assert main(["charmat", str(mat), "--out", str(out)]) == 0
-    monkeypatch.undo()
-    P = char_matrix(HERMITIAN)
-    for name in ("p11", "p12", "p21", "p22"):
-        path = out / f"{name}.json"
-        save_matrix(tmp_path / f"{name}_inline.json", getattr(P, name))
-        assert file_digest(path) == file_digest(tmp_path / f"{name}_inline.json")
-        message = f"writer of {path} exited with 1; writing it here"
-        assert ("charmat", logging.INFO, message) in caplog.record_tuples
-    _assert_no_child_left()
+    capsys.readouterr()
+    assert [m for name, _, m in caplog.record_tuples if name == "charmat"] == [
+        f"wrote {name}.json" for name in ("p11", "p12", "p21", "p22")]
+    _assert_no_child_left(threads)
 
 
 def test_cli_exit_4_when_a_writer_runs_out_of_memory(tmp_path, monkeypatch, capsys):
@@ -1115,24 +1117,23 @@ def test_cli_exit_4_when_a_writer_runs_out_of_memory(tmp_path, monkeypatch, caps
     assert "numerical failure: out of memory: writing" in capsys.readouterr().err
 
 
-def test_cli_exit_4_names_the_file_when_no_writer_can_fork(tmp_path, monkeypatch, capsys):
-    # with no process to spare the blocks are written in process; running out of
-    # memory there names the file, as the retry after a failed writer does
-    def no_fork():
-        raise BlockingIOError("Resource temporarily unavailable")
-
+def test_cli_exit_4_names_the_file_when_no_writer_thread_can_start(tmp_path, monkeypatch,
+                                                                    capsys):
+    # with no thread to spare the blocks are written in process; running out of
+    # memory there names the file, as it does in the writer thread
     def exhausted(path, A):
         raise MemoryError
 
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
-    monkeypatch.setattr(os, "fork", no_fork)
+    threads = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", _no_thread)
     monkeypatch.setattr(charmat.io, "save_matrix", exhausted)
     out = tmp_path / "o"
     assert main(["charmat", str(mat), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert f"numerical failure: out of memory: writing {out / 'p11.json'}" in err
-    _assert_no_child_left()
+    _assert_no_child_left(threads)
 
 
 # ------------------------------------------------------------ the --tol table
