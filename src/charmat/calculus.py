@@ -19,6 +19,7 @@ returns one ``n x n`` projector per distinct eigenvalue, needs more.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,8 +193,8 @@ def fourier_resolvent_check(
     """
     if z.imag <= 0:
         raise ValueError("z must lie in the upper half plane")
-    if smax <= 0 or steps < 1:
-        raise ValueError("smax must be positive and steps at least 1")
+    if smax <= 0 or not 1 <= steps <= sys.float_info.max:  # a larger int overflows as a float
+        raise ValueError(f"smax must be positive and steps in [1, {sys.float_info.max:g}]")
     T = _as_operator(T)
     f = _as_vector(f)
     g = _as_vector(g)
@@ -248,8 +249,8 @@ def stone_formula_check(
     """
     if epsilon <= 0 or delta <= 0:
         raise ValueError("epsilon and delta must be positive")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    if not 1 <= steps <= sys.float_info.max:  # a larger int overflows as a float
+        raise ValueError(f"steps must lie in [1, {sys.float_info.max:g}]")
     f = _as_vector(f)
     g = _as_vector(g)
     w, V = _eig_hermitian(T)

@@ -13,12 +13,12 @@ the classical truncation of sections by growth level.
 Fiberwise constructions run once on the stack with numpy's batched linear
 algebra and are never assembled.  The fiber characteristic matrices are one
 batched Gram pass of ``graph``, checked against the projection onto the SVD
-basis of each fiber's graph; the assembled operator is audited by applying it and the
-fiberwise constructions to a few seeded Gaussian probe vectors, so the
-suite's residuals are probe estimates of relative Frobenius residuals and
-no product of dense matrices is formed; its 2-norm and positivity come off
-its diagonal tiles, within Weyl's bound.  ``hilbert``'s Hermitian and kernel
-predicates judge the stack in one call.
+basis of each fiber's graph.  The assembled operator's identities are
+audited by applying it and the fiberwise constructions to a few seeded
+Gaussian probe vectors, so the suite's residuals are probe estimates of
+relative Frobenius residuals and no product of dense matrices is formed.
+Its verdicts, 2-norm and adjoint come off its diagonal tiles and the norm
+of the rest; ``hilbert``'s predicates judge the tiles as they do the fibers.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def decomposition_suite(fam: OperatorFamily, seed: int | None = None) -> dict:
     Each item compares a construction applied to the assembled operator ``A``
     against the fiberwise constructions ``B`` on the ``(m, n, n)`` stack:
 
-    - ``adjoint``    : conjugate transpose (always applicable)
+    - ``adjoint``    : conjugate transpose, exact, so read off the tiles
     - ``char_matrix``: ``gaps`` holds the absolute Frobenius distance of each
       of the fibers' Gram-route blocks to the projection onto the SVD basis
       of each fiber's graph; the residual is the largest.  ``p21 = F p11``
@@ -261,34 +261,40 @@ def decomposition_suite(fam: OperatorFamily, seed: int | None = None) -> dict:
       construction, so ``B = |A|`` (always applicable)
     - ``selfadjoint``: the assembled operator is Hermitian iff every fiber is
     - ``positive``   : positive semidefinite iff every fiber is
-    - ``normal``     : normal iff every fiber is
+    - ``normal``     : normal iff every fiber is, exactly per tile
     - ``inverse``    : ``A B = I``; skipped unless every fiber is injective
     - ``polynomial`` : the fixed polynomial ``x^3 - 2x`` (``SUITE_POLY``),
       one Horner rule on both sides: the fibers on the stacked probes, ``A``
       on ``X``; meaningful for normal fibers, and reported with a note when
       some fiber is not normal
 
-    ``adjoint`` is one dense pass, its residual ``||A* - B||_F / max(1,
-    ||A||_F)``, and ``char_matrix`` reads only the fibers.  The other items
-    never multiply or invert dense matrices: they apply ``A`` and each
-    ``B``, on the stack, to ``k = SUITE_PROBES`` standard Gaussian columns
-    ``X`` from ``np.random.default_rng(seed)`` (``SUITE_SEED`` when ``seed``
-    is None), and an identity ``lhs = rhs`` reports ``||lhs X - rhs X||_F /
-    max(sqrt(k), ||rhs X||_F)``.  As ``E ||M X||_F^2 = k ||M||_F^2``, that
-    estimates its relative Frobenius residual; it is not the dense distance.
-    ``normal`` judges ``||A A* - A* A||_F``, so estimated, against
-    ``CLASSIFY_TOL * max(1, ||A||_F^2)``.  Classification items record
-    ``0.0`` for an equivalence that holds and ``1.0`` otherwise, against a
-    bound of 0; ``char_matrix`` is bounded by ``IDENTITY_TOL`` and every
-    other item by ``SUITE_TOL``.  Precondition violations do not raise; the
-    affected item carries ``applicable: False`` and a note.
+    ``A`` is read once, in place, for its diagonal tiles ``D`` and
+    ``off = ||A - bd(D)||_F``; the ``adjoint`` residual ``||A* - B||_F /
+    max(1, ||A||_F)`` is ``hypot(off, ||D - F||_F)`` over that, and
+    ``char_matrix`` reads only the fibers.  The identity items never multiply
+    or invert dense matrices: they apply ``A`` and each ``B``, on the stack,
+    to ``k = SUITE_PROBES`` standard Gaussian columns ``X`` from the seeded
+    ``np.random.default_rng`` (``SUITE_SEED`` when ``seed`` is None), and an
+    identity ``lhs = rhs`` reports ``||lhs X - rhs X||_F / max(sqrt(k),
+    ||rhs X||_F)``, an estimate of its relative Frobenius residual, as
+    ``E ||M X||_F^2 = k ||M||_F^2``; it is not the dense distance.
 
-    ``A`` is never factored.  The ``adjoint`` pass copies its diagonal tiles
-    ``D`` and measures ``off = ||A - bd(D)||_F``.  By Weyl's inequality each
-    singular value of ``A``, and each eigenvalue of ``(A + A*)/2``, is within
-    ``off`` of one of ``bd(D)``'s: ``svd(D)`` gives ``A``'s 2-norm, and a
-    Hermitian ``A`` is positive if ``eigvalsh((D + D*)/2) - off`` is; for a
-    block-diagonal ``A``, exactly.  The fibers get each factorization once.
+    The verdicts read no probe: ``assembled=True`` means that ``A`` is block
+    diagonal, ``off <= CLASSIFY_TOL * max(1, ||A||_F)``, and that every tile
+    has the property, judged by the fibers' own predicate.  So on an exact
+    assembly each verdict is the fibers'; an error past ``CLASSIFY_TOL``
+    reads ``assembled=False``, and past ``SUITE_TOL`` fails ``adjoint`` too.
+    Classification items record ``0.0`` for an equivalence that holds and
+    ``1.0`` otherwise, against a bound of 0; ``char_matrix`` is bounded by
+    ``IDENTITY_TOL`` and every other item by ``SUITE_TOL``.  Precondition
+    violations do not raise; the affected item carries ``applicable: False``
+    and a note.
+
+    ``A`` is never factored, and no ``A``-sized temporary is formed.  By
+    Weyl's inequality each singular value of ``A``, and each eigenvalue of
+    ``(A + A*)/2``, is within ``off`` of one of ``bd(D)``'s: ``svd(D)`` gives
+    ``A``'s 2-norm, and a Hermitian ``A`` is positive if every tile's
+    ``eigvalsh((D + D*)/2) - off`` is; exactly so for a block-diagonal ``A``.
 
     Returns
     -------
@@ -301,7 +307,7 @@ def decomposition_suite(fam: OperatorFamily, seed: int | None = None) -> dict:
     F = fam.fibers
     m, n = fam.m, fam.n
     _, (_, sf, Vhf), gaps = _fiber_char(F)  # raises before dense work
-    A = fam.assemble()
+    A = np.ascontiguousarray(fam.assemble())  # its tiles are zeroed in place, then restored
     k = SUITE_PROBES
     X = np.random.default_rng(SUITE_SEED if seed is None else seed).standard_normal((m * n, k))
     report = {}
@@ -314,10 +320,6 @@ def decomposition_suite(fam: OperatorFamily, seed: int | None = None) -> dict:
         # the assembly of the stack B applied to Y, without assembling B
         return (B @ Y.reshape(m, n, -1)).reshape(m * n, -1)
 
-    def adjoint_on(Y):
-        # A* Y, without forming A*
-        return np.conjugate(A.T @ np.conjugate(Y))
-
     def estimate(lhs, rhs):
         # the relative residual of lhs = rhs on the probes
         return np.linalg.norm(lhs - rhs) / max(np.sqrt(k), np.linalg.norm(rhs))
@@ -327,20 +329,17 @@ def decomposition_suite(fam: OperatorFamily, seed: int | None = None) -> dict:
         item(name, 0.0 if whole == fiberwise else 1.0, 0.0,
              note=f"assembled={whole}, all_fibers={fiberwise}")
 
-    gap = np.conjugate(A.T, order="C")  # A*, fresh; its diagonal tiles are D*
+    # the diagonal tiles D and off = ||A - bd(D)||_F, read off A in place and put back
     tiles = np.arange(m)
-    Dh = gap.reshape(m, n, m, n)[tiles, :, tiles, :]
-    gap.reshape(m, n, m, n)[tiles, :, tiles, :] = 0
-    off = float(np.linalg.norm(gap))  # ||A - bd(D)||_F, with no cancellation
-    del gap
-    norm_fro = np.linalg.norm(A)  # ||A||_F, for the adjoint item and the normal verdict
-    resid = np.hypot(off, np.linalg.norm(Dh - adjoint(F))) / max(1.0, norm_fro)
-    item("adjoint", resid)
-    D = adjoint(Dh)
+    D = A.reshape(m, n, m, n)[tiles, :, tiles, :]
+    A.reshape(m, n, m, n)[tiles, :, tiles, :] = 0
+    off = float(np.linalg.norm(A))
+    A.reshape(m, n, m, n)[tiles, :, tiles, :] = D
+    scale = max(1.0, np.hypot(off, np.linalg.norm(D)))  # max(1, ||A||_F), with no second pass
+    item("adjoint", np.hypot(off, np.linalg.norm(D - F)) / scale)
 
-    AX = A @ X
-    AhAX = adjoint_on(AX)  # for the modulus identity and the normal verdict
     modF = _spectral(adjoint(Vhf), sf, Vhf)
+    AhAX = np.conjugate(A.T @ np.conjugate(A @ X))  # A* A X, without forming A*
     item("modulus", estimate(fibers_on(modF, fibers_on(modF, X)), AhAX))
     # Weyl: A's singular values, and the eigenvalues of (A + A*)/2, are within off of bd(D)'s
     report["modulus"].update(norm=float(np.linalg.svd(D, compute_uv=False).max()), norm_error=off)
@@ -348,17 +347,17 @@ def decomposition_suite(fam: OperatorFamily, seed: int | None = None) -> dict:
     item("char_matrix", max(gaps.values()), IDENTITY_TOL)
     report["char_matrix"]["gaps"] = gaps
 
-    # property equivalences: assembled iff all fibers
-    hermitian = is_hermitian(A, CLASSIFY_TOL)
+    # property equivalences: A has one iff it is block diagonal and every tile has it
+    block_diagonal = off <= CLASSIFY_TOL * scale
     fiber_hermitian = is_hermitian(F, CLASSIFY_TOL)
     fiber_positive = _nonnegative(np.linalg.eigvalsh((F + adjoint(F)) / 2.0), CLASSIFY_TOL)
     fiber_normal = _is_normal(F, CLASSIFY_TOL).all()
+    hermitian = block_diagonal and is_hermitian(D, CLASSIFY_TOL).all()
     classified("selfadjoint", hermitian, fiber_hermitian.all())
     classified("positive", hermitian and _nonnegative(
-        np.linalg.eigvalsh((D + Dh) / 2.0).ravel() - off, CLASSIFY_TOL),
+        np.linalg.eigvalsh((D + adjoint(D)) / 2.0) - off, CLASSIFY_TOL).all(),
         (fiber_positive & fiber_hermitian).all())
-    commutator = np.linalg.norm(A @ adjoint_on(X) - AhAX) / np.sqrt(k)
-    classified("normal", commutator <= CLASSIFY_TOL * max(1.0, norm_fro ** 2), fiber_normal)
+    classified("normal", block_diagonal and _is_normal(D, CLASSIFY_TOL).all(), fiber_normal)
 
     # injectivity is read off sf
     if _kernel_trivial(sf)[0].all():

@@ -415,7 +415,7 @@ def load_family(path) -> OperatorFamily:
                              f"expected one of {GENERATOR_KINDS}")
         g = GridDiscretization(n, kind.split("-")[0])
         fiber = derivative_operator(g) if kind.endswith("derivative") else laplacian(g)
-        fibers = np.broadcast_to(fiber, (grid.m, n, n)).copy()
+        fibers = np.broadcast_to(fiber, (grid.m, n, n))  # OperatorFamily stacks it once
     elif isinstance(fibers_obj, list):
         if len(fibers_obj) != grid.m:
             raise ParseError(f"{where}: {len(fibers_obj)} fibers for {grid.m} grid nodes")
@@ -423,7 +423,7 @@ def load_family(path) -> OperatorFamily:
         shapes = {m.shape for m in mats}
         if len(shapes) > 1:
             raise ValueError(f"{where}: mixed fiber dimensions {sorted(shapes)}")
-        fibers = np.stack(mats)
+        fibers = mats
     else:
         raise ParseError(f"{where}: fibers must be a list of matrices or a generator object")
     return OperatorFamily(grid, fibers)

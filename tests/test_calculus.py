@@ -316,6 +316,16 @@ def test_trapezoid_weights_sum_to_the_interval(monkeypatch, start, stop, steps):
     assert abs(total - (stop - start)) <= 4 * np.finfo(float).eps * (stop - start)
 
 
+@pytest.mark.parametrize("steps", [0, 10**400], ids=["0", "1e400"])
+def test_quadratures_reject_steps_outside_the_float_range(steps):
+    # an int beyond the float range raised OverflowError from the float arithmetic
+    T, one = np.array([[0.0]]), np.ones(1)
+    with pytest.raises(ValueError, match="steps"):
+        stone_formula_check(T, 0.0, one, one, epsilon=0.25, delta=0.5, steps=steps)
+    with pytest.raises(ValueError, match="steps"):
+        fourier_resolvent_check(T, 1j, one, one, smax=1.0, steps=steps)
+
+
 def test_calculus_memory_is_bounded(traced_peak_mb):
     rng = np.random.default_rng(49)
     T = random_hermitian(rng, 200)

@@ -475,14 +475,73 @@ def test_weyl_bounds_hold_for_an_assembly_error(tmp_path, monkeypatch, capsys, s
     assert "assembled=False," in out["notes"]["suite_positive"]
 
 
-def test_suite_normal_stays_a_product_test():
-    # Hermitian within CLASSIFY_TOL, yet not normal within it: a
-    # "Hermitian implies normal" shortcut would misreport this fiber
-    A = np.diag([1.0, -1.0]) + 0.45e-10 * np.array([[0.0, 1.0], [-1.0, 0.0]])
-    fam = OperatorFamily(ParameterGrid(np.array([0.0])), A[None])
+@pytest.mark.parametrize("second", [
+    [[0.0, 1e-9], [0.0, 0.0]],  # not Hermitian at its own scale
+    [[-1e-8, 0.0], [0.0, 1.0]],  # Hermitian, not positive at its own scale
+], ids=["skew", "negative"])
+def test_tile_route_judges_each_fiber_at_its_own_scale(second):
+    # next to 1e3 I, the dense route judges the assembly by its whole norm and
+    # calls it Hermitian and positive; the tiles are judged as the fibers are
+    fam = OperatorFamily(ParameterGrid(np.array([0.0, 1.0])),
+                         np.stack([1e3 * np.eye(2), np.array(second)]))
+    dense = _dense_verdicts(fam.assemble())
+    assert dense["selfadjoint"] and dense["positive"]
+    report = decomposition_suite(fam)
+    assert all(item["residual"] <= item["bound"] for item in report.values())
+    assert report["positive"]["note"] == "assembled=False, all_fibers=False"
+    hermitian = second[0][1] == second[1][0]
+    assert report["selfadjoint"]["note"] == f"assembled={hermitian}, all_fibers={hermitian}"
+
+
+@pytest.mark.parametrize("where", ["off", "tile"])
+def test_suite_verdicts_see_a_broken_assembly(monkeypatch, where):
+    # Hermitian, hence normal, fibers and an assembly error E of norm 1e-3,
+    # either off the diagonal tiles or inside tile 0 alone: A is neither
+    # Hermitian nor normal, and both verdicts must say so
+    rng = np.random.default_rng(103)
+    fam = random_family(rng, 4, 3, hermitian=True)
+    E = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    if where == "off":
+        E[np.kron(np.eye(4, dtype=bool), np.ones((3, 3), dtype=bool))] = 0.0
+    else:
+        E[3:], E[:, 3:] = 0.0, 0.0
+    A = fam.assemble() + 1e-3 * E / np.linalg.norm(E)
+    dense = _dense_verdicts(A)
+    assert not dense["selfadjoint"] and not dense["normal"]
+    monkeypatch.setattr(OperatorFamily, "assemble", lambda self: A.copy())
+    report = decomposition_suite(fam)
+    for name in ("selfadjoint", "normal"):
+        assert report[name]["note"] == "assembled=False, all_fibers=True", (name, report[name])
+        assert report[name]["residual"] > report[name]["bound"]
+    assert report["adjoint"]["residual"] > report["adjoint"]["bound"]
+
+
+def test_suite_positive_keeps_weyls_margin_within_the_block_diagonal_tolerance(monkeypatch):
+    # off = 1.4e-8 is block diagonal next to 1e3 I, yet E couples the kernels of
+    # the two diag(0, 1) tiles and gives A the eigenvalue -1e-8, far below those
+    # tiles' own tolerance: only the margin "- off" keeps positive from passing
+    fam = OperatorFamily(ParameterGrid(np.arange(3.0)),
+                         np.stack([1e3 * np.eye(2), np.diag([0.0, 1.0]), np.diag([0.0, 1.0])]))
+    A = fam.assemble()
+    A[2, 4] = A[4, 2] = 1e-8
+    monkeypatch.setattr(OperatorFamily, "assemble", lambda self: A.copy())
     report = decomposition_suite(fam)
     assert report["selfadjoint"]["note"] == "assembled=True, all_fibers=True"
-    assert report["normal"]["note"] == "assembled=False, all_fibers=False"
+    assert report["positive"]["note"] == "assembled=False, all_fibers=True"
+    assert report["positive"]["residual"] > report["positive"]["bound"]
+
+
+def test_suite_normal_stays_a_product_test():
+    # Hermitian within CLASSIFY_TOL, yet not normal within it: a
+    # "Hermitian implies normal" shortcut would misreport this fiber.  Its
+    # commutator is 1.27 times the threshold, so the verdict, read off the
+    # tile, must not depend on the probes
+    A = np.diag([1.0, -1.0]) + 0.45e-10 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    fam = OperatorFamily(ParameterGrid(np.array([0.0])), A[None])
+    for seed in range(20):
+        report = decomposition_suite(fam, seed)
+        assert report["selfadjoint"]["note"] == "assembled=True, all_fibers=True"
+        assert report["normal"]["note"] == "assembled=False, all_fibers=False", seed
 
 
 def test_suite_norm_is_exact_for_a_nearly_hermitian_family():
@@ -495,12 +554,12 @@ def test_suite_norm_is_exact_for_a_nearly_hermitian_family():
 
 
 def test_suite_memory_is_bounded(traced_peak_mb):
-    # the peak counts A, one dense temporary (A* for the adjoint and
-    # Hermitian passes) and the fiber stacks; the probes are mn x 8
+    # the peak counts A and the fiber and tile stacks, each 1/m of A; no
+    # A-sized temporary is formed, and the probes are mn x 8
     rng = np.random.default_rng(59)
     fam = random_family(rng, 32, 16)
     assembled_mb = fam.assemble().nbytes / 2**20
-    assert traced_peak_mb(decomposition_suite, fam) <= 2.5 * assembled_mb
+    assert traced_peak_mb(decomposition_suite, fam) <= 1.5 * assembled_mb
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

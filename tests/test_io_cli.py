@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 import charmat.io
 from charmat import cli
 from charmat.cli import main
-from charmat.family import SUITE_SEED
+from charmat.family import SUITE_SEED, OperatorFamily
 from charmat.graph import CharacteristicMatrix, char_matrix
 from charmat.io import (
     GENERATOR_KINDS,
@@ -358,6 +358,16 @@ def test_load_family_explicit_weights_and_generator(tmp_path, kind):
     assert np.array_equal(fam.fibers[1], expected)
 
 
+def test_load_family_stacks_a_generated_fiber_once(tmp_path, traced_peak_mb):
+    # the generator's one fiber is broadcast and stacked by OperatorFamily alone;
+    # a second stack of the (m, n, n) fibers doubled the peak
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"grid": np.linspace(0.0, 1.0, 50).tolist(),
+                                "fibers": {"kind": "dirichlet-laplacian", "n": 64}}))
+    stack_mb = 50 * 64 * 64 * 8 / 2**20
+    assert traced_peak_mb(load_family, path) <= 1.5 * stack_mb
+
+
 def test_load_family_error_catalogue(tmp_path):
     path = tmp_path / "fam.json"
 
@@ -485,20 +495,46 @@ def test_cli_exit_1_on_residual_failure(tmp_path):
     assert json.loads(proc.stdout)["pass"] is False
 
 
-def test_cli_verify_tol_cannot_pass_a_classification_mismatch(tmp_path, capsys):
-    # 1e3 I is Hermitian and [[0, 1e-9], [0, 0]] is not, but the assembled
-    # matrix is Hermitian relative to its own norm: the verdicts disagree
+def test_cli_verify_passes_a_family_of_mixed_scales(tmp_path, capsys):
+    # 1e3 I is Hermitian and [[0, 1e-9], [0, 0]] is not; the assembled matrix
+    # is Hermitian relative to its own norm, but its tiles are judged as the fibers are
     path = tmp_path / "fam.json"
     big = {"rows": 2, "cols": 2, "data": [[1e3, 0], [0, 0], [0, 0], [1e3, 0]]}
     skew = {"rows": 2, "cols": 2, "data": [[0, 0], [1e-9, 0], [0, 0], [0, 0]]}
     path.write_text(json.dumps({"grid": [0.0, 1.0], "fibers": [big, skew]}))
     for extra in ([], ["--tol", "1"]):
+        assert main(["verify", str(path), "--out", str(tmp_path / "o"), *extra]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        for item in ("suite_selfadjoint", "suite_positive"):
+            assert blob["residuals"][item] == 0.0
+            assert blob["notes"][item] == "assembled=False, all_fibers=False"
+
+
+def test_cli_verify_tol_cannot_pass_a_classification_mismatch(tmp_path, monkeypatch, capsys):
+    # Hermitian fibers, and an assembly that adds a Hermitian E of norm 1e-3
+    # off the diagonal tiles: A is no longer block diagonal, so the verdict
+    # disagrees with the fibers, and no --tol can forgive it
+    m, n = 3, 3
+    rng = np.random.default_rng(107)
+    fiber = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    fiber = fiber + fiber.conj().T
+    E = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
+    E = E + E.conj().T
+    E[np.kron(np.eye(m, dtype=bool), np.ones((n, n), dtype=bool))] = 0.0
+    E *= 1e-3 / np.linalg.norm(E)
+    assemble = OperatorFamily.assemble
+    monkeypatch.setattr(OperatorFamily, "assemble", lambda self: assemble(self) + E)
+    save_matrix(tmp_path / "F.json", fiber)
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"grid": [0.0, 1.0, 2.0],
+                                "fibers": [json.loads((tmp_path / "F.json").read_text())] * m}))
+    for extra in ([], ["--tol", "1"]):
         assert main(["verify", str(path), "--out", str(tmp_path / "o"), *extra]) == 1
         blob = json.loads(capsys.readouterr().out)
         assert blob["pass"] is False
-        for item in ("suite_selfadjoint", "suite_positive"):
-            assert blob["residuals"][item] == 1.0
-            assert blob["tolerances"][item] == 0.0
+        assert blob["residuals"]["suite_selfadjoint"] == 1.0
+        assert blob["tolerances"]["suite_selfadjoint"] == 0.0
+        assert blob["notes"]["suite_selfadjoint"] == "assembled=False, all_fibers=True"
 
 
 def test_cli_exit_2_on_parse_error(tmp_path):
