@@ -1,20 +1,20 @@
 """Functional calculus checks for Hermitian matrices.
 
 Spectral projections, resolvents and the unitary one-parameter group of a
-Hermitian matrix, together with quadrature verifications of the classical
-integral identities that link them: the half-line Fourier transform of the
-unitary group reproduces the resolvent, the limiting absorption integral of
-resolvent jumps reproduces the spectral projection, and the spectral sum
-reproduces the group.  Each ``*_check`` function returns the absolute
+Hermitian matrix, together with checks of the classical integral identities
+that link them: the half-line Fourier transform of the unitary group
+reproduces the resolvent, the limiting absorption integral of resolvent
+jumps reproduces the spectral projection, and the spectral sum reproduces
+the group.  Each ``*_check`` function returns the absolute
 deviation between the two routes; nothing is asserted here, so callers can
 pin their own tolerances.
 
 Memory: each check factors its matrix once (one
 :func:`~charmat.hilbert._eig_hermitian`) and holds O(n^2) numbers besides.
-The Stone quadrature evaluates its integrand at most ``_BLOCK_BUDGET``
-(2**20) values at a time and the Fourier one is summed in closed form, so
-their ``steps`` cost no memory.  Only :func:`spectral_decomposition`, which
-returns one ``n x n`` projector per distinct eigenvalue, needs more.
+Stone's integral is exact and Fourier's trapezoid rule is summed in closed
+form, one term per eigenvalue each, so Fourier's ``steps`` costs no memory.
+Only :func:`spectral_decomposition`, which returns one ``n x n`` projector
+per distinct eigenvalue, needs more.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ __all__ = [
 #: Relative width (of spectral radius + 1) below which eigenvalues are
 #: merged into a single eigenspace.
 CLUSTER_TOL = 1e-8
-
-#: Integrand values (nodes times eigenvalues) that a quadrature evaluates
-#: at once; it bounds the working set of the Stone check.
-_BLOCK_BUDGET = 2**20
 
 
 @dataclass(frozen=True)
@@ -140,34 +136,6 @@ def unitary_group(T, s: float) -> np.ndarray:
     return _spectral(V, np.exp(1j * s * w), adjoint(V))
 
 
-def _blocked_trapezoid(integrand, start: float, stop: float, steps: int, width: int) -> complex:
-    """Trapezoid rule on ``steps`` uniform subintervals of ``[start, stop]``.
-
-    ``integrand`` maps a 1-d array of nodes to the integrand's values there,
-    at a cost of ``width`` values per node.  The nodes come in blocks of
-    ``max(1, _BLOCK_BUDGET // width)``, each generated as
-    ``start + k * step`` with the last node set to ``stop``, which is
-    ``np.linspace(start, stop, steps + 1)`` bit for bit; the sum runs block
-    by block, so memory does not depend on ``steps``.  Every node weighs
-    ``step`` (half at the ends), so the weights sum to ``stop - start``.
-    """
-    step = (stop - start) / steps
-    rows = max(1, _BLOCK_BUDGET // width)
-    total = 0.0
-    for first in range(0, steps + 1, rows):
-        k = np.arange(first, min(first + rows, steps + 1))
-        nodes = start + k * step
-        if k[-1] == steps:
-            nodes[-1] = stop
-        vals = integrand(nodes)
-        if first == 0:
-            vals[0] *= 0.5
-        if k[-1] == steps:
-            vals[-1] *= 0.5
-        total += vals.sum()
-    return step * total
-
-
 def fourier_resolvent_check(
     T, z: complex, f, g, smax: float, steps: int = 40_000
 ) -> float:
@@ -210,22 +178,20 @@ def fourier_resolvent_check(
     return float(abs(quad - exact))
 
 
-def stone_formula_check(
-    T, lam: float, f, g, epsilon: float, delta: float, steps: int = 40_000
-) -> float:
+def stone_formula_check(T, lam: float, f, g, epsilon: float, delta: float) -> float:
     """Deviation of the resolvent-jump integral from the spectral projection.
 
-    Approximates
+    Computes, exactly up to rounding,
 
-        (f, E(lam) g) ~ (2 pi i)^-1 * integral_Lambda^(lam+delta)
-                        (f, [R(u + i eps) - R(u - i eps)] g) du
+        (2 pi i)^-1 * integral_Lambda^(lam+delta)
+            (f, [R(u + i eps) - R(u - i eps)] g) du  ~  (f, E(lam) g)
 
     where ``E`` is the right-continuous spectral projection, ``R`` the
-    resolvent, and ``Lambda`` sits strictly below the spectrum.  The
-    integrand collapses to a sum of Poisson kernels of width ``epsilon``
-    centered at the eigenvalues, so the deviation sinks to zero as
-    ``epsilon`` and then ``delta`` decrease (order ``epsilon`` for fixed
-    well-separated spectrum).
+    resolvent, and ``Lambda = w_min - 1`` sits strictly below the spectrum.
+    The integrand is a sum of Poisson kernels of width ``epsilon`` centered
+    at the eigenvalues, each integrating to a difference of arctangents.
+    So the deviation is Stone's own: it sinks to zero as ``epsilon`` and
+    then ``delta`` decrease (order ``epsilon`` for a well-separated spectrum).
 
     Parameters
     ----------
@@ -235,22 +201,15 @@ def stone_formula_check(
         Overshoot of the integration endpoint past ``lam``; positive, and
         ``lam + delta`` must stay at least ``epsilon`` away from every
         eigenvalue so no endpoint mass is cut in half.
-    steps : int, optional
-        Trapezoid subintervals; the default resolves Poisson kernels of
-        width down to roughly the spectral diameter divided by ``steps``.
-        Memory is O(n^2 + _BLOCK_BUDGET) whatever ``steps`` is; more steps
-        cost only time.
 
     Returns
     -------
     float
-        Absolute difference between the quadrature and
+        Absolute difference between the integral and
         ``(f, spectral_projection(T, lam) g)``.
     """
     if epsilon <= 0 or delta <= 0:
         raise ValueError("epsilon and delta must be positive")
-    if not 1 <= steps <= sys.float_info.max:  # a larger int overflows as a float
-        raise ValueError(f"steps must lie in [1, {sys.float_info.max:g}]")
     f = _as_vector(f)
     g = _as_vector(g)
     w, V = _eig_hermitian(T)
@@ -261,20 +220,10 @@ def stone_formula_check(
             "shift delta"
         )
     c = np.conj(V.conj().T @ f) * (V.conj().T @ g)
-    # the kernel is real: multiplying it by c's two real parts avoids the
-    # complex copy of each block that a complex product would make
-    parts = np.column_stack((c.real, c.imag))
-
-    def integrand(u):
-        # (2 pi i)^-1 [R(u+ie) - R(u-ie)] has the Poisson kernel as its symbol
-        kernel = np.subtract.outer(u, w)
-        np.square(kernel, out=kernel)
-        kernel += epsilon**2
-        np.divide(epsilon / np.pi, kernel, out=kernel)
-        vals = kernel @ parts
-        return vals[:, 0] + 1j * vals[:, 1]
-
-    quad = _blocked_trapezoid(integrand, float(w.min()) - 1.0, endpoint, steps, len(w))
+    # (2 pi i)^-1 [R(u+ie) - R(u-ie)] has the Poisson kernel as its symbol; its mass over
+    # [w_min - 1, endpoint] is a difference of arctangents (arctan2 does not overflow)
+    mass = (np.arctan2(endpoint - w, epsilon) - np.arctan2(w.min() - 1.0 - w, epsilon)) / np.pi
+    quad = mass @ c
     # (f, E(lam) g) is the sum of c over the eigenvalues E(lam) keeps
     exact = complex(c[: _rank_below(w, lam)].sum())
     return float(abs(quad - exact))

@@ -125,8 +125,9 @@ def _finite(parse, nonnegative: bool = False):
 def _count(text: str) -> int:
     """An argparse ``type=`` for ``--steps``: an int from 1 up to the float range.
 
-    The quadratures turn ``steps`` into floats, so a larger int would end in
-    an ``OverflowError`` there.
+    ``--steps`` counts the Fourier trapezoid rule's subintervals, which
+    :func:`fourier_resolvent_check` turns into a float, so a larger int would
+    end in an ``OverflowError`` there.
     """
     value = int(text)
     if not 1 <= value <= sys.float_info.max:  # an int compares with a float exactly
@@ -177,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=_finite(float), default=None, help="spectral height")
     p.add_argument("--s", type=_finite(float), default=None, help="group time")
     p.add_argument("--smax", type=_finite(float), default=20.0, help="integral truncation")
-    p.add_argument("--steps", type=_count, default=40_000, help="quadrature subintervals")
+    p.add_argument("--steps", type=_count, default=40_000,
+                   help="fourier's trapezoid subintervals (stone integrates exactly)")
     p.add_argument("--epsilon", type=_finite(float), default=1e-4, help="resolvent offset")
     p.add_argument("--delta", type=_finite(float), default=1e-2, help="endpoint overshoot")
     _add_common(p)
@@ -329,17 +331,8 @@ def cmd_selfadjoint(args, outdir: str) -> Report:
                        IDENTITY_TOL)
     elif sub == "stone":
         lam = need("lam")
-        # only nodes at most epsilon apart over [w_min - 1, lam + delta] resolve the Poisson
-        # kernels; a nonpositive epsilon is left to stone_formula_check's own error
-        eps, width = args.epsilon, lam + args.delta - (np.linalg.eigvalsh(T)[0] - 1.0)
-        if eps > 0 and width / args.steps > eps:
-            q = width / eps  # below 2**53, the smallest passing --steps is within 1 of q
-            fewest = q if q >= 2**53 else next(
-                k for k in range(max(1, int(q) - 1), int(q) + 3) if width / k <= eps)
-            raise ValueError(f"quadrature node spacing {width / args.steps:.6g} exceeds "
-                             f"--epsilon {eps:g}; use --steps {fewest:.17g} or more")
         f, g = _probe_vectors(len(T), args.seed)
-        resid = stone_formula_check(T, lam, f, g, args.epsilon, args.delta, args.steps)
+        resid = stone_formula_check(T, lam, f, g, args.epsilon, args.delta)
         report.add("stone", resid, STONE_TOL)
     elif sub == "fourier":
         z = need("z")

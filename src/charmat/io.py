@@ -88,6 +88,8 @@ def _load_json(path) -> object:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # bytes not UTF-8; nesting too deep
+        raise ParseError(f"{path}: cannot decode JSON: {exc}") from exc
     finally:
         if collecting:
             gc.enable()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from charmat import calculus
 from charmat.calculus import (
     bounded_calculus_step_check,
     fourier_resolvent_check,
@@ -229,7 +228,7 @@ def test_spectral_transform_is_exact():
         assert spectral_transform_check(T, s, f, g) <= 1e-10
 
 
-# ------------------------------------------- blocked quadrature and memory
+# ------------------------------------------- quadrature references and memory
 
 
 def one_shot_stone(T, lam, f, g, epsilon, delta, steps):
@@ -252,26 +251,33 @@ def one_shot_fourier(T, z, f, g, smax, steps):
     return quad, np.vdot(f, resolvent(T, z) @ g)
 
 
-# (steps, rows per block) for n = 5: one subinterval; steps + 1 = 11 not a
-# multiple of the 3 rows; one row per block
-BLOCKINGS = [(1, 4), (10, 3), (10, 1)]
-
-
-@pytest.mark.parametrize("steps, rows", BLOCKINGS)
-def test_blocked_quadratures_match_one_shot_trapezoid(monkeypatch, steps, rows):
-    rng = np.random.default_rng(45)
-    n = 5
-    Q, _ = np.linalg.qr(random_hermitian(rng, n))
+def spread_operator(rng):
+    """A 5 x 5 Hermitian matrix with eigenvalues -2, -1, 0.5, 1.5, 3 and two probes."""
+    Q, _ = np.linalg.qr(random_hermitian(rng, 5))
     T = (Q * np.array([-2.0, -1.0, 0.5, 1.5, 3.0])) @ Q.conj().T
-    f, g = random_vectors(rng, n)
-    lam = 0.5  # the endpoint lam + delta = 1.0 clears every eigenvalue by 0.5
-    monkeypatch.setattr(calculus, "_BLOCK_BUDGET", rows * n)
-    quad, exact = one_shot_stone(T, lam, f, g, 0.25, 0.5, steps)
-    dev = stone_formula_check(T, lam, f, g, epsilon=0.25, delta=0.5, steps=steps)
-    assert dev == pytest.approx(abs(quad - exact), abs=1e-13 * max(abs(quad), abs(exact)))
+    return T, *random_vectors(rng, 5)
+
+
+@pytest.mark.parametrize("steps", [1, 10])
+def test_fourier_matches_one_shot_trapezoid(steps):
+    T, f, g = spread_operator(np.random.default_rng(45))
     quad, exact = one_shot_fourier(T, 0.5 + 1.0j, f, g, 3.0, steps)
     dev = fourier_resolvent_check(T, 0.5 + 1.0j, f, g, smax=3.0, steps=steps)
     assert dev == pytest.approx(abs(quad - exact), abs=1e-13 * max(abs(quad), abs(exact)))
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
+def test_stone_closed_form_is_the_limit_of_the_trapezoid_rule(epsilon):
+    # the endpoint lam + delta = 1.0 clears every eigenvalue by 0.5.  Over the
+    # window [-3, 1], 40000 steps space the nodes 1e-4 apart, at most epsilon/10,
+    # and the trapezoid rule then meets the exact integral up to its own rounding
+    T, f, g = spread_operator(np.random.default_rng(45))
+    dev = stone_formula_check(T, 0.5, f, g, epsilon=epsilon, delta=0.5)
+    quad, exact = one_shot_stone(T, 0.5, f, g, epsilon, 0.5, 40_000)
+    assert dev == pytest.approx(abs(quad - exact), abs=1e-10)
+    # with nodes 4e-3 apart the rule is off by 1.2e-6 (epsilon 1e-2) and by 2.3 (1e-3)
+    quad, exact = one_shot_stone(T, 0.5, f, g, epsilon, 0.5, 1_000)
+    assert abs(abs(quad - exact) - dev) > 1e-7
 
 
 @pytest.mark.parametrize("steps", [1, 7, 1000, 40_000])
@@ -291,39 +297,20 @@ def test_fourier_closed_form_matches_one_shot_trapezoid(steps):
     assert dev == pytest.approx(abs(quad - exact), abs=1e-13 * max(abs(quad), abs(exact)))
 
 
-@pytest.mark.parametrize("steps, rows", BLOCKINGS + [(40_000, 4096), (7, 100)])
-@pytest.mark.parametrize("start, stop", [(0.0, 20.0), (-3.7, 0.01), (-1e3, 1.0 / 3.0)])
-def test_block_nodes_are_linspace(monkeypatch, steps, rows, start, stop):
-    monkeypatch.setattr(calculus, "_BLOCK_BUDGET", rows)
-    blocks = []
-
-    def integrand(x):
-        blocks.append(x.copy())
-        return np.zeros(len(x))
-
-    calculus._blocked_trapezoid(integrand, start, stop, steps, 1)
-    assert all(len(b) <= rows for b in blocks)
-    assert np.array_equal(np.concatenate(blocks), np.linspace(start, stop, steps + 1))
-
-
-@pytest.mark.parametrize("start, stop, steps", [(-5.3, 0.7, 60_000), (-5.123, 2.05, 40_000)])
-def test_trapezoid_weights_sum_to_the_interval(monkeypatch, start, stop, steps):
-    # every node carries the weight (stop - start)/steps; the rounded spacing
-    # of the first two nodes missed stop - start here by a relative 2.3e-12
-    # and 2.2e-12
-    monkeypatch.setattr(calculus, "_BLOCK_BUDGET", 4096)
-    total = calculus._blocked_trapezoid(np.ones_like, start, stop, steps, 1)
-    assert abs(total - (stop - start)) <= 4 * np.finfo(float).eps * (stop - start)
-
-
 @pytest.mark.parametrize("steps", [0, 10**400], ids=["0", "1e400"])
-def test_quadratures_reject_steps_outside_the_float_range(steps):
+def test_fourier_rejects_steps_outside_the_float_range(steps):
     # an int beyond the float range raised OverflowError from the float arithmetic
     T, one = np.array([[0.0]]), np.ones(1)
     with pytest.raises(ValueError, match="steps"):
-        stone_formula_check(T, 0.0, one, one, epsilon=0.25, delta=0.5, steps=steps)
-    with pytest.raises(ValueError, match="steps"):
         fourier_resolvent_check(T, 1j, one, one, smax=1.0, steps=steps)
+
+
+@pytest.mark.parametrize("epsilon, lam, delta", [(1e-300, 1e10, 0.5), (1e-4, 1e308, 1e308)])
+def test_stone_is_exact_at_extreme_widths_and_endpoints(epsilon, lam, delta):
+    # arctan2 takes (u - w, epsilon) apart, so no (u - w)/epsilon overflows (a RuntimeWarning
+    # fails the suite); lam + delta = inf takes in each kernel's whole upper tail
+    T, f, g = spread_operator(np.random.default_rng(45))
+    assert stone_formula_check(T, lam, f, g, epsilon=epsilon, delta=delta) <= 1e-3
 
 
 def test_calculus_memory_is_bounded(traced_peak_mb):

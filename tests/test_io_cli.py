@@ -558,6 +558,25 @@ def test_cli_exit_2_on_boolean_dimensions(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("content", [
+    b'{"rows": 1, "cols": 1, "data": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+    b'{"rows": 1, "cols": 1, "data": [[1, 0]], "note": "\xff"}',
+], ids=["deep-nesting", "invalid-utf-8"])
+def test_cli_exit_2_on_undecodable_json(tmp_path, content):
+    # json's RecursionError exited 1 with a traceback, and UnicodeDecodeError, a
+    # ValueError, exited 3 as an invariant violation
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for command in ("charmat", "verify"):
+        out = tmp_path / command
+        proc = run_cli(command, bad, "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("parse error:") == 1
+        assert str(bad) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "report.json").exists()
+
+
 def test_cli_exit_3_on_invariant_violations(tmp_path):
     mat = tmp_path / "T.json"
     save_matrix(mat, np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
@@ -671,24 +690,25 @@ def test_cli_exit_4_when_out_of_memory(tmp_path, monkeypatch, capsys, command, k
     assert not (tmp_path / "o" / "report.json").exists()
 
 
-def test_cli_stone_exit_3_when_nodes_are_farther_apart_than_epsilon(tmp_path, capsys):
+def test_cli_stone_integrates_kernels_narrower_than_any_node_spacing(tmp_path):
     # spectrum -5.6 ... 6.8: at --lam 0.5 the window [w_min - 1, lam + delta] is 7.11
-    # wide, so 40000 steps space the nodes 1.8e-4 apart, wider than the Poisson
-    # kernels' 1e-4 (the quadrature then misses STONE_TOL on this correct matrix)
+    # wide, so the default 40000 steps would space trapezoid nodes 1.8e-4 apart, wider
+    # than the Poisson kernels' 1e-4.  stone integrates them exactly and ignores --steps
     rng = np.random.default_rng(12)
     V, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
     mat = tmp_path / "H12.json"
     save_matrix(mat, (V * np.linspace(-5.6, 6.8, 12)) @ V.conj().T)
-    argv = ["selfadjoint", str(mat), "stone", "--lam", "0.5", "--seed", "3", "--out", str(tmp_path / "o")]
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    found = re.search(r"invariant violation: quadrature node spacing (\S+) exceeds --epsilon 0.0001; "
-                      r"use --steps (\d+) or more", err)
-    assert float(found.group(1)) == pytest.approx(1.78e-4, rel=1e-2)
-    fewest = int(found.group(2))
-    assert main([*argv, "--steps", str(fewest - 1)]) == 3
-    assert main([*argv, "--steps", str(fewest)]) != 3
-    assert main([*argv, "--epsilon", "1e-3", "--steps", "200000"]) == 0
+
+    def report(name, *flags):
+        out = tmp_path / name
+        assert main(["selfadjoint", str(mat), "stone", "--lam", "0.5", "--seed", "3",
+                     "--out", str(out), *flags]) == 0
+        return re.sub(r'"wall_time_ms": [^,}]+', '"wall_time_ms": 0',
+                      (out / "report.json").read_text())
+
+    default = report("a")
+    assert json.loads(default)["residuals"]["stone"] <= cli.STONE_TOL
+    assert report("b", "--steps", "1") == default
 
 
 @pytest.mark.parametrize("steps", [HUGE_INT, "0", "-3"], ids=["1e400", "0", "-3"])

@@ -6,15 +6,28 @@ import charmat
 SRC = Path(charmat.__file__).parent
 
 
-def _private_functions_without_a_caller(src: Path) -> list[str]:
-    # module-level private functions that no Name or attribute access in the package reads
+def _defined_names(node: ast.stmt) -> list[str]:
+    # the names a module-level statement binds: a def's name, or the plain names an
+    # assignment stores to (not the object of an attribute target such as _f.__name__)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for target in targets for t in ast.walk(target)
+                if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+    return []
+
+
+def _unread_private_names(src: Path) -> list[str]:
+    # module-level private functions and constants that no Name or attribute access in
+    # the package reads
     defined, used = {}, set()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and node.name.startswith("_") and not node.name.startswith("__"):
-                defined[node.name] = f"{path.name}:{node.lineno} {node.name}"
+            for name in _defined_names(node):
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno} {name}"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
@@ -25,7 +38,7 @@ def _private_functions_without_a_caller(src: Path) -> list[str]:
 
 def test_every_private_helper_has_a_caller_in_the_package():
     # a helper kept alive only by tests is dead code
-    assert _private_functions_without_a_caller(SRC) == []
+    assert _unread_private_names(SRC) == []
 
 
 def test_dead_helper_guard_sees_a_helper_only_tests_call(tmp_path):
@@ -34,4 +47,14 @@ def test_dead_helper_guard_sees_a_helper_only_tests_call(tmp_path):
         "def _dead(x):\n    return x\n\n\n"
         "def public(x):\n    return _used(x)\n", encoding="utf-8")
     (tmp_path / "b.py").write_text("from .a import _dead\n", encoding="utf-8")
-    assert _private_functions_without_a_caller(tmp_path) == ["a.py:5 _dead"]
+    assert _unread_private_names(tmp_path) == ["a.py:5 _dead"]
+
+
+def test_dead_helper_guard_sees_a_constant_nothing_reads(tmp_path):
+    # _f.__name__ = ... binds no new name; it only reads _f
+    (tmp_path / "a.py").write_text(
+        "_READ = 1\n_DEAD = 2\n_PAIR_A, _PAIR_B = 3, 4\n_TYPED: int = 5\n\n\n"
+        "def _f():\n    return _READ + _PAIR_A\n\n\n"
+        "_f.__name__ = 'g'\n", encoding="utf-8")
+    assert _unread_private_names(tmp_path) == [
+        "a.py:2 _DEAD", "a.py:3 _PAIR_B", "a.py:4 _TYPED"]
