@@ -280,6 +280,33 @@ def test_stone_closed_form_is_the_limit_of_the_trapezoid_rule(epsilon):
     assert abs(abs(quad - exact) - dev) > 1e-7
 
 
+@pytest.mark.parametrize("lam", [-2.5, -1.5, 0.0, 1.0, 2.0, 3.5])
+def test_stone_closed_form_matches_the_trapezoid_in_every_spectral_gap(lam):
+    # lam + delta runs through each gap of the spectrum -2, -1, 0.5, 1.5, 3 (and below and
+    # above it), so E(lam) keeps 0, 1, ..., 5 eigenvalues and the exact side moves by O(1)
+    # from gap to gap.  80000 steps space the nodes at most 8.5e-5 apart, below epsilon/100
+    T, f, g = spread_operator(np.random.default_rng(45))
+    dev = stone_formula_check(T, lam, f, g, epsilon=1e-2, delta=0.25)
+    quad, exact = one_shot_stone(T, lam, f, g, 1e-2, 0.25, 80_000)
+    assert dev == pytest.approx(abs(quad - exact), abs=1e-10)
+
+
+@pytest.mark.parametrize("probe", ["f-f", "f-g"])
+def test_stone_deviation_is_first_order_in_epsilon(probe):
+    # each kernel's mass misses its indicator on [a, b] = [w_min - 1, lam + delta] by
+    # (epsilon/pi) (1/(w - b) - 1/(w - a)) + O(epsilon^3), so the deviation over epsilon
+    # tends to |sum_j c_j (1/(w_j - b) - 1/(w_j - a))| / pi
+    T, f, g = spread_operator(np.random.default_rng(45))
+    g = f if probe == "f-f" else g
+    w, V = np.linalg.eigh(T)
+    c = np.conj(V.conj().T @ f) * (V.conj().T @ g)
+    a, b = w.min() - 1.0, 1.0
+    slope = abs(c @ (1.0 / (w - b) - 1.0 / (w - a))) / np.pi
+    for epsilon in (1e-3, 1e-4):
+        dev = stone_formula_check(T, 0.5, f, g, epsilon=epsilon, delta=0.5)
+        assert dev == pytest.approx(epsilon * slope, rel=epsilon)
+
+
 @pytest.mark.parametrize("steps", [1, 7, 1000, 40_000])
 def test_fourier_closed_form_matches_one_shot_trapezoid(steps):
     # the geometric sum is the trapezoid rule itself.  h Re(z - w) is 0 for

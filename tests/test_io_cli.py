@@ -558,10 +558,25 @@ def test_cli_exit_2_on_boolean_dimensions(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("content", [
+UNDECODABLE = pytest.mark.parametrize("content", [
     b'{"rows": 1, "cols": 1, "data": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
     b'{"rows": 1, "cols": 1, "data": [[1, 0]], "note": "\xff"}',
 ], ids=["deep-nesting", "invalid-utf-8"])
+
+
+@UNDECODABLE
+@pytest.mark.parametrize("load", [load_matrix, load_family], ids=["matrix", "family"])
+def test_loaders_raise_parse_error_on_undecodable_json(tmp_path, load, content):
+    # json raises RecursionError on deep nesting and UnicodeDecodeError, a ValueError,
+    # on bytes that are not UTF-8; both loaders read through the same decoder
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(ParseError) as exc:
+        load(bad)
+    assert str(exc.value).startswith(f"{bad}: cannot decode JSON: ")
+
+
+@UNDECODABLE
 def test_cli_exit_2_on_undecodable_json(tmp_path, content):
     # json's RecursionError exited 1 with a traceback, and UnicodeDecodeError, a
     # ValueError, exited 3 as an invariant violation
