@@ -17,7 +17,8 @@ An orthonormal graph basis ``[Q1; Q2]`` gives the blocks ``Q1 Q1*``,
 factorization of ``[I; T]``.  No ``2n x 2n`` matrix is formed here.
 
 Memory bounds the operator scale, so the kernels form no temporaries they
-can avoid.  The oracle's QR runs in place, in one ``2n x n`` buffer,
+can avoid.  Each Gram product's copy of ``T*`` is freed before the product
+is factored.  The oracle's QR runs in place, in one ``2n x n`` buffer,
 through ``numpy.linalg.lapack_lite``: numpy's own QR holds the stacked
 matrix, its copy, two work buffers and ``Q`` at once.  ``I - X`` is
 formed with no identity matrix, and ``p22`` overwrites ``(T T* + I)^-1``.
@@ -88,18 +89,17 @@ class CharacteristicMatrix:
         )
 
 
-def _inverse_gram(A: np.ndarray, Ah: np.ndarray, name: str) -> np.ndarray:
-    """``(A A* + I)^-1`` given ``A`` and ``Ah = A*``, matrices or ``(m, n, n)`` stacks.
+def _inverse_gram(G: np.ndarray, name: str) -> np.ndarray:
+    """``(G + I)^-1`` of a Gram product ``G``, a matrix or an ``(m, n, n)`` stack, which it overwrites.
 
-    ``name`` labels the Gram matrix in errors; a stack fails if any of its
-    Gram matrices does.  ``np.linalg.cholesky`` only gates positive
-    definiteness; the inverse is ``np.linalg.inv``, an LU solve against
-    ``I``.  Inverting from the Cholesky factor (``potri``) instead lifts the
-    A12/A13 residuals on a 40-point Dirichlet Laplacian from about 1e-11 to
-    3e-10, above ``IDENTITY_TOL``.
+    ``name`` labels ``G + I`` in errors; a stack fails if any of its Gram
+    matrices does, and an overflow in forming ``G`` shows as a non-finite
+    entry.  ``np.linalg.cholesky`` only gates positive definiteness; the
+    inverse is ``np.linalg.inv``, an LU solve against ``I``.  Inverting from
+    the Cholesky factor (``potri``) instead lifts the A12/A13 residuals on a
+    40-point Dirichlet Laplacian from about 1e-11 to 3e-10, above
+    ``IDENTITY_TOL``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = A @ Ah
     if not np.isfinite(G).all():
         raise np.linalg.LinAlgError(
             f"Gram matrix {name} is not finite: the operator's entries overflow in it"
@@ -157,11 +157,12 @@ def _identity_minus(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _char_blocks(T: np.ndarray) -> tuple:
     """``(p11, p12, p21, p22)`` of an operator or of each operator of an ``(m, n, n)`` stack.
 
-    ``T*`` is taken afresh at each use, so no copy of it is held across both
-    Gram inverses, and ``p22`` overwrites ``(T T* + I)^-1``.
+    Each Gram product is one expression, so no copy of ``T*`` is held
+    through a factorization, and ``p22`` overwrites ``(T T* + I)^-1``.
     """
-    p11 = _inverse_gram(adjoint(T), T, "T*T + I")
-    q = _inverse_gram(T, adjoint(T), "TT* + I")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as a non-finite G
+        p11 = _inverse_gram(adjoint(T) @ T, "T*T + I")
+        q = _inverse_gram(T @ adjoint(T), "TT* + I")
     return p11, adjoint(T) @ q, T @ p11, _identity_minus(q, out=q)
 
 

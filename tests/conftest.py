@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -25,3 +27,31 @@ def traced_peak_mb():
 
     return measure
 
+
+_RSS_CHILD = """
+def _status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+"""
+
+
+@pytest.fixture
+def rss_growth_bytes():
+    """VmHWM growth over ``call``, in bytes, in a fresh interpreter on one BLAS thread.
+
+    ``setup`` runs first; it should page in the code and buffers the call
+    uses, with a small call.  ``call`` is measured from the RSS after
+    ``setup``, so the reading includes LAPACK's buffers, which
+    ``tracemalloc`` does not see.  ``argv`` reaches the child's ``sys.argv[1:]``.
+    """
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads VmHWM from /proc")
+
+    def measure(setup: str, call: str, *argv: str) -> float:
+        code = "\n".join([_RSS_CHILD, setup, '_rss = _status("VmRSS")', call,
+                          'print(_status("VmHWM") - _rss)'])
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, check=True)
+        return float(proc.stdout)
+
+    return measure
