@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from charmat import graph
 from charmat.graph import (
     IDENTITY_TOL,
     CharacteristicMatrix,
     _basis_blocks,
+    _identity_minus,
     adjoint_char_matrix,
     char_matrix,
     char_matrix_oracle,
@@ -114,6 +116,68 @@ def test_adjoint_formula_matches_direct_route():
         assert adjoint_char_matrix(P).blockwise_distance(char_matrix(adjoint(T))) <= 1e-11
         # involution
         assert adjoint_char_matrix(adjoint_char_matrix(P)).blockwise_distance(P) <= 1e-14
+
+
+def _eager_adjoint(P):
+    # the blocks adjoint_char_matrix once formed and stored at the call
+    return CharacteristicMatrix(
+        p11=_identity_minus(P.p22), p12=P.p21, p21=P.p12, p22=_identity_minus(P.p11))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+ADJOINT_OPERATORS = {
+    "real": lambda rng: rng.standard_normal((7, 7)),
+    "complex": lambda rng: random_operator(rng, 7),
+}
+
+
+@pytest.mark.parametrize("kind", ADJOINT_OPERATORS)
+def test_adjoint_blocks_are_bitwise_the_eager_formula(kind):
+    P = char_matrix(ADJOINT_OPERATORS[kind](np.random.default_rng(37)))
+    A = adjoint_char_matrix(P)
+    assert isinstance(A, CharacteristicMatrix)
+    eager = _eager_adjoint(P)
+    for b in BLOCKS:
+        assert _same_bits(getattr(A, b), getattr(eager, b)), b
+    twice = adjoint_char_matrix(A)
+    assert isinstance(twice, CharacteristicMatrix)
+    for b in BLOCKS:
+        assert _same_bits(getattr(twice, b), getattr(_eager_adjoint(eager), b)), b
+
+
+@pytest.mark.parametrize("kind", ADJOINT_OPERATORS)
+def test_adjoint_forms_a_diagonal_block_on_each_read_only(monkeypatch, kind):
+    P = char_matrix(ADJOINT_OPERATORS[kind](np.random.default_rng(41)))
+    calls = []
+
+    def counted(X, out=None):
+        calls.append(X)
+        return _identity_minus(X, out)
+
+    monkeypatch.setattr(graph, "_identity_minus", counted)
+    A = adjoint_char_matrix(P)
+    assert A.n == P.n and calls == []
+    assert A.p12 is P.p21 and A.p21 is P.p12 and calls == []
+    assert A.p11 is not A.p11  # two reads, two arrays: nothing is cached
+    A.p22
+    assert [X is B for X, B in zip(calls, (P.p22, P.p22, P.p11), strict=True)] == [True] * 3
+
+
+@pytest.mark.parametrize("kind", ADJOINT_OPERATORS)
+def test_writing_a_read_adjoint_block_changes_neither_p_nor_the_next_read(kind):
+    P = char_matrix(ADJOINT_OPERATORS[kind](np.random.default_rng(43)))
+    kept = {b: getattr(P, b).copy() for b in BLOCKS}
+    A = adjoint_char_matrix(P)
+    for b in ("p11", "p22"):
+        first = getattr(A, b)
+        want = first.copy()
+        first[...] = 7.0
+        assert _same_bits(getattr(A, b), want), b
+    for b in BLOCKS:
+        assert _same_bits(getattr(P, b), kept[b]), b
 
 
 def test_adjoint_intertwines_recovery():
@@ -474,6 +538,29 @@ def test_char_matrix_rss_high_water_is_bounded(rss_growth_bytes):
     # read 6.58 n^2.
     grown = rss_growth_bytes(_RSS_SETUP, "P = route(T)", "complex128", "char_matrix")
     assert grown / (400 * 400 * 16) <= 6.0
+
+
+_A9_RSS_SETUP = """
+import numpy as np
+from charmat.graph import adjoint_char_matrix, char_matrix
+
+rng = np.random.default_rng(5)
+T = rng.standard_normal((400, 400)) + 1j * rng.standard_normal((400, 400))
+W = T[:16, :16]
+adjoint_char_matrix(char_matrix(W)).blockwise_distance(char_matrix(W.conj().T))  # pages in LAPACK
+P = char_matrix(T)
+"""
+
+
+def test_a9_step_rss_high_water_is_bounded(rss_growth_bytes):
+    # char_matrix(T*) runs while the adjoint of P holds only P; each diagonal
+    # block is formed when blockwise_distance reads it.  Growth in n^2 complex
+    # entries above the RSS before the call: 6.93 with both blocks formed
+    # before char_matrix(T*), 5.96 with blocks cached on first read, 4.96
+    # with blocks formed on every read.
+    call = "adjoint_char_matrix(P).blockwise_distance(char_matrix(T.conj().T))"
+    grown = rss_growth_bytes(_A9_RSS_SETUP, call)
+    assert grown / (400 * 400 * 16) <= 5.5
 
 
 # ------------------------------------------------- A7 without the 2n x 2n P

@@ -7,9 +7,9 @@ SRC = Path(charmat.__file__).parent
 
 
 def _defined_names(node: ast.stmt) -> list[str]:
-    # the names a module-level statement binds: a def's name, or the plain names an
-    # assignment stores to (not the object of an attribute target such as _f.__name__)
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    # the names a module-level statement binds: a def's or a class's name, or the plain
+    # names an assignment stores to (not the object of an attribute target such as _f.__name__)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [node.name]
     if isinstance(node, (ast.Assign, ast.AnnAssign)):
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -19,8 +19,8 @@ def _defined_names(node: ast.stmt) -> list[str]:
 
 
 def _unread_private_names(src: Path) -> list[str]:
-    # module-level private functions and constants that no Name or attribute access in
-    # the package reads
+    # module-level private functions, classes and constants that no Name or attribute
+    # access in the package reads
     defined, used = {}, set()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -58,3 +58,12 @@ def test_dead_helper_guard_sees_a_constant_nothing_reads(tmp_path):
         "_f.__name__ = 'g'\n", encoding="utf-8")
     assert _unread_private_names(tmp_path) == [
         "a.py:2 _DEAD", "a.py:3 _PAIR_B", "a.py:4 _TYPED"]
+
+
+def test_dead_helper_guard_sees_a_class_nothing_builds(tmp_path):
+    # a private class counts as read where it is built or subclassed, not where it is defined
+    (tmp_path / "a.py").write_text(
+        "class _Base:\n    pass\n\n\n"
+        "class _Built(_Base):\n    pass\n\n\n"
+        "class _Dead:\n    def _method(self):\n        return _Built()\n", encoding="utf-8")
+    assert _unread_private_names(tmp_path) == ["a.py:9 _Dead"]
