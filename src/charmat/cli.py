@@ -122,22 +122,6 @@ def _finite(parse, nonnegative: bool = False):
     return finite
 
 
-def _count(text: str) -> int:
-    """An argparse ``type=`` for ``--steps``: an int from 1 up to the float range.
-
-    ``--steps`` counts the Fourier trapezoid rule's subintervals, which
-    :func:`fourier_resolvent_check` turns into a float, so a larger int would
-    end in an ``OverflowError`` there.
-    """
-    value = int(text)
-    if not 1 <= value <= sys.float_info.max:  # an int compares with a float exactly
-        raise argparse.ArgumentTypeError(f"must lie in [1, {sys.float_info.max:g}]")
-    return value
-
-
-_count.__name__ = "int"  # as in argparse's "invalid int value: ..."
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     # no residual is negative, so a negative tolerance could only fail every label
     p.add_argument("--tol", type=_finite(float, nonnegative=True), default=None,
@@ -177,9 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spectral parameter, e.g. '2j' or '1+2j'")
     p.add_argument("--lam", type=_finite(float), default=None, help="spectral height")
     p.add_argument("--s", type=_finite(float), default=None, help="group time")
-    p.add_argument("--smax", type=_finite(float), default=20.0, help="integral truncation")
-    p.add_argument("--steps", type=_count, default=40_000,
-                   help="fourier's trapezoid subintervals (stone integrates exactly)")
+    p.add_argument("--smax", type=_finite(float), default=20.0,
+                   help="fourier's integral truncation (integrated exactly, as stone's is)")
     p.add_argument("--epsilon", type=_finite(float), default=1e-4, help="resolvent offset")
     p.add_argument("--delta", type=_finite(float), default=1e-2, help="endpoint overshoot")
     _add_common(p)
@@ -337,7 +320,7 @@ def cmd_selfadjoint(args, outdir: str) -> Report:
     elif sub == "fourier":
         z = need("z")
         f, g = _probe_vectors(len(T), args.seed)
-        resid = fourier_resolvent_check(T, z, f, g, args.smax, args.steps)
+        resid = fourier_resolvent_check(T, z, f, g, args.smax)
         report.add("fourier", resid, FOURIER_TOL)
     return report
 

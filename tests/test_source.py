@@ -1,9 +1,13 @@
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import charmat
+from charmat.cli import build_parser
 
 SRC = Path(charmat.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _defined_names(node: ast.stmt) -> list[str]:
@@ -67,3 +71,13 @@ def test_dead_helper_guard_sees_a_class_nothing_builds(tmp_path):
         "class _Built(_Base):\n    pass\n\n\n"
         "class _Dead:\n    def _method(self):\n        return _Built()\n", encoding="utf-8")
     assert _unread_private_names(tmp_path) == ["a.py:9 _Dead"]
+
+
+def test_every_flag_the_readme_names_is_a_cli_option():
+    # pip's --no-build-isolation, in the install line, is the one flag not of charmat
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {flag for sub in commands.choices.values() for action in sub._actions
+               for flag in action.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text(encoding="utf-8")))
+    assert named - options - {"--no-build-isolation"} == set()
