@@ -1,21 +1,12 @@
 """charmat: characteristic matrices of linear operators.
 
-A dense-matrix laboratory for the projection-onto-the-graph picture of
-operator theory: build the 2x2-block characteristic matrix of an operator
-and check its algebraic identity suite, assemble direct integrals of
-operator families and confirm that adjoints, moduli, inverses and
-polynomials pass through the fibers, exercise the self-adjoint functional
-calculus (spectral projections, resolvents, unitary groups and the
-quadrature identities linking them), and study the classical
-boundary-condition family of first-derivative operators on [0,1] where all
-of this machinery becomes concrete.
-
-Everything acts on finite ``numpy`` arrays; inner products are linear in
-the second argument.  On a finite grid every fiber is a bounded matrix, so
-the distinctions between weak, strong and projection-valued measurability
-that animate the infinite-dimensional theory all collapse: the maximal
-fiberwise operator and the block-diagonal assembly here are one and the
-same object, and the library deliberately exposes a single type for both.
+The public names of ``graph`` (characteristic matrices and their identity
+suite), ``family`` (direct integrals), ``calculus`` (the self-adjoint
+functional calculus) and ``boundary`` (the boundary-condition examples), plus
+``hilbert.adjoint``.  Everything acts on finite ``numpy`` arrays, and inner
+products are linear in the second argument.  On a finite grid the maximal
+fiberwise operator and the block-diagonal assembly are one object, so the
+library exposes one type for both (README).
 """
 
 from .boundary import (

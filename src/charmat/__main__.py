@@ -1,3 +1,4 @@
+"""``python -m charmat``: the ``charmat`` command line."""
 import sys
 
 from .cli import main

@@ -1,20 +1,14 @@
-"""Functional calculus checks for Hermitian matrices.
+"""Functional calculus of Hermitian matrices and checks of the identities that link it.
 
-Spectral projections, resolvents and the unitary one-parameter group of a
-Hermitian matrix, together with checks of the classical integral identities
-that link them: the half-line Fourier transform of the unitary group
-reproduces the resolvent, the limiting absorption integral of resolvent
-jumps reproduces the spectral projection, and the spectral sum reproduces
-the group.  Each ``*_check`` function returns the absolute
-deviation between the two routes; nothing is asserted here, so callers can
-pin their own tolerances.
-
-Memory: each check factors its matrix once (one
-:func:`~charmat.hilbert._eig_hermitian`) and holds O(n^2) numbers besides.
-Stone's and Fourier's integrals are exact, one closed-form term per
-eigenvalue each, so neither takes a quadrature resolution.  Only
-:func:`spectral_decomposition`, which returns one ``n x n`` projector per
-distinct eigenvalue, needs more.
+Provides spectral decompositions and projections, resolvents and the unitary
+group, and four checks (README, ``charmat.calculus``).  Each ``*_check``
+returns the absolute deviation between two routes and asserts nothing.  Each
+check eigendecomposes its matrix once.  ``fourier_resolvent_check`` also
+LU-solves ``(T - z) x = g``, so it factors twice, and
+``bounded_calculus_step_check`` takes one 2-norm (an SVD) per approximant.
+Every check holds O(n^2) numbers; only :func:`spectral_decomposition` holds
+more.  Every function but :func:`resolvent` raises ``ValueError`` for a
+non-Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -44,11 +38,9 @@ CLUSTER_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct (clustered) eigenvalues of a Hermitian matrix.
+    """Distinct (clustered) eigenvalues, the projector onto each eigenspace, and multiplicities.
 
-    ``projectors[k]`` is the orthogonal projection onto the eigenspace of
-    ``eigenvalues[k]``; multiplicities sum to the dimension; the projectors
-    are mutually orthogonal and resolve the identity.
+    The projectors are mutually orthogonal and sum to the identity.
     """
 
     eigenvalues: np.ndarray
@@ -57,12 +49,7 @@ class SpectralDecomposition:
 
 
 def _cluster_means(w: np.ndarray) -> np.ndarray:
-    """Each ascending eigenvalue in ``w`` replaced by the mean of its cluster.
-
-    Neighbours closer than ``CLUSTER_TOL`` times the spectral radius plus
-    one share a cluster.  Clusters are separated by more than that width,
-    so the means strictly increase from one cluster to the next.
-    """
+    """Each ascending eigenvalue in ``w`` replaced by its cluster's mean, strictly increasing."""
     width = CLUSTER_TOL * (float(np.abs(w).max(initial=0.0)) + 1.0)
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > width) + 1, [len(w)]))
     means = [w[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])]
@@ -75,14 +62,11 @@ def _rank_below(w: np.ndarray, lam: float) -> int:
 
 
 def spectral_decomposition(T) -> SpectralDecomposition:
-    """Eigenvalues and eigenprojections of a Hermitian matrix.
+    """The :class:`SpectralDecomposition` of a Hermitian matrix.
 
-    Eigenvalues closer than ``CLUSTER_TOL`` (``1e-8``) times the spectral
-    radius plus one are merged into a single eigenspace, so that
-    true degeneracies split only by rounding come out as one projector.
-    The result holds one ``n x n`` projector per distinct eigenvalue, so it
-    takes O(n^3) memory when the spectrum is simple; the checks in this
-    module never form it.
+    Neighbouring eigenvalues closer than ``CLUSTER_TOL`` times (spectral radius
+    + 1) share one eigenspace.  It holds one ``n x n`` projector per distinct
+    eigenvalue: O(n^3) memory for a simple spectrum.
     """
     w, V = _eig_hermitian(T)
     values, starts, mults = np.unique(
@@ -97,17 +81,10 @@ def spectral_decomposition(T) -> SpectralDecomposition:
 
 
 def spectral_projection(T, lam: float) -> np.ndarray:
-    """Right-continuous spectral projection of ``T`` at height ``lam``.
+    """Right-continuous spectral projection ``E(lam)`` of a Hermitian ``T``.
 
-    Projects onto the eigenspaces of all (clustered, as in
-    :func:`spectral_decomposition`) eigenvalues less than or equal to
-    ``lam`` (an eigenvalue equal to ``lam`` is *included*).  Below the
-    spectrum the result is the zero matrix; at or above the top of the
-    spectrum it is the identity.  It is one product ``Vs Vs*`` of the
-    included eigenvector columns ``Vs``.
-
-    The dtype follows the package's operator rule: ``float64`` for real
-    ``T``, ``complex128`` for complex ``T``.
+    It projects onto the eigenspaces of the clustered eigenvalues ``<= lam``
+    (an eigenvalue equal to ``lam`` is included), in ``T``'s operator dtype.
     """
     w, V = _eig_hermitian(T)
     Vs = V[:, : _rank_below(w, lam)]
@@ -115,15 +92,9 @@ def spectral_projection(T, lam: float) -> np.ndarray:
 
 
 def resolvent(T, z: complex) -> np.ndarray:
-    """The matrix ``(T - z I)^-1``.
+    """``(T - z I)^-1`` of any square ``T``; for a Hermitian ``T`` any non-real ``z`` is safe.
 
-    ``z`` must not be an eigenvalue of ``T``; for a Hermitian ``T`` any
-    ``z`` with nonzero imaginary part is safe.
-
-    Raises
-    ------
-    numpy.linalg.LinAlgError
-        If ``T - z I`` is numerically singular.
+    Raises ``numpy.linalg.LinAlgError`` if ``T - z I`` is numerically singular.
     """
     T = _as_operator(T)
     return np.linalg.inv(T - z * np.eye(T.shape[0]))
@@ -136,27 +107,13 @@ def unitary_group(T, s: float) -> np.ndarray:
 
 
 def fourier_resolvent_check(T, z: complex, f, g, smax: float) -> float:
-    """Deviation of the half-line group transform from the resolvent.
+    """``|i int_0^smax e^(izs) (f, e^(-isT) g) ds - (f, (T - z)^-1 g)|`` for a Hermitian ``T``.
 
-    For Hermitian ``T`` and ``Im z > 0``,
-
-        (f, (T - z)^-1 g) = i * integral_0^inf e^(i z s) (f, e^(-i s T) g) ds,
-
-    and the integrand decays like ``e^(-Im z * s)``.  The integral is
-    truncated at ``smax`` and summed exactly, one term
-    ``c_j expm1(i (z - w_j) smax) / (z - w_j)`` per eigenpair ``(w_j, v_j)``
-    with ``c_j = (f, v_j)(v_j, g)``, so the deviation is the truncation tail
-    alone, ``|sum_j c_j e^(i (z - w_j) smax) / (z - w_j)|``.  The exact side
-    is one LU solve of ``(T - z) x = g``.  Where ``(z - w_j) smax``
-    overflows, or ``e^(-Im z * smax)`` goes past the float range, the tail
-    term of ``w_j`` is dropped: a term of modulus
-    ``|c_j| e^(-Im z * smax) / |z - w_j|``.
-
-    Returns
-    -------
-    float
-        Absolute difference between the truncated integral and the direct
-        resolvent matrix element.
+    The integral is exact, so the deviation is the truncation tail, of order
+    ``e^(-Im z * smax)``; where ``(z - w) smax`` overflows for an eigenvalue
+    ``w``, or ``e^(-Im z * smax)`` leaves the float range, that eigenvalue's
+    tail term counts as 0.  Raises ``ValueError`` unless ``Im z > 0`` and
+    ``smax > 0``.
     """
     if z.imag <= 0:
         raise ValueError("z must lie in the upper half plane")
@@ -179,34 +136,13 @@ def fourier_resolvent_check(T, z: complex, f, g, smax: float) -> float:
 
 
 def stone_formula_check(T, lam: float, f, g, epsilon: float, delta: float) -> float:
-    """Deviation of the resolvent-jump integral from the spectral projection.
+    """Deviation of Stone's resolvent-jump integral from ``(f, E(lam) g)`` for a Hermitian ``T``.
 
-    Computes, exactly up to rounding,
-
-        (2 pi i)^-1 * integral_Lambda^(lam+delta)
-            (f, [R(u + i eps) - R(u - i eps)] g) du  ~  (f, E(lam) g)
-
-    where ``E`` is the right-continuous spectral projection, ``R`` the
-    resolvent, and ``Lambda = w_min - 1`` sits strictly below the spectrum.
-    The integrand is a sum of Poisson kernels of width ``epsilon`` centered
-    at the eigenvalues, each integrating to a difference of arctangents.
-    So the deviation is Stone's own: it sinks to zero as ``epsilon`` and
-    then ``delta`` decrease (order ``epsilon`` for a well-separated spectrum).
-
-    Parameters
-    ----------
-    epsilon : float
-        Imaginary offset of the two resolvents; positive.
-    delta : float
-        Overshoot of the integration endpoint past ``lam``; positive, and
-        ``lam + delta`` must stay at least ``epsilon`` away from every
-        eigenvalue so no endpoint mass is cut in half.
-
-    Returns
-    -------
-    float
-        Absolute difference between the integral and
-        ``(f, spectral_projection(T, lam) g)``.
+    The integral of ``(2 pi i)^-1 (f, [R(u + i epsilon) - R(u - i epsilon)] g)``
+    over ``[w_min - 1, lam + delta]`` is exact, so the deviation is Stone's own,
+    of order ``epsilon`` for a well-separated spectrum.  Raises ``ValueError``
+    unless ``epsilon > 0`` and ``delta > 0``, and when ``lam + delta`` lies
+    within ``epsilon`` of an eigenvalue (the endpoint rule).
     """
     if epsilon <= 0 or delta <= 0:
         raise ValueError("epsilon and delta must be positive")
@@ -230,12 +166,7 @@ def stone_formula_check(T, lam: float, f, g, epsilon: float, delta: float) -> fl
 
 
 def spectral_transform_check(T, s: float, f, g) -> float:
-    """Deviation of the spectral sum from the unitary group element.
-
-    Compares ``sum_k e^(i s w_k) (f, P_k g)`` over the spectral
-    decomposition with ``(f, e^(i s T) g)``.  The sum is finite and exact,
-    so the deviation is pure rounding (at most ``~1e-10`` for sane scales).
-    """
+    """``|sum_k e^(i s w_k) (f, P_k g) - (f, e^(i s T) g)|``, clustered spectrum: rounding only."""
     f = _as_vector(f)
     g = _as_vector(g)
     w, V = _eig_hermitian(T)
@@ -248,7 +179,7 @@ def spectral_transform_check(T, s: float, f, g) -> float:
 
 
 def _apply_scalar_function(F, w: np.ndarray) -> np.ndarray:
-    """Evaluate ``F`` on an eigenvalue array, vectorized or element by element."""
+    """``F`` on the eigenvalues ``w``, vectorized or element by element."""
     try:
         fw = np.asarray(F(w))
         if fw.shape == w.shape:
@@ -259,18 +190,11 @@ def _apply_scalar_function(F, w: np.ndarray) -> np.ndarray:
 
 
 def bounded_calculus_step_check(T, F, Fsteps) -> dict:
-    """Compare step-function approximations of ``F(T)`` with ``F(T)``.
+    """Errors of the step approximants ``Fsteps`` of ``F(T)``, as aligned 1-d arrays in a dict.
 
-    For each approximant ``F_n`` in ``Fsteps``, records the operator
-    deviation ``||F_n(T) - F(T)||_2`` and the supremum deviation
-    ``max_k |F_n(w_k) - F(w_k)|`` over the eigenvalues.  The spectral
-    mapping theorem makes the two equal for Hermitian ``T``, so operator
-    convergence follows the scalar sup-distances.
-
-    Returns
-    -------
-    dict
-        ``op_errors`` and ``sup_distances`` as aligned 1-d arrays.
+    ``op_errors`` holds ``||F_n(T) - F(T)||_2`` and ``sup_distances``
+    ``max_k |F_n(w_k) - F(w_k)|`` over the eigenvalues; spectral mapping makes
+    the two equal up to rounding.
     """
     w, V = _eig_hermitian(T)
     Vh = adjoint(V)

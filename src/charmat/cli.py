@@ -1,31 +1,11 @@
 """Command-line verification tools.
 
-Four commands, all emitting a machine-readable report (JSON on stdout and
-``report.json``/``report.csv`` in the output directory):
-
-- ``charmat INPUT``: characteristic matrix of a square matrix file; writes
-  the four blocks and the identity-suite residuals, optionally
-  cross-checked against the orthonormalization oracle (``--oracle``).
-- ``verify INPUT``: fiberwise/block-diagonal consistency suite for a
-  family file.
-- ``example-dirichlet --n N --k K``: spectra of the second-order operators
-  under Dirichlet and periodic boundary conditions, the separation witness
-  pair, and the defect-state mismatch; eigenvalues also land in a CSV.
-- ``selfadjoint INPUT SUBCOMMAND``: resolvent / spectral projection /
-  unitary group / quadrature identity checks for a Hermitian matrix file.
-
-A label passes when its residual is at most its tolerance: the bound that
-the library returns with the residual, or this module's constant.  ``--tol``
-(non-negative) overrides every tolerance but those of the ``VERDICTS``.
-
-Exit codes: 0 all residuals within tolerance, 1 residual failure, 2 parse
-error, 3 invariant or flag violation (or an output that cannot be
-written), 4 numerical failure.  The
-``CHARMAT_LOG`` environment variable (``error``, ``info``, ``debug``)
-controls log verbosity.  ``--seed`` seeds the randomized probe vectors of the
-quadrature subcommands and of ``verify``, whose ``suite_*`` residuals are
-probe estimates of relative Frobenius residuals; ``verify`` without it uses
-a fixed seed, so one file always gives one report.
+The ``charmat``, ``verify``, ``example-dirichlet`` and ``selfadjoint`` commands
+(README, "Command line").  Each writes a report whose ``pass`` is true exactly
+when every residual is at most its tolerance: the bound the library returns
+with the residual, or this module's constant; ``--tol`` overrides all but the
+``VERDICTS``.  :func:`main` returns the exit code of README's table; a flag
+error raises ``SystemExit(3)``.
 """
 
 from __future__ import annotations
@@ -108,7 +88,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite(parse, nonnegative: bool = False):
-    """An argparse ``type=`` that parses like ``parse``, rejects nan and +-inf and, if asked, negatives."""
+    """An argparse ``type=`` like ``parse`` that rejects nan, +-inf and, if asked, negatives."""
     def finite(text: str):
         value = parse(text)
         # nan is the one value unequal to itself; abs() covers complex parts and never overflows an int

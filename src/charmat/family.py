@@ -1,24 +1,12 @@
-"""Direct integrals of matrix families sampled on a parameter grid.
+"""Direct integrals: operator families on a parameter grid and their block-diagonal assembly.
 
-A *family* assigns one ``n x n`` real or complex matrix to every node of a
-finite grid of real parameters; the fibers are stored as one ``(m, n, n)``
-stack.  Its *direct integral* is the block-diagonal operator acting
-fiberwise on vector-valued sections, with the grid's quadrature weights
-supplying the discrete L2 structure.  The routines here verify that the
-characteristic matrix, adjoint, modulus, inverse and polynomial calculus
-all commute with the block-diagonal assembly, realize the fiberwise
-sum/product laws, reconstruct a family from its resolvents, and implement
-the classical truncation of sections by growth level.
-
-Fiberwise constructions run once on the stack with numpy's batched linear
-algebra and are never assembled.  The fiber characteristic matrices are one
-batched Gram pass of ``graph``, checked against the projection onto the SVD
-basis of each fiber's graph.  The assembled operator's identities are
-audited by applying it and the fiberwise constructions to a few seeded
-Gaussian probe vectors, so the suite's residuals are probe estimates of
-relative Frobenius residuals and no product of dense matrices is formed.
-Its verdicts, 2-norm and adjoint come off its diagonal tiles and the norm
-of the rest; ``hilbert``'s predicates judge the tiles as they do the fibers.
+A family holds one ``n x n`` fiber per node of a :class:`ParameterGrid`, as one
+``(m, n, n)`` stack; its direct integral is the block-diagonal operator on
+sections.  Provides the decomposition suite, fiberwise sums, products and
+resolvent reconstruction, a resolvent-limit check and section truncation.
+Invariant: fiberwise constructions run once on the stack with numpy's batched
+linear algebra, and the assembled ``mn x mn`` operator is never factored
+(README, ``charmat.family``).
 """
 
 from __future__ import annotations
@@ -75,15 +63,11 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParameterGrid:
-    """Strictly increasing real nodes with positive quadrature weights.
+    """Strictly increasing finite nodes with positive finite weights, ``float64``.
 
-    Parameters
-    ----------
-    nodes : array_like
-        Strictly increasing real parameter values.
-    weights : array_like, optional
-        Positive quadrature weights, one per node.  Defaults to the
-        trapezoidal weights of the nodes (a single node gets weight 1).
+    ``weights`` defaults to the trapezoid rule's (weight 1 for a single node).
+    Raises ``ValueError`` for an empty, unordered or non-finite grid, or for
+    weights of the wrong length or not positive.
     """
 
     nodes: np.ndarray
@@ -119,10 +103,10 @@ class ParameterGrid:
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """One square matrix per grid node, all of a common fiber dimension.
+    """One finite square fiber per grid node, stored as a ``float64`` or ``complex128`` stack.
 
-    Each fiber passes :func:`~charmat.hilbert._as_operator`: real fibers are
-    stored as ``float64``, complex ones as ``complex128``.
+    Raises ``ValueError`` for a non-square, non-finite or mismatched fiber, or
+    a fiber count other than ``grid.m``.
     """
 
     grid: ParameterGrid
@@ -152,11 +136,7 @@ class OperatorFamily:
         return out.reshape(m * n, m * n)
 
     def apply(self, f: "FamilyVector") -> "FamilyVector":
-        """Act fiberwise: ``(T f)(t_k) = T(t_k) f(t_k)``.
-
-        The same action as the assembled block diagonal on the stacked
-        sections, without forming it.
-        """
+        """``(T f)(t_k) = T(t_k) f(t_k)``, without assembling ``T``; ``f`` must share the grid."""
         if not f.grid.matches(self.grid):
             raise ValueError("section grid does not match the family grid")
         return FamilyVector(f.grid, np.einsum("kij,kj->ki", self.fibers, f.sections))
@@ -180,25 +160,15 @@ class FamilyVector:
 
 
 def family_norm(fam: OperatorFamily) -> float:
-    """Largest fiber operator 2-norm.
-
-    Coincides with the operator 2-norm of the assembled block diagonal (the
-    discrete essential supremum of the fiber norms).
-    """
+    """Largest fiber 2-norm: the 2-norm of the assembled block diagonal."""
     return float(np.linalg.norm(fam.fibers, 2, axis=(1, 2)).max())
 
 
 def _fiber_char(F: np.ndarray):
-    """The fibers' characteristic matrices by two routes, and how far apart the routes are.
-
-    Returns the Gram-route blocks ``(p11, p12, p21, p22)`` of the ``(m, n, n)``
-    stack, its batched ``svd`` ``(U, s, Vh)``, and per block name the absolute
-    Frobenius distance, over all fibers, between the Gram-route block and the blocks of
-    the SVD basis ``[V c; U s c]``, ``c = 1/sqrt(1 + s^2)``, finite where ``s^2`` overflows.
-    """
+    """The stack's Gram-route blocks, its ``svd``, and each block's Frobenius gap to the SVD's."""
     blocks = _char_blocks(F)  # first: an overflowing Gram matrix raises before any other work
     U, s, Vh = np.linalg.svd(F)
-    c = 1.0 / np.hypot(1.0, s)
+    c = 1.0 / np.hypot(1.0, s)  # 1/sqrt(1 + s^2), finite where s^2 overflows
     s11, s21, s22 = _basis_blocks(adjoint(Vh) * c[..., None, :], U * (s * c)[..., None, :])
     f11, f12, f21, f22 = blocks
     gaps = {"p11": f11 - s11, "p12": f12 - adjoint(s21), "p21": f21 - s21, "p22": f22 - s22}
@@ -206,19 +176,12 @@ def _fiber_char(F: np.ndarray):
 
 
 def char_matrix_fiberwise(fam: OperatorFamily):
-    """Characteristic matrices of all fibers, with a cross-check by an independent route.
+    """``(chars, gaps)``: each fiber's characteristic matrix, and each block's gap to the SVD route.
 
-    Returns
-    -------
-    chars : list of CharacteristicMatrix
-        One characteristic matrix per fiber, as views into the blocks of
-        one batched Gram pass over the ``(m, n, n)`` stack.
-    residuals : dict
-        For each block name, the absolute Frobenius distance, over all
-        fibers, between those blocks and the projection onto the SVD basis
-        of each fiber's graph: the ``gaps`` of
-        :func:`decomposition_suite`'s ``char_matrix`` item.  All four are at
-        rounding level for any family; nothing dense is factored.
+    ``chars`` are views into one batched Gram pass.  ``gaps`` maps a block name
+    to the absolute Frobenius distance, over all fibers, to the blocks of the
+    fibers' SVD basis, as in :func:`decomposition_suite`.  Raises
+    ``numpy.linalg.LinAlgError`` as :func:`~charmat.graph.char_matrix` does.
     """
     blocks, _, gaps = _fiber_char(fam.fibers)
     chars = [CharacteristicMatrix(*(b[k] for b in blocks)) for k in range(fam.m)]
@@ -238,8 +201,7 @@ def _is_normal(A: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _polynomial_on(coeffs, A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # p(A) X by Horner's rule on the columns of X, for a matrix or an (m, n, n) stack A
-    # with X of shape (n, k) or (m, n, k); coeffs ascending (c0 + c1 x + ... + cd x^d)
+    # p(A) X by Horner's rule, for a matrix or stack A; coeffs ascending (c0 + c1 x + ...)
     out = coeffs[-1] * X
     for c in reversed(coeffs[:-1]):
         out = A @ out + c * X
@@ -247,62 +209,31 @@ def _polynomial_on(coeffs, A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def decomposition_suite(fam: OperatorFamily, seed: int | None = None) -> dict:
-    """Verify that operator calculus commutes with block-diagonal assembly.
+    """Check that operator calculus commutes with the family's block-diagonal assembly ``A``.
 
-    Each item compares a construction applied to the assembled operator ``A``
-    against the fiberwise constructions ``B`` on the ``(m, n, n)`` stack:
+    Returns item name -> ``{"residual", "bound", "applicable", "note"}``; an
+    item holds when ``residual <= bound``.  The items, in README's terms
+    (``charmat.family``):
 
-    - ``adjoint``    : conjugate transpose, exact, so read off the tiles
-    - ``char_matrix``: ``gaps`` holds the absolute Frobenius distance of each
-      of the fibers' Gram-route blocks to the projection onto the SVD basis
-      of each fiber's graph; the residual is the largest.  ``p21 = F p11``
-      holds by construction, and ``adjoint`` bounds ``A - bd(F)``
-    - ``modulus``    : ``B^2 = A* A`` for ``B = |F|``, positive by
-      construction, so ``B = |A|`` (always applicable)
-    - ``selfadjoint``: the assembled operator is Hermitian iff every fiber is
-    - ``positive``   : positive semidefinite iff every fiber is
-    - ``normal``     : normal iff every fiber is, exactly per tile
-    - ``inverse``    : ``A B = I``; skipped unless every fiber is injective
-    - ``polynomial`` : the fixed polynomial ``x^3 - 2x`` (``SUITE_POLY``),
-      one Horner rule on both sides: the fibers on the stacked probes, ``A``
-      on ``X``; meaningful for normal fibers, and reported with a note when
-      some fiber is not normal
+    - ``adjoint``: ``hypot(off, ||D - F||_F) / max(1, ||A||_F)``, exact;
+    - ``modulus``: ``|F|^2 = A* A`` on the probes; it also carries ``norm``,
+      the largest singular value of the tiles, and ``norm_error = off``;
+    - ``char_matrix``: the largest of ``gaps``, :func:`char_matrix_fiberwise`'s;
+    - ``selfadjoint``, ``positive``, ``normal``: 0.0 when the verdict on ``A``
+      (block diagonal, and every tile has the property) is the fibers', else
+      1.0; the note gives both verdicts;
+    - ``inverse``: ``A F^-1 = I`` on the probes; not applicable unless every
+      fiber is injective;
+    - ``polynomial``: ``p(A) = p(F)`` on the probes for ``p = SUITE_POLY``,
+      ``x^3 - 2x``; noted when some fiber is not normal.
 
-    ``A`` is read once, in place, for its diagonal tiles ``D`` and
-    ``off = ||A - bd(D)||_F``; the ``adjoint`` residual ``||A* - B||_F /
-    max(1, ||A||_F)`` is ``hypot(off, ||D - F||_F)`` over that, and
-    ``char_matrix`` reads only the fibers.  The identity items never multiply
-    or invert dense matrices: they apply ``A`` and each ``B``, on the stack,
-    to ``k = SUITE_PROBES`` standard Gaussian columns ``X`` from the seeded
-    ``np.random.default_rng`` (``SUITE_SEED`` when ``seed`` is None), and an
-    identity ``lhs = rhs`` reports ``||lhs X - rhs X||_F / max(sqrt(k),
-    ||rhs X||_F)``, an estimate of its relative Frobenius residual, as
-    ``E ||M X||_F^2 = k ||M||_F^2``; it is not the dense distance.
-
-    The verdicts read no probe: ``assembled=True`` means that ``A`` is block
-    diagonal, ``off <= CLASSIFY_TOL * max(1, ||A||_F)``, and that every tile
-    has the property, judged by the fibers' own predicate.  So on an exact
-    assembly each verdict is the fibers'; an error past ``CLASSIFY_TOL``
-    reads ``assembled=False``, and past ``SUITE_TOL`` fails ``adjoint`` too.
-    Classification items record ``0.0`` for an equivalence that holds and
-    ``1.0`` otherwise, against a bound of 0; ``char_matrix`` is bounded by
-    ``IDENTITY_TOL`` and every other item by ``SUITE_TOL``.  Precondition
-    violations do not raise; the affected item carries ``applicable: False``
-    and a note.
-
-    ``A`` is never factored, and no ``A``-sized temporary is formed.  By
-    Weyl's inequality each singular value of ``A``, and each eigenvalue of
-    ``(A + A*)/2``, is within ``off`` of one of ``bd(D)``'s: ``svd(D)`` gives
-    ``A``'s 2-norm, and a Hermitian ``A`` is positive if every tile's
-    ``eigvalsh((D + D*)/2) - off`` is; exactly so for a block-diagonal ``A``.
-
-    Returns
-    -------
-    dict
-        Item name -> ``{"residual", "bound", "applicable", "note"}``; an item
-        holds when ``residual <= bound``.  The ``char_matrix`` item also
-        carries ``gaps``, and ``modulus`` that 2-norm, ``norm``, and
-        ``norm_error = off``, a bound on its distance to ``||A||_2``.
+    Probe items are estimates of relative Frobenius residuals on
+    ``SUITE_PROBES`` Gaussian columns from ``np.random.default_rng(seed)``
+    (``SUITE_SEED`` when ``seed`` is None), not dense distances.  Bounds are
+    ``IDENTITY_TOL`` for ``char_matrix``, 0 for the verdicts and ``SUITE_TOL``
+    otherwise.  Raises ``numpy.linalg.LinAlgError`` as
+    :func:`char_matrix_fiberwise` does; a failed precondition raises nothing but
+    marks its item not applicable, with a note.
     """
     F = fam.fibers
     m, n = fam.m, fam.n
@@ -359,7 +290,6 @@ def decomposition_suite(fam: OperatorFamily, seed: int | None = None) -> dict:
         (fiber_positive & fiber_hermitian).all())
     classified("normal", block_diagonal and _is_normal(D, CLASSIFY_TOL).all(), fiber_normal)
 
-    # injectivity is read off sf
     if _kernel_trivial(sf)[0].all():
         item("inverse", estimate(A @ fibers_on(np.linalg.inv(F), X), X))
     else:
@@ -396,22 +326,10 @@ def lennon_product(a: OperatorFamily, b: OperatorFamily) -> OperatorFamily:
 
 
 def resolvent_reconstruct(res: OperatorFamily, alpha) -> OperatorFamily:
-    """Rebuild a family from its resolvent fibers.
+    """The family ``T(t_k) = alpha_k + R(t_k)^-1`` of resolvents ``R(t_k) = (T(t_k) - alpha_k)^-1``.
 
-    Given fibers ``R(t_k) = (T(t_k) - alpha_k I)^-1``, returns the family
-    ``T(t_k) = alpha_k I + R(t_k)^-1``.
-
-    Parameters
-    ----------
-    res : OperatorFamily
-        Resolvent fibers, each invertible.
-    alpha : array_like
-        One shift per grid node (complex or real).
-
-    Raises
-    ------
-    numpy.linalg.LinAlgError
-        If some resolvent fiber is singular.
+    Raises ``ValueError`` unless ``alpha`` holds one shift per node, and
+    ``numpy.linalg.LinAlgError``, naming the fiber, if a resolvent fiber is singular.
     """
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (res.m,):
@@ -432,28 +350,14 @@ def resolvent_limit_check(
     z: complex,
     tol: float = 1e-6,
 ) -> dict:
-    """Test fiberwise resolvent convergence of a sequence of families.
+    """Fiberwise resolvent convergence of the families ``seq`` to ``limit`` at a non-real ``z``.
 
-    For every fiber index ``k`` and every family ``T_j`` in ``seq``, computes
-    the resolvent gap ``||(T_j(t_k) - z)^-1 - (T(t_k) - z)^-1||_2`` against
-    the limit family.  A fiber counts as converged when its final gap is at
-    most ``tol`` and its gap profile is nonincreasing (up to rounding slack)
-    over the second half of the sequence.
-
-    Parameters
-    ----------
-    seq : list of OperatorFamily
-        Approximating families, all Hermitian-fibered, on the limit's grid.
-    limit : OperatorFamily
-        Hermitian-fibered limit family.
-    z : complex
-        Spectral parameter with nonzero imaginary part.
-
-    Returns
-    -------
-    dict
-        ``gaps`` (len(seq) x m array), ``converged`` (per-fiber bools),
-        ``all_converged``.
+    Returns ``gaps``, the ``len(seq) x m`` array of
+    ``||(T_j(t_k) - z)^-1 - (T(t_k) - z)^-1||_2``; ``converged``, per fiber,
+    whether its last gap is at most ``tol`` and its gaps do not grow (up to
+    rounding slack) over the second half of ``seq``; and ``all_converged``.
+    Raises ``ValueError`` for a real ``z``, an empty ``seq``, or a family
+    that is not Hermitian-fibered on ``limit``'s grid and fiber size.
     """
     if z.imag == 0:
         raise ValueError("z must have nonzero imaginary part")
@@ -482,13 +386,10 @@ def resolvent_limit_check(
 
 
 def truncate_family_vector(fam: OperatorFamily, f: FamilyVector, level: float) -> FamilyVector:
-    """Zero the sections outside the classical truncation set.
+    """``f`` with each section zeroed unless ``||T(t_k) f(t_k)|| <= level`` and ``|t_k| <= level``.
 
-    Keeps the section at node ``t_k`` exactly when ``||T(t_k) f(t_k)|| <=
-    level`` and ``|t_k| <= level``; all other sections are set to zero.
-    As ``level`` grows the kept set only grows, so the weighted distance to
-    ``f`` is nonincreasing and reaches zero once ``level`` dominates every
-    fiber's action and node.
+    The kept set only grows with ``level``.  Raises ``ValueError`` for a
+    negative ``level`` or a grid other than ``fam``'s.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")

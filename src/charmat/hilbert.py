@@ -1,15 +1,9 @@
-"""Core Hilbert-space helpers on dense complex vectors and matrices.
+"""Shared Hilbert-space kernel: the operator dtype rule, adjoints and the package's predicates.
 
-All routines work on finite ``numpy`` arrays with ``complex128`` (or real)
-dtype; :func:`_as_operator` is the one rule that casts an operator to it.
-The inner product is linear in the *second* argument and conjugate
-linear in the first, so ``_inner_product(f, g) == np.vdot(f, g)``.  Unless a
-docstring says otherwise, matrix tolerances are relative to the Frobenius
-norm of the input.
-
-The package's Hermitian test :func:`is_hermitian` and kernel rule
-:func:`_kernel_trivial` (scaled by ``KERNEL_TOL``) live here only, and each
-judges a matrix or an ``(m, n, n)`` stack alike.
+:func:`_as_operator` is the one dtype rule for operators, and the Hermitian
+test :func:`is_hermitian` and kernel rule :func:`_kernel_trivial` exist here
+only; each predicate judges a matrix or an ``(m, n, n)`` stack alike.  Inner
+products are linear in the *second* argument.
 """
 
 from __future__ import annotations
@@ -36,12 +30,7 @@ def _as_vector(f) -> np.ndarray:
 
 
 def _as_operator(A) -> np.ndarray:
-    """``A`` as a finite square matrix in the package's one operator dtype.
-
-    Complex input becomes ``complex128``; real, integer or bool input
-    becomes ``float64``.  A real operator thus stays real, and LAPACK's
-    real (``d*``) routines do its factorizations.
-    """
+    """``A`` as a finite square matrix, ``complex128`` if complex and ``float64`` otherwise."""
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -51,18 +40,7 @@ def _as_operator(A) -> np.ndarray:
 
 
 def _inner_product(f, g) -> complex:
-    """Complex inner product, conjugate linear in ``f`` and linear in ``g``.
-
-    Parameters
-    ----------
-    f, g : array_like
-        Vectors of equal length.
-
-    Returns
-    -------
-    complex
-        ``sum(conj(f) * g)``.
-    """
+    """``sum(conj(f) * g)`` of two finite vectors of equal length."""
     f = _as_vector(f)
     g = _as_vector(g)
     if f.shape != g.shape:
@@ -79,12 +57,7 @@ def adjoint(A) -> np.ndarray:
 
 
 def is_hermitian(A, tol: float = HERMITIAN_TOL):
-    """Whether ``||A - A*||_F <= tol * max(1, ||A||_F)``, per matrix of a stack.
-
-    The one Hermitian test of the package: :func:`require_hermitian`, the
-    family suite's classifications and the resolvent limit check all use it.
-    A matrix gives a ``bool``; an ``(m, n, n)`` stack one verdict per matrix.
-    """
+    """Whether ``||A - A*||_F <= tol * max(1, ||A||_F)``: a ``bool``, or one per stacked matrix."""
     A = np.asarray(A)
     dev = np.conjugate(np.swapaxes(A, -1, -2), order="C")  # A*, fresh, in step with a C-order A
     dev -= A
@@ -95,11 +68,9 @@ def is_hermitian(A, tol: float = HERMITIAN_TOL):
 
 
 def require_hermitian(A) -> np.ndarray:
-    """Return the symmetrized matrix ``(A + A*)/2`` or raise.
+    """``(A + A*)/2`` in :func:`_as_operator`'s dtype, dropping the skew part.
 
-    The input must pass :func:`is_hermitian` with ``HERMITIAN_TOL``; the
-    tiny skew part is silently discarded.  The result has the dtype of
-    :func:`_as_operator`.
+    Raises ``ValueError`` unless ``A`` passes :func:`is_hermitian` with ``HERMITIAN_TOL``.
     """
     A = _as_operator(A)
     if not is_hermitian(A):
@@ -111,42 +82,14 @@ def require_hermitian(A) -> np.ndarray:
 
 
 def _kernel_trivial(s: np.ndarray):
-    """Whether the singular values ``s`` (last axis) leave a trivial kernel.
-
-    The kernel counts as trivial when ``sigma_min > KERNEL_TOL * (1 +
-    sigma_max)``, both read off ``s``.  A Hermitian matrix passes the moduli
-    of its eigenvalues; concatenating several matrices' values judges them
-    together, against one threshold.  Returns ``(ok, sigma_min, threshold)``,
-    each a scalar for 1-d ``s`` and one per row of a stack.
-    """
+    """``(ok, sigma_min, threshold)`` of singular values ``s`` (last axis); see ``KERNEL_TOL``."""
     sigma = s.min(axis=-1)
     threshold = KERNEL_TOL * (1.0 + s.max(axis=-1))
     return sigma > threshold, sigma, threshold
 
 
 def _eig_hermitian(A) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    A : array_like
-        Square matrix, Hermitian within the relative Frobenius tolerance
-        ``HERMITIAN_TOL``.  The matrix is symmetrized before factorization.
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors)
-        ``np.linalg.eigh``'s result: real ascending eigenvalues and
-        orthonormal eigenvector columns, with
-        ``A == eigenvectors @ diag(eigenvalues) @ eigenvectors*``.
-
-    Raises
-    ------
-    ValueError
-        If ``A`` is not Hermitian within ``HERMITIAN_TOL``.
-    numpy.linalg.LinAlgError
-        If the eigensolver fails to converge.
-    """
+    """``np.linalg.eigh`` of :func:`require_hermitian`'s ``A``: ascending ``w``, unitary ``V``."""
     return np.linalg.eigh(require_hermitian(A))
 
 

@@ -1,40 +1,11 @@
-"""File formats and machine-readable reports for the command-line tools.
+"""Matrix and family files (README, "File formats") and the commands' reports.
 
-Three JSON schemas:
-
-- *matrix file*: ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with
-  exactly ``r * c`` row-major ``[re, im]`` pairs;
-- *family file*: ``{"grid": [t...], "weights": [w...]?, "fibers": ...}``
-  where ``fibers`` is either a list of matrix-file objects (one per node)
-  or a named generator ``{"kind": <name>, "n": <dim>}`` replicated over the
-  nodes (kinds: ``dirichlet-derivative``, ``periodic-derivative``,
-  ``dirichlet-laplacian``, ``periodic-laplacian``);
-- *report*: command, input digest, seed, residual/tolerance tables, an
-  overall ``pass`` flag (true exactly when every residual is at most its
-  tolerance), and wall time.
-
-Floats serialize as Python's shortest round-trip repr (at most 17
-significant digits), so writing and re-reading a matrix reproduces it
-bit for bit.  Malformed files raise :class:`ParseError`; well-formed files
-with invalid *values* (non-finite entries, inconsistent fiber shapes)
-raise :class:`ValueError`.
-
-The writer produces the bytes of ``json.dumps`` without it: numpy finds
-the repr digits of every value in a range that covers typical matrices
-and ``json.dumps`` spells the rest (see :func:`save_matrix`).  The reader stays
-on CPython's C JSON code, with the cyclic garbage collector paused.  It
-flattens the ``[re, im]`` pairs once, checks them with an exact-type gate
-over ``map``/``set`` (``bool`` is not ``int`` there, so booleans stay
-rejected) and converts the flat list; only when the gate fails does a
-per-pair loop run, to name the first bad ``data[i]``.  The pairs become
-complex numbers by viewing the float array as complex, not by ``re + 1j*im``,
-whose arithmetic turns ``-0.0`` into ``0.0``.  A JSON integer beyond the
-float range reads as the infinity it rounds to, so it is reported exactly
-like ``Infinity``.
-
-The CLI writes its matrices through :func:`save_matrices`: one thread
-writes them while the command computes, and its first error is raised when
-the command's work is done.
+Invariants: a matrix written and read back is the same bit for bit, signed
+zeros included.  Malformed files raise :class:`ParseError`, and well-formed
+files with invalid values (non-finite entries, inconsistent fibers) raise
+``ValueError``; a JSON integer beyond the float range reads as the infinity
+it rounds to.  A report's ``pass`` is true exactly when every residual is at
+most its tolerance.
 """
 
 from __future__ import annotations
@@ -78,6 +49,7 @@ class ParseError(Exception):
 
 
 def _load_json(path) -> object:
+    """``json.load`` of ``path``, cyclic collector paused; any failure is a ``ParseError``."""
     collecting = gc.isenabled()
     gc.disable()  # json.load's lists, one per pair, are no garbage: collecting them frees nothing
     try:
@@ -128,7 +100,8 @@ def _matrix_from_obj(obj, where: str) -> np.ndarray:
         raise ParseError(
             f"{where}: data must hold exactly rows*cols = {rows * cols} entries, got {got}"
         )
-    # one flat pass checks and converts the pairs; the loop only names the first bad one
+    # one flat pass checks and converts the pairs (type(True) is bool, not int, so booleans
+    # fail it); the loop only names the first bad one
     pairs = set(map(type, data)) == {list} and set(map(len, data)) == {2}
     flat = list(itertools.chain.from_iterable(data)) if pairs else []
     if not (pairs and set(map(type, flat)) <= {int, float}):
@@ -140,7 +113,7 @@ def _matrix_from_obj(obj, where: str) -> np.ndarray:
             ):
                 raise ParseError(f"{where}: data[{i}] must be a [re, im] pair of numbers")
     flat = _as_floats(flat)
-    A = flat.view(complex).reshape(rows, cols)  # bit-exact, signed zeros included
+    A = flat.view(complex).reshape(rows, cols)  # not re + 1j*im, which turns -0.0 into 0.0
     if not np.all(np.isfinite(flat)):
         bad = int(np.flatnonzero(~np.isfinite(flat))[0]) // 2
         raise ValueError(f"{where}: non-finite entry at data[{bad}]")
@@ -148,29 +121,17 @@ def _matrix_from_obj(obj, where: str) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix file into a complex array.
+    """A matrix file as a ``complex128`` array, bit for bit as written.
 
-    Raises
-    ------
-    ParseError
-        On malformed JSON or schema violations (including a wrong data
-        length); the message carries the offending line or element.
-    ValueError
-        On non-finite entries.
+    Raises ``ParseError``, naming the line or element, on malformed JSON or a
+    schema violation (a wrong data length included), and ``ValueError`` on a
+    non-finite entry.
     """
     return _matrix_from_obj(_load_json(path), str(path))
 
 
-# Matrix files are written as json.dumps would write them, but the floats
-# are encoded with numpy.  float.__repr__ gives the shortest digits that read
-# back to the same double, and of those the closest (Steele & White 1990;
-# Gay 1990).  Zeros take a fixed text.  For |x| in (1e-6, 1e17), and only
-# for those values, the digits are computed exactly here: y = |x| 10**k lies
-# in [1e16, 1e17) for some k <= 22, so 10**k is an exact double and Dekker's
-# (1971) product gives y = hi + lo exactly.  The reals that round to x,
-# times 10**k, form an interval around y, kept in int64 fixed point.  Of the
-# multiples of the largest power of ten in it, the one closest to y gives
-# the digits.  json.dumps spells every other value, non-finite ones included.
+# The writer's digits are float.__repr__'s, computed exactly with numpy for |x| in
+# (1e-6, 1e17); README ("How the writer spells floats") gives the derivation.
 
 _CHUNK = 1 << 15  # values encoded and written at a time
 _ZERO = (1 + 5) * 17  # the layout of 0.0: one digit at p = 1 (see _text_tables)
@@ -200,15 +161,7 @@ def _times_pow10(a, k):
 
 @functools.cache
 def _text_tables():
-    """The text rows of ``float.__repr__``, one per decimal point ``p`` and digit count ``n``.
-
-    A row is ``[-0.000`` then the 17 digit columns, each followed by a ``.``
-    column, then an exponent and ``], ``; it holds the characters that
-    ``(p, n)`` shows, with 0 in every other column.  Also returned: which
-    digit columns ``(p, n)`` shows, and the ASCII of 0000..9999, four bytes
-    each.  Built at the first write: a command that writes no matrix does
-    not pay for them at start-up.
-    """
+    """``repr``'s text rows per decimal point and digit count, their digit masks, ASCII 0000..9999."""
     rows = np.zeros((23, 17, 48), np.uint8)
     shown = np.zeros((23, 17), np.uint8)
     for p in range(-5, 18):  # the value is 0.d1d2... * 10**p
@@ -232,12 +185,7 @@ def _text_tables():
 
 
 def _shortest_digits(ax: np.ndarray) -> tuple:
-    """``float.__repr__``'s digits of each of ``ax``, all in (1e-6, 1e17), as ``(c, k, j, ties)``.
-
-    The digits are those of the 17-digit integer ``c``, less its ``j``
-    trailing zeros, and ``ax`` reads as ``c / 10**k``.  ``ties`` indexes the
-    values halfway between two candidates, whose digits are left to repr.
-    """
+    """``(c, k, j, ties)``: ``repr``'s digits of ``ax``, ``c / 10**k`` less ``j`` zeros."""
     k = (16 - np.floor(np.log10(ax))).astype(np.intp)
     np.clip(k, 0, 22, out=k)
     hi, lo = _times_pow10(ax, k)
@@ -312,13 +260,9 @@ def _encode_pairs(x: np.ndarray, last: bool) -> bytes:
 
 
 def save_matrix(path, A) -> None:
-    """Write a matrix file, byte for byte what ``json.dumps`` makes of it.
+    """Write ``A`` as a matrix file: byte for byte what ``json.dumps`` makes of it.
 
-    Each float is written as ``float.__repr__`` spells it.  Zeros take a
-    fixed text, numpy computes the digits of ``|x|`` in (1e-6, 1e17), and
-    ``json.dumps`` spells every other value.  The pairs are encoded
-    ``_CHUNK`` values at a time, and each chunk is written as soon as it is
-    made.
+    Raises ``OSError`` if ``path`` cannot be written.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     values = np.ascontiguousarray(A).view(float).ravel()
@@ -340,14 +284,12 @@ def _write_here(path, A) -> None:
 
 @contextmanager
 def save_matrices(files: dict):
-    """Write each ``{path: matrix}`` of ``files`` while the body runs.
+    """Write each ``{path: matrix}`` of ``files`` in one thread while the body runs.
 
-    One thread runs :func:`save_matrix` on every file in turn and stops at
-    the first error; where no thread can start, the files are written here
-    before the body.  The thread is joined when the body ends, and unless
-    the body raised, its error is raised then: an ``OSError``, or a
-    ``MemoryError`` that names the file.  The writer reads the matrices
-    while the body runs, so the body must not write into them.
+    Where no thread can start, the files are written before the body.  The
+    writer stops at its first error, which is raised when the body ends unless
+    the body raised: an ``OSError``, or a ``MemoryError`` that names the file.
+    The body must not write into the matrices.
     """
     errors = []
 
@@ -375,15 +317,12 @@ def save_matrices(files: dict):
 
 
 def load_family(path) -> OperatorFamily:
-    """Read a family file into an :class:`~charmat.family.OperatorFamily`.
+    """A family file as an :class:`~charmat.family.OperatorFamily`.
 
-    Raises
-    ------
-    ParseError
-        On malformed JSON or schema violations.
-    ValueError
-        On invalid values: non-increasing grid, non-positive weights,
-        mixed fiber dimensions, non-finite entries, unknown generator kind.
+    Raises ``ParseError`` on malformed JSON or a schema violation, and
+    ``ValueError`` on invalid values: a grid that does not increase, weights
+    that are not positive, mixed fiber dimensions, non-finite entries or an
+    unknown generator kind.
     """
     obj = _load_json(path)
     where = str(path)
@@ -444,12 +383,7 @@ def params_digest(params: dict) -> str:
 
 @dataclass
 class Report:
-    """Machine-readable outcome of one command invocation.
-
-    ``passed`` is true exactly when every residual is at most its declared
-    tolerance.  ``notes`` carries non-numeric diagnostics (skipped checks,
-    classification outcomes) without affecting the pass rule.
-    """
+    """One command's residuals and tolerances, notes (which ``passed`` ignores) and wall time."""
 
     command: str
     inputs: str

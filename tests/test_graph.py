@@ -58,6 +58,15 @@ def test_blocks_must_share_shape():
         CharacteristicMatrix(p11=I, p12=I, p21=I, p22=np.eye(3))
 
 
+@pytest.mark.parametrize("route", [char_matrix, char_matrix_oracle], ids=lambda f: f.__name__)
+def test_public_routes_reject_an_operator_stack(route):
+    # stacks are family's business, through graph's private _char_blocks; the public
+    # routes take one matrix
+    stack = np.stack([np.eye(4)] * 3)
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(3, 4, 4\)"):
+        route(stack)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
 def test_oracle_equivalence(n):
     rng = np.random.default_rng(n)

@@ -1,7 +1,10 @@
 import argparse
 import ast
+import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 import charmat
 from charmat.cli import build_parser
@@ -81,3 +84,25 @@ def test_every_flag_the_readme_names_is_a_cli_option():
                for flag in action.option_strings}
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text(encoding="utf-8")))
     assert named - options - {"--no-build-isolation"} == set()
+
+
+def _docstring_of(obj) -> str | None:
+    # read off the source, since a dataclass without one gets a generated __doc__
+    module = ast.parse(Path(inspect.getsourcefile(obj)).read_text(encoding="utf-8"))
+    node = next(node for node in module.body if getattr(node, "name", None) == obj.__name__)
+    return ast.get_docstring(node)
+
+
+@pytest.mark.parametrize("name", charmat.__all__)
+def test_every_public_name_states_its_contract(name):
+    assert (_docstring_of(getattr(charmat, name)) or "").strip()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_states_what_it_provides(path):
+    assert (ast.get_docstring(ast.parse(path.read_text(encoding="utf-8"))) or "").strip()
+
+
+def test_the_cli_parser_has_a_description():
+    # argparse takes it from the first paragraph of the cli module's docstring
+    assert build_parser().description.strip()
