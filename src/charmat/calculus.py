@@ -36,7 +36,7 @@ __all__ = [
 CLUSTER_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Distinct (clustered) eigenvalues, the projector onto each eigenspace, and multiplicities.
 
@@ -76,7 +76,7 @@ def spectral_decomposition(T) -> SpectralDecomposition:
     projectors = np.empty((len(values), n, n), dtype=V.dtype)
     for k, (start, mult) in enumerate(zip(starts, mults)):
         block = V[:, start : start + mult]
-        np.matmul(block, block.conj().T, out=projectors[k])
+        np.matmul(block, adjoint(block), out=projectors[k])
     return SpectralDecomposition(eigenvalues=values, projectors=projectors, multiplicities=mults)
 
 
@@ -88,7 +88,7 @@ def spectral_projection(T, lam: float) -> np.ndarray:
     """
     w, V = _eig_hermitian(T)
     Vs = V[:, : _rank_below(w, lam)]
-    return Vs @ Vs.conj().T
+    return Vs @ adjoint(Vs)
 
 
 def resolvent(T, z: complex) -> np.ndarray:
@@ -123,7 +123,7 @@ def fourier_resolvent_check(T, z: complex, f, g, smax: float) -> float:
     f = _as_vector(f)
     g = _as_vector(g)
     w, V = _eig_hermitian(T)
-    c = np.conj(V.conj().T @ f) * (V.conj().T @ g)
+    c = np.conj(adjoint(V) @ f) * (adjoint(V) @ g)
     # i * integral_0^smax e^(i d s) ds = expm1(i d smax) / d, d = z - w != 0; expm1 is not
     # finite only where its exponent overflowed, and there it reads -1 (the tail dropped)
     d = z - w
@@ -155,7 +155,7 @@ def stone_formula_check(T, lam: float, f, g, epsilon: float, delta: float) -> fl
             f"integration endpoint {endpoint} is within epsilon of an eigenvalue; "
             "shift delta"
         )
-    c = np.conj(V.conj().T @ f) * (V.conj().T @ g)
+    c = np.conj(adjoint(V) @ f) * (adjoint(V) @ g)
     # (2 pi i)^-1 [R(u+ie) - R(u-ie)] has the Poisson kernel as its symbol; its mass over
     # [w_min - 1, endpoint] is a difference of arctangents (arctan2 does not overflow)
     mass = (np.arctan2(endpoint - w, epsilon) - np.arctan2(w.min() - 1.0 - w, epsilon)) / np.pi

@@ -61,7 +61,7 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterGrid:
     """Strictly increasing finite nodes with positive finite weights, ``float64``.
 
@@ -101,7 +101,7 @@ class ParameterGrid:
                 and np.array_equal(self.weights, other.weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorFamily:
     """One finite square fiber per grid node, stored as a ``float64`` or ``complex128`` stack.
 
@@ -142,7 +142,7 @@ class OperatorFamily:
         return FamilyVector(f.grid, np.einsum("kij,kj->ki", self.fibers, f.sections))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilyVector:
     """A section: one fiber vector per grid node."""
 

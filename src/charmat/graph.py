@@ -37,7 +37,7 @@ __all__ = [
 IDENTITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacteristicMatrix:
     """The four blocks of the projection onto an operator graph."""
 
@@ -162,6 +162,12 @@ def char_matrix_oracle(T) -> CharacteristicMatrix:
     return CharacteristicMatrix(p11=p11, p12=adjoint(p21), p21=p21, p22=p22)
 
 
+def _hermitian_kernel_trivial(*blocks: np.ndarray):
+    """:func:`_kernel_trivial` of the Hermitian ``blocks`` taken together."""
+    # a Hermitian matrix's eigenvalue moduli are its singular values
+    return _kernel_trivial(np.abs(np.concatenate([np.linalg.eigvalsh(B) for B in blocks])))
+
+
 @dataclass
 class IdentityReport:
     """Residual (nonnegative) and bound per identity label; a label holds when residual <= bound.
@@ -210,10 +216,8 @@ def verify_identities(T, P: CharacteristicMatrix) -> IdentityReport:
     r["A7"] = np.linalg.norm([
         np.linalg.norm(rows[i][0] @ rows[0][j] + rows[i][1] @ rows[1][j] - rows[i][j])
         for i in (0, 1) for j in (0, 1)])
-    # p11 and I - p22 are Hermitian: their eigenvalue moduli are their singular values
     Ip22 = _identity_minus(P.p22)
-    _, sigma, threshold = _kernel_trivial(np.abs(np.concatenate(
-        [np.linalg.eigvalsh(P.p11), np.linalg.eigvalsh(Ip22)])))
+    _, sigma, threshold = _hermitian_kernel_trivial(P.p11, Ip22)
     # A13 reads I - p22 too; it is freed first, and the norm of the in-place difference
     # T* (I - p22) - p12 equals that of p12 - T* (I - p22) bit for bit
     D = Th @ Ip22
@@ -259,7 +263,7 @@ def inverse_char_matrix(P: CharacteristicMatrix) -> CharacteristicMatrix:
     Raises ``ValueError`` when ``T`` fails the injectivity gate: the smallest
     singular value of ``I - p11`` is at most ``KERNEL_TOL * (1 + ||I - p11||_2)``.
     """
-    ok, sig, threshold = _kernel_trivial(np.abs(np.linalg.eigvalsh(_identity_minus(P.p11))))
+    ok, sig, threshold = _hermitian_kernel_trivial(_identity_minus(P.p11))
     if not ok:
         raise ValueError(
             f"operator has a nontrivial kernel: sigma_min(I - p11) = {sig:.3e} "

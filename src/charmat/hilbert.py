@@ -74,11 +74,11 @@ def require_hermitian(A) -> np.ndarray:
     """
     A = _as_operator(A)
     if not is_hermitian(A):
-        dev = np.linalg.norm(A - A.conj().T, "fro") / max(np.linalg.norm(A, "fro"), 1.0)
+        dev = np.linalg.norm(A - adjoint(A), "fro") / max(np.linalg.norm(A, "fro"), 1.0)
         raise ValueError(
             f"matrix is not Hermitian: relative deviation {dev:.3e} exceeds {HERMITIAN_TOL:.1e}"
         )
-    return (A + A.conj().T) / 2.0
+    return (A + adjoint(A)) / 2.0
 
 
 def _kernel_trivial(s: np.ndarray):

@@ -82,6 +82,11 @@ def _int_to_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _numbers(values) -> bool:
+    """Whether ``values`` is a list of JSON numbers: ``type(True)`` is ``bool``, so booleans fail."""
+    return isinstance(values, list) and set(map(type, values)) <= {int, float}
+
+
 def _matrix_from_obj(obj, where: str) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -89,28 +94,19 @@ def _matrix_from_obj(obj, where: str) -> np.ndarray:
     if missing:
         raise ParseError(f"{where}: missing field(s) {sorted(missing)}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if (
-        not all(isinstance(v, int) and not isinstance(v, bool) for v in (rows, cols))
-        or rows < 1
-        or cols < 1
-    ):
+    if {type(rows), type(cols)} != {int} or rows < 1 or cols < 1:
         raise ParseError(f"{where}: rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         got = len(data) if isinstance(data, list) else f"type {type(data).__name__}"
         raise ParseError(
             f"{where}: data must hold exactly rows*cols = {rows * cols} entries, got {got}"
         )
-    # one flat pass checks and converts the pairs (type(True) is bool, not int, so booleans
-    # fail it); the loop only names the first bad one
+    # one flat pass checks and converts the pairs; the loop only names the first bad one
     pairs = set(map(type, data)) == {list} and set(map(len, data)) == {2}
     flat = list(itertools.chain.from_iterable(data)) if pairs else []
-    if not (pairs and set(map(type, flat)) <= {int, float}):
+    if not (pairs and _numbers(flat)):
         for i, pair in enumerate(data):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-            ):
+            if not (_numbers(pair) and len(pair) == 2):
                 raise ParseError(f"{where}: data[{i}] must be a [re, im] pair of numbers")
     flat = _as_floats(flat)
     A = flat.view(complex).reshape(rows, cols)  # not re + 1j*im, which turns -0.0 into 0.0
@@ -262,22 +258,18 @@ def _encode_pairs(x: np.ndarray, last: bool) -> bytes:
 def save_matrix(path, A) -> None:
     """Write ``A`` as a matrix file: byte for byte what ``json.dumps`` makes of it.
 
-    Raises ``OSError`` if ``path`` cannot be written.
+    Raises ``OSError`` if ``path`` cannot be written, and a ``MemoryError`` that
+    names ``path`` if memory runs out.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    values = np.ascontiguousarray(A).view(float).ravel()
-    with open(path, "wb") as fh:
-        fh.write(f'{{"rows": {A.shape[0]}, "cols": {A.shape[1]}, "data": ['.encode())
-        for start in range(0, values.size, _CHUNK):
-            stop = start + _CHUNK
-            fh.write(_encode_pairs(values[start:stop], last=stop >= values.size))
-        fh.write(b"]}\n")
-
-
-def _write_here(path, A) -> None:
-    # save_matrix in this thread; running out of memory names the file
     try:
-        save_matrix(path, A)
+        A = np.atleast_2d(np.asarray(A, dtype=complex))
+        values = np.ascontiguousarray(A).view(float).ravel()
+        with open(path, "wb") as fh:
+            fh.write(f'{{"rows": {A.shape[0]}, "cols": {A.shape[1]}, "data": ['.encode())
+            for start in range(0, values.size, _CHUNK):
+                stop = start + _CHUNK
+                fh.write(_encode_pairs(values[start:stop], last=stop >= values.size))
+            fh.write(b"]}\n")
     except MemoryError as exc:
         raise MemoryError(f"writing {path}") from exc
 
@@ -296,7 +288,7 @@ def save_matrices(files: dict):
     def write_all():
         try:
             for path, A in files.items():
-                _write_here(path, A)
+                save_matrix(path, A)
         except BaseException as exc:  # raised where the writer is joined
             errors.append(exc)
 
@@ -306,7 +298,7 @@ def save_matrices(files: dict):
     except RuntimeError:  # no thread to spare: write them here
         writer = None
         for path, A in files.items():
-            _write_here(path, A)
+            save_matrix(path, A)
     try:
         yield
     finally:
@@ -331,15 +323,10 @@ def load_family(path) -> OperatorFamily:
     if "grid" not in obj or "fibers" not in obj:
         raise ParseError(f"{where}: missing field(s) {sorted({'grid', 'fibers'} - obj.keys())}")
     nodes = obj["grid"]
-    if not isinstance(nodes, list) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in nodes
-    ):
+    if not _numbers(nodes):
         raise ParseError(f"{where}: grid must be a list of numbers")
     weights = obj.get("weights")
-    if weights is not None and (
-        not isinstance(weights, list)
-        or not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights)
-    ):
+    if weights is not None and not _numbers(weights):
         raise ParseError(f"{where}: weights must be a list of numbers")
     grid = ParameterGrid(_as_floats(nodes), None if weights is None else _as_floats(weights))
 
@@ -349,7 +336,7 @@ def load_family(path) -> OperatorFamily:
         if missing:
             raise ParseError(f"{where}: generator missing field(s) {sorted(missing)}")
         kind, n = fibers_obj["kind"], fibers_obj["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
+        if type(n) is not int:
             raise ParseError(f"{where}: generator n must be an integer")
         if kind not in GENERATOR_KINDS:
             raise ValueError(f"{where}: unknown generator kind {kind!r}; "

@@ -30,6 +30,12 @@ def random_vectors(rng, n):
 # ------------------------------------------------------------ decomposition
 
 
+def test_decompositions_compare_and_hash_by_identity():
+    T = random_hermitian(np.random.default_rng(5), 4)
+    dec, again = spectral_decomposition(T), spectral_decomposition(T)
+    assert dec == dec and dec != again and len({dec, again}) == 2
+
+
 def test_decomposition_invariants():
     rng = np.random.default_rng(5)
     T = random_hermitian(rng, 6)

@@ -39,6 +39,16 @@ def random_sections(rng, grid, n):
 # ---------------------------------------------------------------- grids
 
 
+def test_family_values_compare_and_hash_by_identity():
+    # array fields have no truth value, so == is identity; ParameterGrid.matches compares values
+    grid, same = ParameterGrid(np.linspace(0.0, 1.0, 3)), ParameterGrid(np.linspace(0.0, 1.0, 3))
+    assert grid == grid and grid != same and grid.matches(same)
+    rng = np.random.default_rng(0)
+    fam, f = random_family(rng, 3, 2), random_sections(rng, grid, 2)
+    assert fam == fam and f == f and hash(grid) == hash(grid)
+    assert len({grid, same, fam, f}) == 4
+
+
 def test_grid_rejects_decreasing_nodes():
     with pytest.raises(ValueError, match="increasing"):
         ParameterGrid(np.array([0.0, 2.0, 1.0]))

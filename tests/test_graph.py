@@ -35,6 +35,14 @@ def test_scalar_two_blocks():
     )
 
 
+def test_characteristic_matrices_compare_and_hash_by_identity():
+    # array fields have no truth value, so == is identity; blockwise_distance compares values
+    T = random_operator(np.random.default_rng(0), 4)
+    P, Q = char_matrix(T), char_matrix(T)
+    assert P == P and P != Q and P.blockwise_distance(Q) == 0.0
+    assert hash(P) == hash(P) and len({P, Q, adjoint_char_matrix(P)}) == 3
+
+
 def test_scalar_imaginary_blocks():
     P = char_matrix(np.array([[1j]]))
     assert_allclose(

@@ -1120,21 +1120,25 @@ def test_cli_reaps_every_writer(tmp_path, monkeypatch, capsys):
     _assert_no_child_left(threads)
 
 
+def _exhausted(x, last):
+    raise MemoryError
+
+
+def test_save_matrix_names_the_file_it_ran_out_of_memory_on(tmp_path, monkeypatch):
+    monkeypatch.setattr(charmat.io, "_encode_pairs", _exhausted)
+    with pytest.raises(MemoryError, match="writing .*m.json"):
+        save_matrix(tmp_path / "m.json", HERMITIAN)
+
+
 def test_save_matrices_writes_what_a_writer_did_not(tmp_path, monkeypatch):
     # what the writer did not write is an error: raised when the body ends,
     # unless the body raised
     threads = threading.active_count()
-    writes = []
-
-    def exhausted(path, A):
-        writes.append(path)
-        raise MemoryError
-
-    monkeypatch.setattr(charmat.io, "save_matrix", exhausted)
+    monkeypatch.setattr(charmat.io, "_encode_pairs", _exhausted)
     with pytest.raises(MemoryError, match="a.json"):
         with save_matrices({tmp_path / "a.json": HERMITIAN, tmp_path / "b.json": HERMITIAN}):
             pass
-    assert writes == [tmp_path / "a.json"]  # the writer stops at its first error
+    assert not (tmp_path / "b.json").exists()  # the writer stops at its first error
     # the body's exception wins over a writer's failure
     with pytest.raises(ValueError, match="body"):
         with save_matrices({tmp_path / "c.json": HERMITIAN}):
@@ -1182,12 +1186,9 @@ def test_cli_exit_3_when_the_writer_fails_and_retries_nothing(tmp_path, monkeypa
 
 
 def test_cli_exit_4_when_a_writer_runs_out_of_memory(tmp_path, monkeypatch, capsys):
-    def exhausted(path, A):
-        raise MemoryError
-
-    monkeypatch.setattr(charmat.io, "save_matrix", exhausted)
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
+    monkeypatch.setattr(charmat.io, "_encode_pairs", _exhausted)
     assert main(["charmat", str(mat), "--out", str(tmp_path / "o")]) == 4
     assert "numerical failure: out of memory: writing" in capsys.readouterr().err
 
@@ -1196,14 +1197,11 @@ def test_cli_exit_4_names_the_file_when_no_writer_thread_can_start(tmp_path, mon
                                                                     capsys):
     # with no thread to spare the blocks are written in process; running out of
     # memory there names the file, as it does in the writer thread
-    def exhausted(path, A):
-        raise MemoryError
-
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
     threads = threading.active_count()
     monkeypatch.setattr(threading.Thread, "start", _no_thread)
-    monkeypatch.setattr(charmat.io, "save_matrix", exhausted)
+    monkeypatch.setattr(charmat.io, "_encode_pairs", _exhausted)
     out = tmp_path / "o"
     assert main(["charmat", str(mat), "--out", str(out)]) == 4
     err = capsys.readouterr().err

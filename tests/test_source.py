@@ -106,3 +106,20 @@ def test_every_module_states_what_it_provides(path):
 def test_the_cli_parser_has_a_description():
     # argparse takes it from the first paragraph of the cli module's docstring
     assert build_parser().description.strip()
+
+
+# one home per rule: hilbert.adjoint forms A*, io._numbers judges a file's numbers, and
+# graph._hermitian_kernel_trivial runs the one eigvalsh of the kernel test
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_spells_its_own_adjoint(path):
+    assert ".conj().T" not in path.read_text(encoding="utf-8")
+
+
+def test_io_judges_numbers_by_exact_type():
+    assert not re.search(r"isinstance\(.*bool\)", (SRC / "io.py").read_text(encoding="utf-8"))
+
+
+def test_graph_calls_eigvalsh_at_one_site():
+    assert (SRC / "graph.py").read_text(encoding="utf-8").count("np.linalg.eigvalsh") == 1
