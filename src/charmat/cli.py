@@ -46,15 +46,13 @@ from .graph import (
     verify_identities,
 )
 from .hilbert import adjoint, require_hermitian
-# save_matrix is unused here, but perfbench/tracer.py wraps cli.save_matrix
-from .io import (  # noqa: F401
+from .io import (
     ParseError,
     Report,
     file_digest,
     load_family,
     load_matrix,
     params_digest,
-    save_matrices,
     save_matrix,
 )
 
@@ -166,27 +164,26 @@ def cmd_charmat(args, outdir: str) -> Report:
     report = Report(command="charmat", inputs=file_digest(args.input), seed=args.seed)
 
     P = char_matrix(T)
-    blocks = ("p11", "p12", "p21", "p22")
-    # the blocks are written while the checks below run
-    with save_matrices({os.path.join(outdir, f"{b}.json"): getattr(P, b) for b in blocks}):
-        ident = verify_identities(T, P)
-        for label, residual in ident.residuals.items():
-            report.add(label, residual, ident.bounds[label])
-        report.notes["A8_sigma_min"] = repr(ident.sigma_min)
-
-        report.add("A9", adjoint_char_matrix(P).blockwise_distance(char_matrix(adjoint(T))),
-                   IDENTITY_TOL)
-        try:
-            Pinv = inverse_char_matrix(P)
-        except ValueError as exc:
-            report.notes["A11"] = f"skipped: {exc}"
-        else:
-            report.add("A11", Pinv.blockwise_distance(char_matrix(np.linalg.inv(T))), INVERSE_TOL)
-
-        if args.oracle:
-            report.add("oracle", P.blockwise_distance(char_matrix_oracle(T)), IDENTITY_TOL)
-    for b in blocks:
+    for b in ("p11", "p12", "p21", "p22"):
+        save_matrix(os.path.join(outdir, f"{b}.json"), getattr(P, b))
         log.info("wrote %s.json", b)
+
+    ident = verify_identities(T, P)
+    for label, residual in ident.residuals.items():
+        report.add(label, residual, ident.bounds[label])
+    report.notes["A8_sigma_min"] = repr(ident.sigma_min)
+
+    report.add("A9", adjoint_char_matrix(P).blockwise_distance(char_matrix(adjoint(T))),
+               IDENTITY_TOL)
+    try:
+        Pinv = inverse_char_matrix(P)
+    except ValueError as exc:
+        report.notes["A11"] = f"skipped: {exc}"
+    else:
+        report.add("A11", Pinv.blockwise_distance(char_matrix(np.linalg.inv(T))), INVERSE_TOL)
+
+    if args.oracle:
+        report.add("oracle", P.blockwise_distance(char_matrix_oracle(T)), IDENTITY_TOL)
     return report
 
 
@@ -275,23 +272,23 @@ def cmd_selfadjoint(args, outdir: str) -> Report:
     if sub == "resolvent":
         z = need("z")
         R = resolvent(T, z)
-        with save_matrices({os.path.join(outdir, "resolvent.json"): R}):
-            resid = np.linalg.norm((T - z * np.eye(len(T))) @ R - np.eye(len(T)), "fro")
+        save_matrix(os.path.join(outdir, "resolvent.json"), R)
+        resid = np.linalg.norm((T - z * np.eye(len(T))) @ R - np.eye(len(T)), "fro")
         report.add("resolvent_identity", resid, IDENTITY_TOL)
     elif sub == "projection":
         lam = need("lam")
         E = spectral_projection(T, lam)
-        with save_matrices({os.path.join(outdir, "projection.json"): E}):
-            report.add("projection_idempotent", np.linalg.norm(E @ E - E, "fro"), IDENTITY_TOL)
-            report.add("projection_hermitian", np.linalg.norm(E - adjoint(E), "fro"), IDENTITY_TOL)
+        save_matrix(os.path.join(outdir, "projection.json"), E)
+        report.add("projection_idempotent", np.linalg.norm(E @ E - E, "fro"), IDENTITY_TOL)
+        report.add("projection_hermitian", np.linalg.norm(E - adjoint(E), "fro"), IDENTITY_TOL)
         # the trace of an orthogonal projection is its rank, up to rounding
         report.notes["rank"] = str(round(float(np.real(np.trace(E)))))
     elif sub == "group":
         s = need("s")
         U = unitary_group(T, s)
-        with save_matrices({os.path.join(outdir, "unitary.json"): U}):
-            report.add("group_unitary", np.linalg.norm(adjoint(U) @ U - np.eye(len(U)), "fro"),
-                       IDENTITY_TOL)
+        save_matrix(os.path.join(outdir, "unitary.json"), U)
+        report.add("group_unitary", np.linalg.norm(adjoint(U) @ U - np.eye(len(U)), "fro"),
+                   IDENTITY_TOL)
     elif sub == "stone":
         lam = need("lam")
         f, g = _probe_vectors(len(T), args.seed)

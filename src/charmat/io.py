@@ -17,8 +17,6 @@ import hashlib
 import itertools
 import json
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +29,6 @@ __all__ = [
     "Report",
     "load_matrix",
     "save_matrix",
-    "save_matrices",
     "load_family",
     "file_digest",
 ]
@@ -272,40 +269,6 @@ def save_matrix(path, A) -> None:
             fh.write(b"]}\n")
     except MemoryError as exc:
         raise MemoryError(f"writing {path}") from exc
-
-
-@contextmanager
-def save_matrices(files: dict):
-    """Write each ``{path: matrix}`` of ``files`` in one thread while the body runs.
-
-    Where no thread can start, the files are written before the body.  The
-    writer stops at its first error, which is raised when the body ends unless
-    the body raised: an ``OSError``, or a ``MemoryError`` that names the file.
-    The body must not write into the matrices.
-    """
-    errors = []
-
-    def write_all():
-        try:
-            for path, A in files.items():
-                save_matrix(path, A)
-        except BaseException as exc:  # raised where the writer is joined
-            errors.append(exc)
-
-    writer = threading.Thread(target=write_all, name="charmat-writer")
-    try:
-        writer.start()
-    except RuntimeError:  # no thread to spare: write them here
-        writer = None
-        for path, A in files.items():
-            save_matrix(path, A)
-    try:
-        yield
-    finally:
-        if writer is not None:
-            writer.join()
-    if errors:
-        raise errors[0]
 
 
 def load_family(path) -> OperatorFamily:

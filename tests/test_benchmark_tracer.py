@@ -52,3 +52,21 @@ def test_tracer_installs_and_restores_every_wrapper():
     with _load_tracer().Tracer().installed():
         assert cli.np is not before[0]
     assert (cli.np, cli.laplacian, np.linalg.svd) == before
+
+
+def test_the_tracer_sees_the_block_writes(tmp_path, capsys):
+    from charmat.cli import main
+    from charmat.io import save_matrix
+
+    mat = tmp_path / "T.json"
+    save_matrix(mat, np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 3.0]]))
+    out = tmp_path / "o"
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    with t.installed(), t.root("cli"):
+        assert main(["charmat", str(mat), "--oracle", "--out", str(out)]) == 0
+    capsys.readouterr()
+    totals = tracer.layer_totals(t.to_records())
+    assert totals["io.save_matrix_s"] > 0
+    written = ("p11.json", "p12.json", "p21.json", "p22.json", "report.json")
+    assert totals["io.bytes_written"] == sum((out / name).stat().st_size for name in written)

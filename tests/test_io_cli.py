@@ -26,7 +26,6 @@ from charmat.io import (
     file_digest,
     load_family,
     load_matrix,
-    save_matrices,
     save_matrix,
 )
 
@@ -983,7 +982,7 @@ def test_cli_projection_rank_note_is_the_integer_rank(tmp_path, capsys):
         assert report["notes"]["rank"] == str(int(np.sum(w <= lam)))
 
 
-# ------------------------------------------------------------ the writer thread
+# ------------------------------------------------------- writing the matrix files
 
 
 def _awkward_matrix() -> np.ndarray:
@@ -993,55 +992,44 @@ def _awkward_matrix() -> np.ndarray:
     return A
 
 
-def test_save_matrices_writes_the_bytes_of_save_matrix(tmp_path):
+def test_save_matrix_writes_the_bytes_of_json_dumps(tmp_path):
     rng = np.random.default_rng(11)
     mats = {"real": rng.standard_normal((7, 5)), "awkward": _awkward_matrix()}
-    with save_matrices({tmp_path / f"{k}.json": A for k, A in mats.items()}):
-        pass
     for k, A in mats.items():
-        save_matrix(tmp_path / f"{k}_inline.json", A)
-        assert file_digest(tmp_path / f"{k}.json") == file_digest(tmp_path / f"{k}_inline.json")
+        save_matrix(tmp_path / f"{k}.json", A)
+        pairs = np.asarray(A, dtype=complex).view(float).reshape(-1, 2).tolist()
+        obj = {"rows": A.shape[0], "cols": A.shape[1], "data": pairs}
+        assert (tmp_path / f"{k}.json").read_text(encoding="utf-8") == json.dumps(obj) + "\n"
 
 
-def test_charmat_starts_one_writer_thread_for_its_four_blocks(tmp_path, monkeypatch, capsys):
-    # one writer thread for all four files, and no child process
+def test_charmat_starts_no_thread_and_no_child(tmp_path, monkeypatch, capsys):
+    # a thread start or a fork would fail, yet the command writes every block
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
     threads = threading.active_count()
-    starts, forks, start = [], [], threading.Thread.start
+    starts, forks = [], []
 
-    def counted(self):
+    def no_thread(self):
         starts.append(self.name)
-        return start(self)
+        raise RuntimeError("can't start new thread")
 
     def no_fork():
         forks.append(os.getpid())
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(threading.Thread, "start", counted)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     monkeypatch.setattr(os, "fork", no_fork)
     assert main(["charmat", str(mat), "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
-    assert len(starts) == 1 and forks == []
+    assert starts == [] and forks == []
     P = char_matrix(HERMITIAN)
     for name in ("p11", "p12", "p21", "p22"):
         assert load_matrix(tmp_path / "o" / f"{name}.json").tobytes() == getattr(P, name).tobytes()
     _assert_no_child_left(threads)
 
 
-def _no_thread(self):
-    raise RuntimeError("can't start new thread")
-
-
-def test_save_matrices_writes_in_process_when_no_thread_can_start(tmp_path, monkeypatch):
-    monkeypatch.setattr(threading.Thread, "start", _no_thread)
-    with save_matrices({tmp_path / "a.json": HERMITIAN}):
-        # written before the body starts
-        assert load_matrix(tmp_path / "a.json").tobytes() == HERMITIAN.tobytes()
-
-
 def test_charmat_runs_where_os_has_no_fork(tmp_path, monkeypatch, capsys):
-    # the writer is a thread: a platform without os.fork writes the same blocks
+    # the blocks are written in the command's own thread, with no POSIX call
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
     monkeypatch.delattr(os, "fork")
@@ -1076,14 +1064,21 @@ def test_cli_block_files_match_in_process_save_matrix(tmp_path, capsys, kind):
     ("charmat", "p12.json"),  # a file that is not the first
     ("charmat", "report.json"),
     ("example-dirichlet", "eigenvalues.csv"),
+    ("selfadjoint resolvent", "resolvent.json"),
+    ("selfadjoint projection", "projection.json"),
+    ("selfadjoint group", "unitary.json"),
 ])
 def test_cli_exit_3_when_an_output_cannot_be_written(tmp_path, capsys, command, target):
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
     out = tmp_path / "o"
     (out / target).mkdir(parents=True)
-    argv = {"charmat": [str(mat)], "example-dirichlet": ["--n", "100", "--k", "2"]}[command]
-    assert main([command, *argv, "--out", str(out)]) == 3
+    argv = {"charmat": ["charmat", str(mat)],
+            "example-dirichlet": ["example-dirichlet", "--n", "100", "--k", "2"],
+            "selfadjoint resolvent": ["selfadjoint", str(mat), "resolvent", "--z", "2j"],
+            "selfadjoint projection": ["selfadjoint", str(mat), "projection", "--lam", "2.5"],
+            "selfadjoint group": ["selfadjoint", str(mat), "group", "--s", "0.5"]}[command]
+    assert main([*argv, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert f"invariant violation: cannot write {out / target}: Is a directory" in err
     if target != "report.json":
@@ -1107,7 +1102,7 @@ def test_cli_reaps_every_writer(tmp_path, monkeypatch, capsys):
     (tmp_path / "bad" / "p21.json").mkdir(parents=True)
     assert main(["charmat", str(mat), "--out", str(tmp_path / "bad")]) == 3
 
-    # a compute failure while the writers run still leaves complete blocks
+    # a compute failure in the checks still leaves complete blocks
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
@@ -1130,20 +1125,26 @@ def test_save_matrix_names_the_file_it_ran_out_of_memory_on(tmp_path, monkeypatc
         save_matrix(tmp_path / "m.json", HERMITIAN)
 
 
-def test_save_matrices_writes_what_a_writer_did_not(tmp_path, monkeypatch):
-    # what the writer did not write is an error: raised when the body ends,
-    # unless the body raised
-    threads = threading.active_count()
-    monkeypatch.setattr(charmat.io, "_encode_pairs", _exhausted)
-    with pytest.raises(MemoryError, match="a.json"):
-        with save_matrices({tmp_path / "a.json": HERMITIAN, tmp_path / "b.json": HERMITIAN}):
-            pass
-    assert not (tmp_path / "b.json").exists()  # the writer stops at its first error
-    # the body's exception wins over a writer's failure
-    with pytest.raises(ValueError, match="body"):
-        with save_matrices({tmp_path / "c.json": HERMITIAN}):
-            raise ValueError("body")
-    _assert_no_child_left(threads)
+def test_a_failed_write_ends_charmat_before_its_checks(tmp_path, monkeypatch, capsys):
+    # the first write that fails ends the command: no later block, no check, no report;
+    # so the write's exit code wins over a check that would also have failed
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    out = tmp_path / "o"
+    (out / "p12.json").mkdir(parents=True)
+    checked = []
+
+    def singular(*args, **kwargs):
+        checked.append(args)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "verify_identities", singular)
+    assert main(["charmat", str(mat), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"invariant violation: cannot write {out / 'p12.json'}: Is a directory" in err
+    assert "Singular matrix" not in err and checked == []
+    assert load_matrix(out / "p11.json").tobytes() == char_matrix(HERMITIAN).p11.tobytes()
+    assert not any((out / f"{name}.json").exists() for name in ("p21", "p22", "report"))
 
 
 def test_charmat_log_holds_when_main_runs_in_process(tmp_path, monkeypatch, caplog):
@@ -1155,21 +1156,23 @@ def test_charmat_log_holds_when_main_runs_in_process(tmp_path, monkeypatch, capl
     assert ("charmat", logging.INFO, "wrote p11.json") in caplog.record_tuples
 
 
-def test_cli_exit_3_when_the_writer_fails_and_retries_nothing(tmp_path, monkeypatch, capsys,
-                                                               caplog):
-    # an error in the writer thread ends the command: nothing is written again
-    # in the main thread, and only the files written are logged at CHARMAT_LOG=info
+def test_cli_exit_3_when_p11_cannot_be_written_and_retries_nothing(tmp_path, monkeypatch,
+                                                                     capsys, caplog):
+    # a failed write ends the command: nothing is written again, and only the
+    # files written are logged at CHARMAT_LOG=info
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
     out = tmp_path / "o"
     threads = threading.active_count()
+    attempts = []
 
-    def fail_in_writer(path, A):
-        if threading.current_thread() is not threading.main_thread():
+    def fail_on_p11(path, A):
+        attempts.append(os.path.basename(path))
+        if attempts[-1] == "p11.json":
             raise PermissionError(13, "Permission denied", str(path))
         save_matrix(path, A)
 
-    monkeypatch.setattr(charmat.io, "save_matrix", fail_in_writer)
+    monkeypatch.setattr(cli, "save_matrix", fail_on_p11)
     monkeypatch.setenv("CHARMAT_LOG", "info")
     assert main(["charmat", str(mat), "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -1177,7 +1180,8 @@ def test_cli_exit_3_when_the_writer_fails_and_retries_nothing(tmp_path, monkeypa
     assert not any((out / f"{name}.json").exists() for name in ("p11", "p12", "p21", "p22"))
     assert not (out / "report.json").exists()
     assert [m for name, _, m in caplog.record_tuples if name == "charmat"] == []
-    monkeypatch.setattr(charmat.io, "save_matrix", save_matrix)
+    assert attempts == ["p11.json"]
+    monkeypatch.setattr(cli, "save_matrix", save_matrix)
     assert main(["charmat", str(mat), "--out", str(out)]) == 0
     capsys.readouterr()
     assert [m for name, _, m in caplog.record_tuples if name == "charmat"] == [
@@ -1186,27 +1190,15 @@ def test_cli_exit_3_when_the_writer_fails_and_retries_nothing(tmp_path, monkeypa
 
 
 def test_cli_exit_4_when_a_writer_runs_out_of_memory(tmp_path, monkeypatch, capsys):
+    # the message names the block, and no later block is written
     mat = tmp_path / "T.json"
     save_matrix(mat, HERMITIAN)
-    monkeypatch.setattr(charmat.io, "_encode_pairs", _exhausted)
-    assert main(["charmat", str(mat), "--out", str(tmp_path / "o")]) == 4
-    assert "numerical failure: out of memory: writing" in capsys.readouterr().err
-
-
-def test_cli_exit_4_names_the_file_when_no_writer_thread_can_start(tmp_path, monkeypatch,
-                                                                    capsys):
-    # with no thread to spare the blocks are written in process; running out of
-    # memory there names the file, as it does in the writer thread
-    mat = tmp_path / "T.json"
-    save_matrix(mat, HERMITIAN)
-    threads = threading.active_count()
-    monkeypatch.setattr(threading.Thread, "start", _no_thread)
     monkeypatch.setattr(charmat.io, "_encode_pairs", _exhausted)
     out = tmp_path / "o"
     assert main(["charmat", str(mat), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert f"numerical failure: out of memory: writing {out / 'p11.json'}" in err
-    _assert_no_child_left(threads)
+    assert not (out / "p12.json").exists() and not (out / "report.json").exists()
 
 
 # ------------------------------------------------------------ the --tol table
