@@ -1,6 +1,4 @@
 """``python -m charmat``: the ``charmat`` command line."""
-import sys
+from .cli import run
 
-from .cli import main
-
-sys.exit(main())
+run()

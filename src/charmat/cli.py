@@ -5,13 +5,14 @@ The ``charmat``, ``verify``, ``example-dirichlet`` and ``selfadjoint`` commands
 when every residual is at most its tolerance: the bound the library returns
 with the residual, or this module's constant; ``--tol`` overrides all but the
 ``VERDICTS``.  :func:`main` returns the exit code of README's table; a flag
-error raises ``SystemExit(3)``.
+error raises ``SystemExit(3)``.  :func:`run` is the process entry.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import logging
 import os
 import sys
@@ -358,7 +359,10 @@ def main(argv=None) -> int:
         print(f"invariant violation: cannot write {exc.filename}: {exc.strerror or exc}",
               file=sys.stderr)
         return 3
-    print(report.to_json())
+    try:
+        print(report.to_json())
+    except BrokenPipeError:
+        pass  # the echo is best effort: the report file and the exit code carry the verdict
     if not report.passed:
         worst = max(report.residuals, key=lambda k: report.residuals[k] - report.tolerances[k])
         log.error("residual failure: %s = %r exceeds %r",
@@ -367,5 +371,21 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The ``charmat`` process: ``python -m charmat``, ``python -m charmat.cli`` and the
+    console script.  Runs :func:`main` on ``sys.argv`` and exits with its code."""
+    # every module is imported by now; frozen, their objects sit in the permanent
+    # generation, which neither the command's collections nor the exit collection walk
+    gc.freeze()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the interpreter's own flush
+        # at exit has nothing to fail on (the idiom of Python's signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

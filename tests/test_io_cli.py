@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,6 +484,78 @@ def test_cli_exit_1_on_residual_failure(tmp_path):
     proc = run_cli("charmat", mat, "--tol", "0", "--out", tmp_path / "o")
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["pass"] is False
+
+
+@pytest.mark.parametrize("module", ["charmat", "charmat.cli"])
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("tol, code", [(None, 0), ("0", 1)])
+def test_cli_a_closed_stdout_keeps_the_report_and_the_exit_code(tmp_path, module, unbuffered,
+                                                                 tol, code):
+    # unbuffered, the echo itself hits the closed pipe; buffered, the flush at exit does
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    out = tmp_path / "o"
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", module, "charmat", str(mat), "--out", str(out)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([*argv, *(["--tol", tol] if tol else [])], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert json.loads((out / "report.json").read_text())["pass"] is (code == 0)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("valid, code", [(True, 0), (False, 2)])
+def test_main_leaves_the_garbage_collector_as_it_found_it(tmp_path, capsys, collecting,
+                                                          valid, code):
+    mat = tmp_path / "T.json"
+    if valid:
+        save_matrix(mat, HERMITIAN)
+    else:
+        mat.write_text("{")
+    frozen = gc.get_freeze_count()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["charmat", str(mat), "--out", str(tmp_path / "o")]) == code
+        assert gc.isenabled() is collecting
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_the_process_entry_freezes_the_import_time_heap(tmp_path):
+    # the console script's target, called as its wrapper calls it; importing the
+    # package and the CLI module freezes nothing and leaves the collector on
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["charmat"]
+    module, _, name = target.partition(":")
+    mat = tmp_path / "T.json"
+    save_matrix(mat, HERMITIAN)
+    script = (
+        "import gc, importlib, sys\n"
+        f"entry = getattr(importlib.import_module({module!r}), {name!r})\n"
+        "before = (gc.isenabled(), gc.get_freeze_count())\n"
+        f"sys.argv = ['charmat', 'charmat', {str(mat)!r}, '--out', {str(tmp_path / 'o')!r}]\n"
+        "try:\n"
+        "    entry()\n"
+        "except SystemExit as exc:\n"
+        "    print(before, exc.code, gc.get_freeze_count())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, code, frozen = proc.stdout.splitlines()[-1].rsplit(" ", 2)
+    assert (before, code) == ("(True, 0)", "0")
+    assert int(frozen) > 0
 
 
 def test_cli_verify_passes_a_family_of_mixed_scales(tmp_path, capsys):
