@@ -9,68 +9,15 @@ fiberwise operator and the block-diagonal assembly are one object, so the
 library exposes one type for both (README).
 """
 
-from .boundary import (
-    GridDiscretization,
-    boundary_mismatch,
-    deficiency_vector,
-    derivative_operator,
-    grid_norm,
-    laplacian,
-    laplacian_eigenvalues,
-    rank_one_extension,
-    separation_witness,
-    trapezoid_norm,
-)
-from .calculus import (
-    bounded_calculus_step_check,
-    fourier_resolvent_check,
-    resolvent,
-    spectral_decomposition,
-    spectral_projection,
-    spectral_transform_check,
-    stone_formula_check,
-    unitary_group,
-)
-from .family import (
-    FamilyVector,
-    OperatorFamily,
-    ParameterGrid,
-    char_matrix_fiberwise,
-    decomposition_suite,
-    family_norm,
-    lennon_product,
-    lennon_sum,
-    resolvent_limit_check,
-    resolvent_reconstruct,
-    truncate_family_vector,
-)
-from .graph import (
-    CharacteristicMatrix,
-    IdentityReport,
-    adjoint_char_matrix,
-    char_matrix,
-    char_matrix_oracle,
-    inverse_char_matrix,
-    operator_from_char_matrix,
-    verify_identities,
-)
-from .hilbert import adjoint
+from . import boundary, calculus, family, graph, hilbert
+from .boundary import *  # noqa: F403
+from .calculus import *  # noqa: F403
+from .family import *  # noqa: F403
+from .graph import *  # noqa: F403
+from .hilbert import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "adjoint",
-    "CharacteristicMatrix", "IdentityReport", "char_matrix", "char_matrix_oracle",
-    "verify_identities", "adjoint_char_matrix", "inverse_char_matrix",
-    "operator_from_char_matrix",
-    "ParameterGrid", "OperatorFamily", "FamilyVector", "family_norm",
-    "char_matrix_fiberwise",
-    "decomposition_suite", "lennon_sum", "lennon_product", "resolvent_reconstruct",
-    "resolvent_limit_check", "truncate_family_vector",
-    "spectral_decomposition", "spectral_projection",
-    "resolvent", "unitary_group", "fourier_resolvent_check", "stone_formula_check",
-    "spectral_transform_check", "bounded_calculus_step_check",
-    "GridDiscretization", "grid_norm", "trapezoid_norm",
-    "derivative_operator", "laplacian", "laplacian_eigenvalues", "separation_witness",
-    "deficiency_vector", "rank_one_extension", "boundary_mismatch",
-]
+# each public name is declared once, in its own module's __all__
+__all__ = [*hilbert.__all__, *graph.__all__, *family.__all__, *calculus.__all__,
+           *boundary.__all__]

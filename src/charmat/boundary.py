@@ -18,7 +18,6 @@ import numpy as np
 from .hilbert import _as_operator, _as_vector
 
 __all__ = [
-    "BOUNDARY_CONDITIONS",
     "GridDiscretization",
     "grid_norm",
     "trapezoid_norm",

@@ -20,7 +20,6 @@ import numpy as np
 from .hilbert import _as_operator, _as_vector, _eig_hermitian, _inner_product, _spectral, adjoint
 
 __all__ = [
-    "SpectralDecomposition",
     "spectral_decomposition",
     "spectral_projection",
     "resolvent",

@@ -76,6 +76,9 @@ VERDICTS = ("A8", "suite_selfadjoint", "suite_positive", "suite_normal")
 #: Analytic mismatch of the normalized defect state: (1 - 1/e) / sqrt((1 - e^-2)/2).
 MISMATCH_TARGET = 0.9613710597474939
 
+#: Each ``selfadjoint`` check and the flag it requires.
+_REQUIRES = {"resolvent": "z", "projection": "lam", "group": "s", "stone": "lam", "fourier": "z"}
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors are invariant violations: exit 3, not argparse's 2."""
@@ -121,21 +124,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="also cross-check against the orthonormalization oracle")
     _add_common(p)
+    p.set_defaults(run=cmd_charmat)
 
     p = sub.add_parser("verify", help="block-diagonal consistency suite for a family file")
     p.add_argument("input", help="family file (JSON)")
     _add_common(p)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("example-dirichlet",
                        help="boundary-condition example: spectra, witness, mismatch")
     p.add_argument("--n", type=int, required=True, help="grid resolution (>= 100)")
     p.add_argument("--k", type=int, required=True, help="eigenvalues to tabulate (<= n/10)")
     _add_common(p)
+    p.set_defaults(run=cmd_example_dirichlet)
 
     p = sub.add_parser("selfadjoint", help="functional-calculus checks for a Hermitian file")
     p.add_argument("input", help="Hermitian matrix file (JSON)")
-    p.add_argument("subcommand",
-                   choices=("resolvent", "projection", "group", "stone", "fourier"))
+    p.add_argument("subcommand", choices=tuple(_REQUIRES))
     p.add_argument("--z", type=_finite(complex), default=None,
                    help="spectral parameter, e.g. '2j' or '1+2j'")
     p.add_argument("--lam", type=_finite(float), default=None, help="spectral height")
@@ -145,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_finite(float), default=1e-4, help="resolvent offset")
     p.add_argument("--delta", type=_finite(float), default=1e-2, help="endpoint overshoot")
     _add_common(p)
+    p.set_defaults(run=cmd_selfadjoint)
 
     return parser
 
@@ -160,13 +166,13 @@ def _probe_vectors(n: int, seed):
     return f / np.linalg.norm(f), g / np.linalg.norm(g)
 
 
-def cmd_charmat(args, outdir: str) -> Report:
+def cmd_charmat(args) -> Report:
     T = load_matrix(args.input)
     report = Report(command="charmat", inputs=file_digest(args.input), seed=args.seed)
 
     P = char_matrix(T)
     for b in ("p11", "p12", "p21", "p22"):
-        save_matrix(os.path.join(outdir, f"{b}.json"), getattr(P, b))
+        save_matrix(os.path.join(args.out, f"{b}.json"), getattr(P, b))
         log.info("wrote %s.json", b)
 
     ident = verify_identities(T, P)
@@ -188,7 +194,7 @@ def cmd_charmat(args, outdir: str) -> Report:
     return report
 
 
-def cmd_verify(args, outdir: str) -> Report:
+def cmd_verify(args) -> Report:
     fam = load_family(args.input)
     report = Report(command="verify", inputs=file_digest(args.input), seed=args.seed)
 
@@ -209,7 +215,7 @@ def cmd_verify(args, outdir: str) -> Report:
     return report
 
 
-def cmd_example_dirichlet(args, outdir: str) -> Report:
+def cmd_example_dirichlet(args) -> Report:
     n, k = args.n, args.k
     if n < 100:
         raise ValueError(f"n must be at least 100, got {n}")
@@ -219,32 +225,28 @@ def cmd_example_dirichlet(args, outdir: str) -> Report:
                     inputs=params_digest({"n": n, "k": k}), seed=args.seed)
 
     gd = GridDiscretization(n, "dirichlet")
-    gp = GridDiscretization(n, "periodic")
-    dirichlet_eigs = laplacian_eigenvalues(gd, k)
-    periodic_eigs = laplacian_eigenvalues(gp, k + 1)
+    dval = laplacian_eigenvalues(gd, k)
+    periodic_eigs = laplacian_eigenvalues(GridDiscretization(n, "periodic"), k + 1)
 
-    rows = []
-    for j in range(1, k + 1):
-        dval = dirichlet_eigs[j - 1]
-        dtgt = (j * np.pi) ** 2
-        pval = periodic_eigs[j]  # index 0 is the kernel
-        ptgt = 4.0 * np.pi**2 * ((j + 1) // 2) ** 2
-        rows.append((j, dval, dtgt, abs(dval - dtgt) / dtgt,
-                     pval, ptgt, abs(pval - ptgt) / ptgt))
-    csv_path = os.path.join(outdir, "eigenvalues.csv")
+    j = np.arange(1, k + 1)
+    dtgt = (j * np.pi) ** 2
+    drel = abs(dval - dtgt) / dtgt
+    pval = periodic_eigs[1:]  # index 0 is the kernel
+    ptgt = 4.0 * np.pi**2 * ((j + 1) // 2) ** 2
+    prel = abs(pval - ptgt) / ptgt
+    csv_path = os.path.join(args.out, "eigenvalues.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "dirichlet_value", "dirichlet_target", "dirichlet_rel_err",
                     "periodic_value", "periodic_target", "periodic_rel_err"])
-        for row in rows:
-            w.writerow([row[0]] + [repr(float(x)) for x in row[1:]])
+        for index, *cells in zip(j.tolist(), dval, dtgt, drel, pval, ptgt, prel):
+            w.writerow([index] + [repr(float(x)) for x in cells])
     log.info("wrote %s", csv_path)
 
-    report.add("dirichlet_rel_err_max", max(r[3] for r in rows), SPECTRUM_REL_TOL)
-    report.add("dirichlet_rel_err_first", rows[0][3], FIRST_EIGENVALUE_REL_TOL)
+    report.add("dirichlet_rel_err_max", drel.max(), SPECTRUM_REL_TOL)
+    report.add("dirichlet_rel_err_first", drel[0], FIRST_EIGENVALUE_REL_TOL)
     report.add("periodic_kernel", abs(periodic_eigs[0]), KERNEL_EIGENVALUE_TOL)
-    report.add("periodic_pair_rel_err", max(r[6] for r in rows[: min(2, len(rows))]),
-               SPECTRUM_REL_TOL)
+    report.add("periodic_pair_rel_err", prel[:2].max(), SPECTRUM_REL_TOL)
 
     valD, valP = separation_witness(n)
     report.add("witness_periodic_dev", abs(valP - 1.0), WITNESS_PERIODIC_TOL)
@@ -259,56 +261,39 @@ def cmd_example_dirichlet(args, outdir: str) -> Report:
     return report
 
 
-def cmd_selfadjoint(args, outdir: str) -> Report:
-    T = require_hermitian(load_matrix(args.input))
-    report = Report(command=f"selfadjoint {args.subcommand}",
-                    inputs=file_digest(args.input), seed=args.seed)
+def cmd_selfadjoint(args) -> Report:
     sub = args.subcommand
-
-    def need(flag: str):
-        if getattr(args, flag) is None:
-            raise ValueError(f"selfadjoint {sub} requires --{flag}")
-        return getattr(args, flag)
+    T = require_hermitian(load_matrix(args.input))
+    report = Report(command=f"selfadjoint {sub}", inputs=file_digest(args.input), seed=args.seed)
+    if getattr(args, _REQUIRES[sub]) is None:
+        raise ValueError(f"selfadjoint {sub} requires --{_REQUIRES[sub]}")
 
     if sub == "resolvent":
-        z = need("z")
-        R = resolvent(T, z)
-        save_matrix(os.path.join(outdir, "resolvent.json"), R)
-        resid = np.linalg.norm((T - z * np.eye(len(T))) @ R - np.eye(len(T)), "fro")
+        R = resolvent(T, args.z)
+        save_matrix(os.path.join(args.out, "resolvent.json"), R)
+        resid = np.linalg.norm((T - args.z * np.eye(len(T))) @ R - np.eye(len(T)), "fro")
         report.add("resolvent_identity", resid, IDENTITY_TOL)
     elif sub == "projection":
-        lam = need("lam")
-        E = spectral_projection(T, lam)
-        save_matrix(os.path.join(outdir, "projection.json"), E)
+        E = spectral_projection(T, args.lam)
+        save_matrix(os.path.join(args.out, "projection.json"), E)
         report.add("projection_idempotent", np.linalg.norm(E @ E - E, "fro"), IDENTITY_TOL)
         report.add("projection_hermitian", np.linalg.norm(E - adjoint(E), "fro"), IDENTITY_TOL)
         # the trace of an orthogonal projection is its rank, up to rounding
         report.notes["rank"] = str(round(float(np.real(np.trace(E)))))
     elif sub == "group":
-        s = need("s")
-        U = unitary_group(T, s)
-        save_matrix(os.path.join(outdir, "unitary.json"), U)
+        U = unitary_group(T, args.s)
+        save_matrix(os.path.join(args.out, "unitary.json"), U)
         report.add("group_unitary", np.linalg.norm(adjoint(U) @ U - np.eye(len(U)), "fro"),
                    IDENTITY_TOL)
     elif sub == "stone":
-        lam = need("lam")
         f, g = _probe_vectors(len(T), args.seed)
-        resid = stone_formula_check(T, lam, f, g, args.epsilon, args.delta)
+        resid = stone_formula_check(T, args.lam, f, g, args.epsilon, args.delta)
         report.add("stone", resid, STONE_TOL)
     elif sub == "fourier":
-        z = need("z")
         f, g = _probe_vectors(len(T), args.seed)
-        resid = fourier_resolvent_check(T, z, f, g, args.smax)
+        resid = fourier_resolvent_check(T, args.z, f, g, args.smax)
         report.add("fourier", resid, FOURIER_TOL)
     return report
-
-
-_DISPATCH = {
-    "charmat": cmd_charmat,
-    "verify": cmd_verify,
-    "example-dirichlet": cmd_example_dirichlet,
-    "selfadjoint": cmd_selfadjoint,
-}
 
 
 def _configure_logging() -> None:
@@ -325,22 +310,21 @@ def _configure_logging() -> None:
 def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
-    outdir = args.out
     try:
-        os.makedirs(outdir, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
-        print(f"invariant violation: cannot create output directory {outdir!r}: {exc}",
+        print(f"invariant violation: cannot create output directory {args.out!r}: {exc}",
               file=sys.stderr)
         return 3
 
     start = time.perf_counter()
     try:
-        report = _DISPATCH[args.command](args, outdir)
+        report = args.run(args)
         if args.tol is not None:
             report.tolerances = {k: v if k in VERDICTS else args.tol
                                  for k, v in report.tolerances.items()}
         report.wall_time_ms = 1000.0 * (time.perf_counter() - start)
-        report.save(os.path.join(outdir, f"report.{args.format}"), args.format)
+        report.save(os.path.join(args.out, f"report.{args.format}"), args.format)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

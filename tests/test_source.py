@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import charmat
+from charmat import cli
 from charmat.cli import build_parser
 
 SRC = Path(charmat.__file__).parent
@@ -76,11 +77,14 @@ def test_dead_helper_guard_sees_a_class_nothing_builds(tmp_path):
     assert _unread_private_names(tmp_path) == ["a.py:9 _Dead"]
 
 
+def _subparsers() -> dict:
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_flag_the_readme_names_is_a_cli_option():
     # pip's --no-build-isolation, in the install line, is the one flag not of charmat
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {flag for sub in commands.choices.values() for action in sub._actions
+    options = {flag for sub in _subparsers().values() for action in sub._actions
                for flag in action.option_strings}
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README.read_text(encoding="utf-8")))
     assert named - options - {"--no-build-isolation"} == set()
@@ -146,3 +150,42 @@ def test_cli_calls_the_save_matrix_it_imports():
                 if isinstance(node, ast.ImportFrom)
                 and "save_matrix" in {alias.name for alias in node.names})
     assert not any("noqa" in line for line in lines[node.lineno - 1:node.end_lineno])
+
+
+# one declaration per public name and per subcommand: the package re-exports its modules'
+# __all__, and each subparser carries the command it runs
+
+
+def test_the_package_imports_no_public_name_by_name():
+    # each import in __init__ is a * import or an import of a charmat module
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            assert names == ["*"] or all((SRC / f"{name}.py").is_file() for name in names)
+
+
+def test_the_package_all_joins_its_modules_all():
+    from charmat import boundary, calculus, family, graph, hilbert
+
+    assert charmat.__all__ == [*hilbert.__all__, *graph.__all__, *family.__all__,
+                               *calculus.__all__, *boundary.__all__]
+
+
+def test_cli_binds_no_dispatch_table():
+    assert not hasattr(cli, "_DISPATCH")
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["charmat", "T.json"], cli.cmd_charmat),
+    (["verify", "F.json"], cli.cmd_verify),
+    (["example-dirichlet", "--n", "100", "--k", "1"], cli.cmd_example_dirichlet),
+    (["selfadjoint", "H.json", "group"], cli.cmd_selfadjoint),
+], ids=["charmat", "verify", "example-dirichlet", "selfadjoint"])
+def test_each_subparser_carries_its_command(argv, command):
+    assert build_parser().parse_args(argv).run is command
+
+
+def test_selfadjoint_choices_are_the_checks_that_name_their_flag():
+    action = next(a for a in _subparsers()["selfadjoint"]._actions if a.dest == "subcommand")
+    assert action.choices == tuple(cli._REQUIRES)
