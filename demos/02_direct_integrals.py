@@ -45,7 +45,7 @@ def main():
     for block, value in residuals.items():
         print(f"  {block}: Gram-vs-SVD {value:.2e}")
 
-    print("\n=== decomposition suite (assembled operator on seeded probe vectors) ===")
+    print("\n=== decomposition suite (fibers on seeded probe vectors) ===")
     for name, item in decomposition_suite(fam).items():
         status = "pass" if item["residual"] <= item["bound"] else "FAIL"
         extra = f"  ({item['note']})" if item["note"] else ""

@@ -573,10 +573,10 @@ def test_cli_verify_passes_a_family_of_mixed_scales(tmp_path, capsys):
             assert blob["notes"][item] == "assembled=False, all_fibers=False"
 
 
-def test_cli_verify_tol_cannot_pass_a_classification_mismatch(tmp_path, monkeypatch, capsys):
+def test_cli_verify_verdicts_ignore_a_patched_assembly(tmp_path, monkeypatch, capsys):
     # Hermitian fibers, and an assembly that adds a Hermitian E of norm 1e-3
-    # off the diagonal tiles: A is no longer block diagonal, so the verdict
-    # disagrees with the fibers, and no --tol can forgive it
+    # off the diagonal tiles: verify reads the fibers alone, so the verdict is
+    # theirs, and its tolerance stays 0 under --tol
     m, n = 3, 3
     rng = np.random.default_rng(107)
     fiber = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -592,12 +592,12 @@ def test_cli_verify_tol_cannot_pass_a_classification_mismatch(tmp_path, monkeypa
     path.write_text(json.dumps({"grid": [0.0, 1.0, 2.0],
                                 "fibers": [json.loads((tmp_path / "F.json").read_text())] * m}))
     for extra in ([], ["--tol", "1"]):
-        assert main(["verify", str(path), "--out", str(tmp_path / "o"), *extra]) == 1
+        assert main(["verify", str(path), "--out", str(tmp_path / "o"), *extra]) == 0
         blob = json.loads(capsys.readouterr().out)
-        assert blob["pass"] is False
-        assert blob["residuals"]["suite_selfadjoint"] == 1.0
+        assert blob["pass"] is True
+        assert blob["residuals"]["suite_selfadjoint"] == 0.0
         assert blob["tolerances"]["suite_selfadjoint"] == 0.0
-        assert blob["notes"]["suite_selfadjoint"] == "assembled=False, all_fibers=True"
+        assert blob["notes"]["suite_selfadjoint"] == "assembled=True, all_fibers=True"
 
 
 def test_cli_exit_2_on_parse_error(tmp_path):

@@ -129,6 +129,19 @@ def test_graph_calls_eigvalsh_at_one_site():
     assert (SRC / "graph.py").read_text(encoding="utf-8").count("np.linalg.eigvalsh") == 1
 
 
+def test_family_assembles_nothing():
+    # the decomposition suite reads the fiber stack: only OperatorFamily.assemble forms
+    # the mn x mn operator, and no code in family.py names it besides its definition
+    tree = ast.parse((SRC / "family.py").read_text(encoding="utf-8"))
+    defined = [node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "assemble"]
+    named = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "assemble"
+             or isinstance(node, ast.Name) and node.id == "assemble"
+             or isinstance(node, ast.Constant) and node.value == "assemble"]
+    assert (defined, named) == (["assemble"], [])
+
+
 # the commands write their files in their own thread
 
 
