@@ -46,10 +46,11 @@ def main():
         print(f"  {block}: Gram-vs-SVD {value:.2e}")
 
     print("\n=== decomposition suite (fibers on seeded probe vectors) ===")
-    for name, item in decomposition_suite(fam).items():
-        status = "pass" if item["residual"] <= item["bound"] else "FAIL"
-        extra = f"  ({item['note']})" if item["note"] else ""
-        print(f"  {name:12s} residual {item['residual']:.2e}  [{status}]{extra}")
+    suite = decomposition_suite(fam)
+    for label, value in suite.residuals.items():
+        status = "pass" if value <= suite.bounds[label] else "FAIL"
+        extra = f"  ({suite.notes[label]})" if label in suite.notes else ""
+        print(f"  {label:18s} residual {value:.2e}  [{status}]{extra}")
 
     print("\n=== sums and products are fiberwise ===")
     other = OperatorFamily(grid, rng.standard_normal((5, 3, 3)))

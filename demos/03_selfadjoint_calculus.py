@@ -52,7 +52,7 @@ def main():
     print("\n=== identity 1: group -> resolvent (half-line Fourier transform) ===")
     print("  (f, (T-z)^-1 g) = i * int_0^inf e^(izs) (f, e^(-isT) g) ds,  Im z > 0")
     for smax in (10.0, 20.0, 40.0):
-        dev = fourier_resolvent_check(T, z, f, g, smax=smax)
+        dev = fourier_resolvent_check(T, z, f, g, smax=smax).residuals["fourier"]
         print(f"  truncated at smax={smax:>4.0f}: deviation {dev:.2e} "
               f"(tail ~ e^-smax = {np.exp(-smax):.1e})")
     print("(the integral is exact, so the deviation is the tail, down to rounding)")
@@ -62,7 +62,7 @@ def main():
     # the integrand is a Poisson spike of width epsilon at each eigenvalue,
     # integrated exactly, so what is left is Stone's own O(epsilon) error
     for eps in (1e-2, 1e-3, 1e-4):
-        dev = stone_formula_check(T, lam, f, g, epsilon=eps, delta=0.05)
+        dev = stone_formula_check(T, lam, f, g, epsilon=eps, delta=0.05).residuals["stone"]
         print(f"  epsilon = {eps:.0e}: deviation {dev:.2e}")
 
     print("\n=== identity 3: spectral sum -> group (exact, no quadrature) ===")

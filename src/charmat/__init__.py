@@ -3,10 +3,11 @@
 The public names of ``graph`` (characteristic matrices and their identity
 suite), ``family`` (direct integrals), ``calculus`` (the self-adjoint
 functional calculus) and ``boundary`` (the boundary-condition examples), plus
-``hilbert.adjoint``.  Everything acts on finite ``numpy`` arrays, and inner
-products are linear in the second argument.  On a finite grid the maximal
-fiberwise operator and the block-diagonal assembly are one object, so the
-library exposes one type for both (README).
+``hilbert``'s ``adjoint`` and ``Checks``, the checks' record of residuals and
+bounds.  Everything acts on finite ``numpy`` arrays, and inner products are
+linear in the second argument.  On a finite grid the maximal fiberwise operator
+and the block-diagonal assembly are one object, so the library exposes one type
+for both (README).
 """
 
 from . import boundary, calculus, family, graph, hilbert

@@ -2,13 +2,14 @@
 
 Provides spectral decompositions and projections, resolvents and the unitary
 group, and four checks (README, ``charmat.calculus``).  Each ``*_check``
-returns the absolute deviation between two routes and asserts nothing.  Each
-check eigendecomposes its matrix once.  ``fourier_resolvent_check`` also
-LU-solves ``(T - z) x = g``, so it factors twice, and
+measures the absolute deviation between two routes and asserts nothing; Stone's
+and Fourier's return it with its bound, as a one-label
+:class:`~charmat.hilbert.Checks`.  Each check eigendecomposes its matrix once.
+``fourier_resolvent_check`` also LU-solves ``(T - z) x = g``, so it factors twice, and
 ``bounded_calculus_step_check`` takes one 2-norm (an SVD) per approximant.
 Every check holds O(n^2) numbers; only :func:`spectral_decomposition` holds
 more.  Every function but :func:`resolvent` raises ``ValueError`` for a
-non-Hermitian matrix.
+non-Hermitian matrix, and every function raises it for a ``nan`` parameter.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import _as_operator, _as_vector, _eig_hermitian, _inner_product, _spectral, adjoint
+from .hilbert import (
+    Checks, _as_operator, _as_vector, _eig_hermitian, _inner_product, _spectral, adjoint)
 
 __all__ = [
     "spectral_decomposition",
@@ -56,7 +58,9 @@ def _cluster_means(w: np.ndarray) -> np.ndarray:
 
 
 def _rank_below(w: np.ndarray, lam: float) -> int:
-    """Number of ascending eigenvalues whose cluster mean is at most ``lam``."""
+    """Number of ascending eigenvalues whose cluster mean is at most ``lam``; ``nan`` raises."""
+    if np.isnan(lam):
+        raise ValueError("lam must not be nan")
     return int(np.searchsorted(_cluster_means(w), lam, side="right"))
 
 
@@ -83,7 +87,8 @@ def spectral_projection(T, lam: float) -> np.ndarray:
     """Right-continuous spectral projection ``E(lam)`` of a Hermitian ``T``.
 
     It projects onto the eigenspaces of the clustered eigenvalues ``<= lam``
-    (an eigenvalue equal to ``lam`` is included), in ``T``'s operator dtype.
+    (an eigenvalue equal to ``lam`` is included), in ``T``'s operator dtype:
+    ``E(-inf) = 0`` and ``E(inf) = I``.  Raises ``ValueError`` for a ``nan`` ``lam``.
     """
     w, V = _eig_hermitian(T)
     Vs = V[:, : _rank_below(w, lam)]
@@ -93,30 +98,36 @@ def spectral_projection(T, lam: float) -> np.ndarray:
 def resolvent(T, z: complex) -> np.ndarray:
     """``(T - z I)^-1`` of any square ``T``; for a Hermitian ``T`` any non-real ``z`` is safe.
 
-    Raises ``numpy.linalg.LinAlgError`` if ``T - z I`` is numerically singular.
+    Raises ``ValueError`` for a non-finite ``z``, and ``numpy.linalg.LinAlgError``
+    if ``T - z I`` is numerically singular.
     """
+    if not np.isfinite(z):
+        raise ValueError("z must be finite")
     T = _as_operator(T)
     return np.linalg.inv(T - z * np.eye(T.shape[0]))
 
 
 def unitary_group(T, s: float) -> np.ndarray:
-    """The unitary ``exp(i s T)`` of a Hermitian matrix ``T``."""
+    """The unitary ``exp(i s T)`` of a Hermitian ``T``; a non-finite ``s`` raises ``ValueError``."""
+    if not np.isfinite(s):
+        raise ValueError("s must be finite")
     w, V = _eig_hermitian(T)
     return _spectral(V, np.exp(1j * s * w), adjoint(V))
 
 
-def fourier_resolvent_check(T, z: complex, f, g, smax: float) -> float:
-    """``|i int_0^smax e^(izs) (f, e^(-isT) g) ds - (f, (T - z)^-1 g)|`` for a Hermitian ``T``.
+def fourier_resolvent_check(T, z: complex, f, g, smax: float) -> Checks:
+    """``fourier``, bound 1e-4: ``|i int_0^smax e^(izs) (f, e^(-isT) g) ds - (f, (T - z)^-1 g)|``.
 
-    The integral is exact, so the deviation is the truncation tail, of order
-    ``e^(-Im z * smax)``; where ``(z - w) smax`` overflows for an eigenvalue
-    ``w``, or ``e^(-Im z * smax)`` leaves the float range, that eigenvalue's
-    tail term counts as 0.  Raises ``ValueError`` unless ``Im z > 0`` and
-    ``smax > 0``.
+    ``T`` is Hermitian.  The integral is exact, so the deviation is the
+    truncation tail, of order ``e^(-Im z * smax)``; where ``(z - w) smax``
+    overflows for an eigenvalue ``w``, or ``e^(-Im z * smax)`` leaves the
+    float range, that eigenvalue's tail term counts as 0, and ``smax = inf``
+    gives the exact transform.  Raises ``ValueError`` unless ``Im z > 0``,
+    ``Re z`` is not ``nan`` and ``smax > 0``.
     """
-    if z.imag <= 0:
+    if np.isnan(z) or not z.imag > 0:
         raise ValueError("z must lie in the upper half plane")
-    if smax <= 0:
+    if not smax > 0:  # nan too
         raise ValueError("smax must be positive")
     T = _as_operator(T)
     f = _as_vector(f)
@@ -131,19 +142,20 @@ def fourier_resolvent_check(T, z: complex, f, g, smax: float) -> float:
     jump[~np.isfinite(jump)] = -1.0
     quad = (jump / d) @ c
     exact = _inner_product(f, np.linalg.solve(T - z * np.eye(len(T)), g))
-    return float(abs(quad - exact))
+    return Checks({"fourier": float(abs(quad - exact))}, {"fourier": 1e-4})
 
 
-def stone_formula_check(T, lam: float, f, g, epsilon: float, delta: float) -> float:
-    """Deviation of Stone's resolvent-jump integral from ``(f, E(lam) g)`` for a Hermitian ``T``.
+def stone_formula_check(T, lam: float, f, g, epsilon: float, delta: float) -> Checks:
+    """``stone``, bound 1e-3: Stone's resolvent-jump integral against ``(f, E(lam) g)``.
 
-    The integral of ``(2 pi i)^-1 (f, [R(u + i epsilon) - R(u - i epsilon)] g)``
-    over ``[w_min - 1, lam + delta]`` is exact, so the deviation is Stone's own,
-    of order ``epsilon`` for a well-separated spectrum.  Raises ``ValueError``
-    unless ``epsilon > 0`` and ``delta > 0``, and when ``lam + delta`` lies
-    within ``epsilon`` of an eigenvalue (the endpoint rule).
+    ``T`` is Hermitian.  The integral of
+    ``(2 pi i)^-1 (f, [R(u + i epsilon) - R(u - i epsilon)] g)`` over
+    ``[w_min - 1, lam + delta]`` is exact, so the deviation is Stone's own, of
+    order ``epsilon`` for a well-separated spectrum.  Raises ``ValueError``
+    for a ``nan`` ``lam``, unless ``epsilon > 0`` and ``delta > 0``, and when
+    ``lam + delta`` lies within ``epsilon`` of an eigenvalue (the endpoint rule).
     """
-    if epsilon <= 0 or delta <= 0:
+    if not (epsilon > 0 and delta > 0):  # nan too
         raise ValueError("epsilon and delta must be positive")
     f = _as_vector(f)
     g = _as_vector(g)
@@ -161,7 +173,7 @@ def stone_formula_check(T, lam: float, f, g, epsilon: float, delta: float) -> fl
     quad = mass @ c
     # (f, E(lam) g) is the sum of c over the eigenvalues E(lam) keeps
     exact = complex(c[: _rank_below(w, lam)].sum())
-    return float(abs(quad - exact))
+    return Checks({"stone": float(abs(quad - exact))}, {"stone": 1e-3})
 
 
 def spectral_transform_check(T, s: float, f, g) -> float:

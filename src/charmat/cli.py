@@ -1,11 +1,13 @@
 """Command-line verification tools.
 
 The ``charmat``, ``verify``, ``example-dirichlet`` and ``selfadjoint`` commands
-(README, "Command line").  Each writes a report whose ``pass`` is true exactly
-when every residual is at most its tolerance: the bound the library returns
-with the residual, or this module's constant; ``--tol`` overrides all but the
-``VERDICTS``.  :func:`main` returns the exit code of README's table; a flag
-error raises ``SystemExit(3)``.  :func:`run` is the process entry.
+(README, "Command line").  Each extends its report with the library checks'
+:class:`~charmat.hilbert.Checks` and adds the residuals it computes itself, with
+this module's constants as bounds.  A report's ``pass`` is true exactly when
+every residual is at most its bound; ``--tol`` replaces every bound but those of
+the verdicts that the checks mark.  :func:`main` returns the exit code of
+README's table; a flag error raises ``SystemExit(3)``.  :func:`run` is the
+process entry.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .calculus import (
     stone_formula_check,
     unitary_group,
 )
-# char_matrix_fiberwise is unused here, but perfbench/tracer.py wraps cli.char_matrix_fiberwise
+# char_matrix_fiberwise and family_norm are unused here, but perfbench/tracer.py wraps both
 from .family import char_matrix_fiberwise, decomposition_suite, family_norm  # noqa: F401
 from .graph import (
     IDENTITY_TOL,
@@ -59,19 +61,13 @@ from .io import (
 
 log = logging.getLogger("charmat")
 
-#: Default bounds of the labels computed here; the library returns the bounds of
-#: the identity suite and the decomposition suite with their residuals.
+#: Default bounds of the labels computed here; each library check returns its own.
 INVERSE_TOL = 1e-9  # A11: its reference graph goes through inv(T)
-STONE_TOL = 1e-3
-FOURIER_TOL = 1e-4
 SPECTRUM_REL_TOL = 1e-2
 FIRST_EIGENVALUE_REL_TOL = 5e-3
 KERNEL_EIGENVALUE_TOL = 1e-8
 WITNESS_PERIODIC_TOL = 1e-8
 MISMATCH_TOL = 1e-3
-
-#: Yes/no verdicts, bounded by 0 whatever --tol says: no tolerance passes a disagreement.
-VERDICTS = ("A8", "suite_selfadjoint", "suite_positive", "suite_normal")
 
 #: Analytic mismatch of the normalized defect state: (1 - 1/e) / sqrt((1 - e^-2)/2).
 MISMATCH_TARGET = 0.9613710597474939
@@ -175,10 +171,7 @@ def cmd_charmat(args) -> Report:
         save_matrix(os.path.join(args.out, f"{b}.json"), getattr(P, b))
         log.info("wrote %s.json", b)
 
-    ident = verify_identities(T, P)
-    for label, residual in ident.residuals.items():
-        report.add(label, residual, ident.bounds[label])
-    report.notes["A8_sigma_min"] = repr(ident.sigma_min)
+    report.extend(verify_identities(T, P))
 
     report.add("A9", adjoint_char_matrix(P).blockwise_distance(char_matrix(adjoint(T))),
                IDENTITY_TOL)
@@ -197,20 +190,7 @@ def cmd_charmat(args) -> Report:
 def cmd_verify(args) -> Report:
     fam = load_family(args.input)
     report = Report(command="verify", inputs=file_digest(args.input), seed=args.seed)
-
-    suite = decomposition_suite(fam, seed=args.seed)
-    fiberwise = suite.pop("char_matrix")
-    for block, value in fiberwise["gaps"].items():
-        report.add(f"fiberwise_{block}", value, fiberwise["bound"])
-    for name, item in suite.items():
-        if item["applicable"]:
-            report.add(f"suite_{name}", item["residual"], item["bound"])
-        if item["note"]:
-            report.notes[f"suite_{name}"] = item["note"]
-
-    # the fibers' largest 2-norm, against their largest singular value from the suite's svd
-    norm = suite["modulus"]["norm"]
-    report.add("norm_consistency", abs(family_norm(fam) - norm) / max(1.0, norm), IDENTITY_TOL)
+    report.extend(decomposition_suite(fam, seed=args.seed))
     return report
 
 
@@ -286,12 +266,10 @@ def cmd_selfadjoint(args) -> Report:
                    IDENTITY_TOL)
     elif sub == "stone":
         f, g = _probe_vectors(len(T), args.seed)
-        resid = stone_formula_check(T, args.lam, f, g, args.epsilon, args.delta)
-        report.add("stone", resid, STONE_TOL)
+        report.extend(stone_formula_check(T, args.lam, f, g, args.epsilon, args.delta))
     elif sub == "fourier":
         f, g = _probe_vectors(len(T), args.seed)
-        resid = fourier_resolvent_check(T, args.z, f, g, args.smax)
-        report.add("fourier", resid, FOURIER_TOL)
+        report.extend(fourier_resolvent_check(T, args.z, f, g, args.smax))
     return report
 
 
@@ -320,8 +298,8 @@ def main(argv=None) -> int:
     try:
         report = args.run(args)
         if args.tol is not None:
-            report.tolerances = {k: v if k in VERDICTS else args.tol
-                                 for k, v in report.tolerances.items()}
+            report.bounds = {k: v if k in report.verdicts else args.tol
+                             for k, v in report.bounds.items()}
         report.wall_time_ms = 1000.0 * (time.perf_counter() - start)
         report.save(os.path.join(args.out, f"report.{args.format}"), args.format)
     except ParseError as exc:
@@ -346,10 +324,10 @@ def main(argv=None) -> int:
         print(report.to_json())
     except BrokenPipeError:
         pass  # the echo is best effort: the report file and the exit code carry the verdict
-    if not report.passed:
-        worst = max(report.residuals, key=lambda k: report.residuals[k] - report.tolerances[k])
+    if not report.all_pass:
+        worst = max(report.residuals, key=lambda k: report.residuals[k] - report.bounds[k])
         log.error("residual failure: %s = %r exceeds %r",
-                  worst, report.residuals[worst], report.tolerances[worst])
+                  worst, report.residuals[worst], report.bounds[worst])
         return 1
     return 0
 

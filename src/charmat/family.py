@@ -2,8 +2,9 @@
 
 A family holds one ``n x n`` fiber per node of a :class:`ParameterGrid`, as one
 ``(m, n, n)`` stack; its direct integral is the block-diagonal operator on
-sections.  Provides the decomposition suite, fiberwise sums, products and
-resolvent reconstruction, a resolvent-limit check and section truncation.
+sections.  Provides the decomposition suite (a :class:`~charmat.hilbert.Checks`),
+fiberwise sums, products and resolvent reconstruction, a resolvent-limit check
+and section truncation.
 Invariant: fiberwise constructions run once on the stack with numpy's batched
 linear algebra, and only :meth:`OperatorFamily.assemble` forms the ``mn x mn``
 operator; nothing here calls it (README, ``charmat.family``).
@@ -18,7 +19,7 @@ import numpy as np
 # char_matrix is unused here, but perfbench/tracer.py wraps family.char_matrix
 from .graph import (  # noqa: F401
     IDENTITY_TOL, CharacteristicMatrix, _basis_blocks, _char_blocks, char_matrix)
-from .hilbert import _as_operator, _kernel_trivial, _spectral, adjoint, is_hermitian
+from .hilbert import Checks, _as_operator, _kernel_trivial, _spectral, adjoint, is_hermitian
 
 __all__ = [
     "ParameterGrid",
@@ -34,10 +35,10 @@ __all__ = [
     "truncate_family_vector",
 ]
 
-#: Default relative tolerance for the decomposition suite's residual items.
+#: Default relative tolerance for the decomposition suite's probe labels.
 SUITE_TOL = 1e-9
 
-#: Property tolerance used by the suite's yes/no classifications
+#: Property tolerance used by the suite's yes/no verdicts
 #: (Hermitian / positive / normal); injectivity is ``hilbert``'s kernel rule.
 CLASSIFY_TOL = 1e-10
 
@@ -177,7 +178,7 @@ def char_matrix_fiberwise(fam: OperatorFamily):
 
     ``chars`` are views into one batched Gram pass.  ``gaps`` maps a block name
     to the absolute Frobenius distance, over all fibers, to the blocks of the
-    fibers' SVD basis, as in :func:`decomposition_suite`.  Raises
+    fibers' SVD basis: :func:`decomposition_suite`'s ``fiberwise_*`` labels.  Raises
     ``numpy.linalg.LinAlgError`` as :func:`~charmat.graph.char_matrix` does.
     """
     blocks, _, gaps = _fiber_char(fam.fibers)
@@ -197,34 +198,32 @@ def _is_normal(A: np.ndarray, tol: float) -> np.ndarray:
     return dev <= tol * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)) ** 2)
 
 
-def decomposition_suite(fam: OperatorFamily, seed: int | None = None) -> dict:
-    """Check operator calculus on the fibers of the family's direct integral ``A = bd(F)``.
+def decomposition_suite(fam: OperatorFamily, seed: int | None = None) -> Checks:
+    """The :class:`~charmat.hilbert.Checks` of operator calculus on the fibers of ``A = bd(F)``.
 
-    Returns item name -> ``{"residual", "bound", "applicable", "note"}``; an
-    item holds when ``residual <= bound``.  The items, in README's terms
-    (``charmat.family``):
+    The labels, in README's terms (``charmat.family``):
 
-    - ``modulus``: ``|F| (|F| X) = F* (F X)`` on the probes; it also carries
-      ``norm``, the largest singular value of the fibers, which is ``||A||_2``;
-    - ``char_matrix``: the largest of ``gaps``, :func:`char_matrix_fiberwise`'s;
-    - ``inverse``: ``F (F^-1 X) = X`` on the probes; not applicable unless
-      every fiber is injective;
-    - ``adjoint`` and ``polynomial`` hold by construction, since
+    - ``fiberwise_p11`` ... ``fiberwise_p22``: :func:`char_matrix_fiberwise`'s ``gaps``;
+    - ``suite_modulus``: ``|F| (|F| X) = F* (F X)`` on the probes;
+    - ``suite_inverse``: ``F (F^-1 X) = X`` on the probes; skipped, with a
+      note, unless every fiber is injective;
+    - ``suite_adjoint`` and ``suite_polynomial`` hold by construction, since
       ``(bd F)* = bd(F*)`` and ``p(bd F) = bd(p(F))``: residual 0.0;
-      ``polynomial`` is noted when some fiber is not normal;
-    - ``selfadjoint``, ``positive``, ``normal`` hold by construction, since a
-      block-diagonal operator has the property exactly when every block has
-      it: residual 0.0, and the note gives the fibers' verdict for both sides.
+      ``suite_polynomial`` is noted when some fiber is not normal;
+    - the verdicts ``suite_selfadjoint``, ``suite_positive`` and
+      ``suite_normal`` hold by construction, since a block-diagonal operator
+      has the property exactly when every block has it: residual 0.0, and the
+      note gives the fibers' verdict for both sides;
+    - ``norm_consistency``: the relative distance between two readings of
+      ``||A||_2``, :func:`family_norm` and the fibers' largest singular value.
 
-    Probe items are estimates of relative Frobenius residuals on the
+    Probe labels estimate relative Frobenius residuals on the
     ``(m, n, SUITE_PROBES)`` stack of Gaussian columns that
     ``np.random.default_rng(seed)`` draws as ``(m n, SUITE_PROBES)``
-    (``SUITE_SEED`` when ``seed`` is None), not dense distances.  Bounds are
-    ``IDENTITY_TOL`` for ``char_matrix``, 0 for the verdicts and ``SUITE_TOL``
-    otherwise.  Forms nothing of ``A``'s size.  Raises
-    ``numpy.linalg.LinAlgError`` as :func:`char_matrix_fiberwise` does; a
-    failed precondition raises nothing but marks its item not applicable,
-    with a note.
+    (``SUITE_SEED`` when ``seed`` is None).  Bounds are 0 for the verdicts,
+    ``IDENTITY_TOL`` for ``fiberwise_*`` and ``norm_consistency``, and
+    ``SUITE_TOL`` otherwise.  Forms nothing of ``A``'s size.  Raises
+    ``numpy.linalg.LinAlgError`` as :func:`char_matrix_fiberwise` does.
     """
     F = fam.fibers
     m, n = fam.m, fam.n
@@ -232,47 +231,40 @@ def decomposition_suite(fam: OperatorFamily, seed: int | None = None) -> dict:
     k = SUITE_PROBES
     rng = np.random.default_rng(SUITE_SEED if seed is None else seed)
     X = rng.standard_normal((m * n, k)).reshape(m, n, k)
-    report = {}
-
-    def item(name, residual, bound=SUITE_TOL, applicable=True, note=""):
-        report[name] = {"residual": float(residual), "bound": bound,
-                        "applicable": applicable, "note": note}
+    checks = Checks()
+    for block, gap in gaps.items():
+        checks.add(f"fiberwise_{block}", gap, IDENTITY_TOL)
 
     def estimate(lhs, rhs):
         # the relative residual of lhs = rhs on the probes
         return np.linalg.norm(lhs - rhs) / max(np.sqrt(k), np.linalg.norm(rhs))
 
-    def classified(name, verdict):
-        item(name, 0.0, 0.0, note=f"assembled={verdict}, all_fibers={verdict}")
-
-    item("adjoint", 0.0)
-
+    checks.add("suite_adjoint", 0.0, SUITE_TOL)
     modF = _spectral(adjoint(Vhf), sf, Vhf)
-    item("modulus", estimate(modF @ (modF @ X), adjoint(F) @ (F @ X)))
-    report["modulus"]["norm"] = float(np.linalg.svd(F, compute_uv=False).max())
-
-    item("char_matrix", max(gaps.values()), IDENTITY_TOL)
-    report["char_matrix"]["gaps"] = gaps
+    checks.add("suite_modulus", estimate(modF @ (modF @ X), adjoint(F) @ (F @ X)), SUITE_TOL)
 
     fiber_hermitian = is_hermitian(F, CLASSIFY_TOL)
     fiber_positive = _nonnegative(np.linalg.eigvalsh((F + adjoint(F)) / 2.0), CLASSIFY_TOL)
     fiber_normal = _is_normal(F, CLASSIFY_TOL).all()
-    classified("selfadjoint", fiber_hermitian.all())
-    classified("positive", (fiber_positive & fiber_hermitian).all())
-    classified("normal", fiber_normal)
+    for name, verdict in (("selfadjoint", fiber_hermitian.all()),
+                          ("positive", (fiber_positive & fiber_hermitian).all()),
+                          ("normal", fiber_normal)):
+        checks.add(f"suite_{name}", 0.0, 0.0, verdict=True)
+        checks.notes[f"suite_{name}"] = f"assembled={verdict}, all_fibers={verdict}"
 
     if _kernel_trivial(sf)[0].all():
-        item("inverse", estimate(F @ (np.linalg.inv(F) @ X), X))
+        checks.add("suite_inverse", estimate(F @ (np.linalg.inv(F) @ X), X), SUITE_TOL)
     else:
-        item("inverse", 0.0, applicable=False,
-             note="skipped: some fiber is not injective")
+        checks.notes["suite_inverse"] = "skipped: some fiber is not injective"
 
-    item("polynomial", 0.0)
+    checks.add("suite_polynomial", 0.0, SUITE_TOL)
     if not fiber_normal:
-        report["polynomial"]["note"] = \
+        checks.notes["suite_polynomial"] = \
             "some fiber is not normal; the block identity still holds for plain polynomials"
 
-    return report
+    norm = float(sf.max())
+    checks.add("norm_consistency", abs(family_norm(fam) - norm) / max(1.0, norm), IDENTITY_TOL)
+    return checks
 
 
 def _require_same_grid(a: OperatorFamily, b: OperatorFamily):

@@ -1,8 +1,9 @@
 """Characteristic matrices: the blocks of the projection onto an operator's graph.
 
 Provides the closed-form blocks (:func:`char_matrix`, README's formulas), an
-independent QR oracle, the identity suite, the blocks of ``T*`` and ``T^-1``
-read off ``T``'s, and the recovery of ``T`` from its blocks.
+independent QR oracle, the identity suite (a :class:`~charmat.hilbert.Checks`),
+the blocks of ``T*`` and ``T^-1`` read off ``T``'s, and the recovery of ``T``
+from its blocks.
 
 Invariants: public functions work on one operator and are pure functions of
 their arguments; real input gives ``float64`` blocks.  No ``2n x 2n`` matrix is
@@ -14,16 +15,15 @@ rule to the eigenvalue moduli of Hermitian blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .hilbert import _as_operator, _kernel_trivial, adjoint
+from .hilbert import Checks, _as_operator, _kernel_trivial, adjoint
 
 __all__ = [
     "CharacteristicMatrix",
-    "IdentityReport",
     "char_matrix",
     "char_matrix_oracle",
     "verify_identities",
@@ -168,32 +168,18 @@ def _hermitian_kernel_trivial(*blocks: np.ndarray):
     return _kernel_trivial(np.abs(np.concatenate([np.linalg.eigvalsh(B) for B in blocks])))
 
 
-@dataclass
-class IdentityReport:
-    """Residual (nonnegative) and bound per identity label; a label holds when residual <= bound.
+def verify_identities(T, P: CharacteristicMatrix) -> Checks:
+    """The identity suite's :class:`~charmat.hilbert.Checks` of the blocks ``P`` claimed for ``T``.
 
-    Bounds are ``IDENTITY_TOL``, and 0 for A8.  Residuals are absolute
-    Frobenius norms:
+    Bounds are ``IDENTITY_TOL``, and 0 for A8, a verdict.  Residuals are
+    absolute Frobenius norms:
 
     - A6: ``p21 == p12*`` and Hermitian diagonal blocks (the largest deviation);
     - A7: idempotency, ``||P^2 - P||_F``;
-    - A8: ``max(0, threshold - sigma_min)``, where ``sigma_min`` (also an
-      attribute) is the smallest singular value of ``p11`` and ``I - p22``;
+    - A8: ``max(0, threshold - sigma_min)``, where ``sigma_min`` (the note
+      ``A8_sigma_min``) is the smallest singular value of ``p11`` and ``I - p22``;
     - A12: ``p21 == T p11`` and ``p22 == T p12``;
     - A13: ``I - p11 == T* p21`` and ``p12 == T* (I - p22)``.
-    """
-
-    residuals: dict = field(default_factory=dict)
-    bounds: dict = field(default_factory=dict)
-    sigma_min: float = 0.0
-
-    @property
-    def all_pass(self) -> bool:
-        return all(v <= self.bounds[k] for k, v in self.residuals.items())
-
-
-def verify_identities(T, P: CharacteristicMatrix) -> IdentityReport:
-    """The :class:`IdentityReport` of the blocks ``P`` claimed for the operator ``T``.
 
     Raises ``ValueError`` unless ``T`` is a finite square matrix of ``P``'s
     dimension.  A8's range limit: ``sigma_min(p11) = 1/(1 + ||T||_2^2)``
@@ -205,17 +191,17 @@ def verify_identities(T, P: CharacteristicMatrix) -> IdentityReport:
         raise ValueError(f"operator is {T.shape[0]}-dimensional but blocks are {P.n}")
     Th = adjoint(T)
 
-    r = {}
-    r["A6"] = max(
+    checks = Checks()
+    checks.add("A6", max(
         np.linalg.norm(P.p21 - adjoint(P.p12), "fro"),
         np.linalg.norm(P.p11 - adjoint(P.p11), "fro"),
         np.linalg.norm(P.p22 - adjoint(P.p22), "fro"),
-    )
+    ), IDENTITY_TOL)
     # block (i, j) of P^2 - P is P_i1 P_1j + P_i2 P_2j - P_ij
     rows = ((P.p11, P.p12), (P.p21, P.p22))
-    r["A7"] = np.linalg.norm([
+    checks.add("A7", np.linalg.norm([
         np.linalg.norm(rows[i][0] @ rows[0][j] + rows[i][1] @ rows[1][j] - rows[i][j])
-        for i in (0, 1) for j in (0, 1)])
+        for i in (0, 1) for j in (0, 1)]), IDENTITY_TOL)
     Ip22 = _identity_minus(P.p22)
     _, sigma, threshold = _hermitian_kernel_trivial(P.p11, Ip22)
     # A13 reads I - p22 too; it is freed first, and the norm of the in-place difference
@@ -224,14 +210,15 @@ def verify_identities(T, P: CharacteristicMatrix) -> IdentityReport:
     del Ip22
     a13_p12 = np.linalg.norm(np.subtract(D, P.p12, out=D), "fro")
     del D
-    r["A12"] = max(
+    checks.add("A12", max(
         np.linalg.norm(P.p21 - T @ P.p11, "fro"),
         np.linalg.norm(P.p22 - T @ P.p12, "fro"),
-    )
-    r["A13"] = max(np.linalg.norm(_identity_minus(P.p11) - Th @ P.p21, "fro"), a13_p12)
-    r["A8"] = max(0.0, threshold - sigma)
-    bounds = {**dict.fromkeys(r, IDENTITY_TOL), "A8": 0.0}
-    return IdentityReport({k: float(v) for k, v in r.items()}, bounds, float(sigma))
+    ), IDENTITY_TOL)
+    checks.add("A13", max(np.linalg.norm(_identity_minus(P.p11) - Th @ P.p21, "fro"), a13_p12),
+               IDENTITY_TOL)
+    checks.add("A8", max(0.0, threshold - sigma), 0.0, verdict=True)
+    checks.notes["A8_sigma_min"] = repr(float(sigma))
+    return checks
 
 
 class _Adjoint(CharacteristicMatrix):

@@ -1,4 +1,5 @@
-"""Shared Hilbert-space kernel: the operator dtype rule, adjoints and the package's predicates.
+"""Shared Hilbert-space kernel: the operator dtype rule, adjoints, the package's predicates
+and :class:`Checks`, the one record of residuals and bounds that every check returns.
 
 :func:`_as_operator` is the one dtype rule for operators, and the Hermitian
 test :func:`is_hermitian` and kernel rule :func:`_kernel_trivial` exist here
@@ -8,9 +9,11 @@ products are linear in the *second* argument.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-__all__ = ["adjoint"]
+__all__ = ["Checks", "adjoint"]
 
 #: Relative Frobenius tolerance up to which a matrix counts as Hermitian.
 HERMITIAN_TOL = 1e-12
@@ -18,6 +21,38 @@ HERMITIAN_TOL = 1e-12
 #: Scale factor for kernel-triviality thresholds: a smallest singular value
 #: sigma_min(M) counts as nonzero when it exceeds ``KERNEL_TOL * (1 + ||M||_2)``.
 KERNEL_TOL = 1e-10
+
+
+@dataclass
+class Checks:
+    """Residual (nonnegative) and bound per label; a label holds when residual <= bound.
+
+    ``notes`` hold text that no verdict reads, such as a skipped check.
+    ``verdicts`` names the yes/no labels, whose bound no caller's tolerance
+    replaces, since no tolerance turns a disagreement into a pass.
+    """
+
+    residuals: dict = field(default_factory=dict)
+    bounds: dict = field(default_factory=dict)
+    notes: dict = field(default_factory=dict)
+    verdicts: set = field(default_factory=set)
+
+    def add(self, label: str, residual: float, bound: float, verdict: bool = False) -> None:
+        self.residuals[label] = float(residual)
+        self.bounds[label] = float(bound)
+        if verdict:
+            self.verdicts.add(label)
+
+    def extend(self, other: "Checks") -> None:
+        """Take over ``other``'s labels, notes and verdicts."""
+        self.residuals.update(other.residuals)
+        self.bounds.update(other.bounds)
+        self.notes.update(other.notes)
+        self.verdicts.update(other.verdicts)
+
+    @property
+    def all_pass(self) -> bool:
+        return all(v <= self.bounds[k] for k, v in self.residuals.items())
 
 
 def _as_vector(f) -> np.ndarray:

@@ -4,8 +4,9 @@ Invariants: a matrix written and read back is the same bit for bit, signed
 zeros included.  Malformed files raise :class:`ParseError`, and well-formed
 files with invalid values (non-finite entries, inconsistent fibers) raise
 ``ValueError``; a JSON integer beyond the float range reads as the infinity
-it rounds to.  A report's ``pass`` is true exactly when every residual is at
-most its tolerance.
+it rounds to.  A :class:`Report` is one command's
+:class:`~charmat.hilbert.Checks`; its ``pass`` is true exactly when every
+residual is at most its tolerance, the bound that came with it.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import GridDiscretization, derivative_operator, laplacian
 from .family import OperatorFamily, ParameterGrid
+from .hilbert import Checks
 
 __all__ = [
     "ParseError",
@@ -331,25 +333,17 @@ def params_digest(params: dict) -> str:
     return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
 
 
-@dataclass
-class Report:
-    """One command's residuals and tolerances, notes (which ``passed`` ignores) and wall time."""
+@dataclass(kw_only=True)
+class Report(Checks):
+    """One command's :class:`~charmat.hilbert.Checks`, with its inputs' digest, seed and wall time.
+
+    It writes ``bounds`` as ``tolerances`` and ``all_pass`` as ``pass``, and no ``verdicts``.
+    """
 
     command: str
     inputs: str
-    residuals: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
     seed: int | None = None
     wall_time_ms: float = 0.0
-    notes: dict = field(default_factory=dict)
-
-    def add(self, label: str, residual: float, tolerance: float) -> None:
-        self.residuals[label] = float(residual)
-        self.tolerances[label] = float(tolerance)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.residuals[k] <= self.tolerances[k] for k in self.residuals)
 
     def to_dict(self) -> dict:
         return {
@@ -357,9 +351,9 @@ class Report:
             "inputs": self.inputs,
             "seed": self.seed,
             "residuals": dict(self.residuals),
-            "tolerances": dict(self.tolerances),
+            "tolerances": dict(self.bounds),
             "notes": dict(self.notes),
-            "pass": self.passed,
+            "pass": self.all_pass,
             "wall_time_ms": self.wall_time_ms,
         }
 
@@ -379,11 +373,11 @@ class Report:
                 w.writerow(["command", "", self.command])
                 w.writerow(["inputs", "", self.inputs])
                 w.writerow(["seed", "", "" if self.seed is None else self.seed])
-                w.writerow(["pass", "", str(self.passed).lower()])
+                w.writerow(["pass", "", str(self.all_pass).lower()])
                 w.writerow(["wall_time_ms", "", repr(self.wall_time_ms)])
                 for label in sorted(self.residuals):
                     w.writerow(["residual", label, repr(self.residuals[label])])
-                    w.writerow(["tolerance", label, repr(self.tolerances[label])])
+                    w.writerow(["tolerance", label, repr(self.bounds[label])])
                 for label in sorted(self.notes):
                     w.writerow(["note", label, self.notes[label]])
         else:

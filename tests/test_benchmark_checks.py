@@ -81,7 +81,8 @@ def test_verify_passes_the_benchmark_check(bench, tmp_path, capsys, generated):
 
 
 # operator-cli's inputs whose A11 the Gram route misses (ROADMAP item 2): (seed, n)
-A11_MISSES = [(45, 200), (124, 400), (143, 400), (2702, 400), (3412, 400), (3419, 400)]
+A11_MISSES = [(45, 200), (124, 400), (143, 400), (2702, 400), (3412, 400), (3419, 400),
+              (3617, 400)]
 
 
 @pytest.mark.parametrize("seed, n", A11_MISSES, ids=[f"seed{s}-n{n}" for s, n in A11_MISSES])

@@ -173,7 +173,7 @@ def test_fourier_scalar_truncation_calibration():
     smax = 10.0
     dev = fourier_resolvent_check(
         np.array([[0.0]]), 1j, np.ones(1), np.ones(1), smax=smax
-    )
+    ).residuals["fourier"]
     assert dev == pytest.approx(np.exp(-smax), rel=1e-3)
 
 
@@ -182,7 +182,7 @@ def test_fourier_random_hermitian_small_deviation():
     T = random_hermitian(rng, 4)
     f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    dev = fourier_resolvent_check(T, 0.3 + 1.0j, f, g, smax=20.0)
+    dev = fourier_resolvent_check(T, 0.3 + 1.0j, f, g, smax=20.0).residuals["fourier"]
     assert dev <= 1e-4
 
 
@@ -203,7 +203,7 @@ def test_fourier_rejects_bad_quadrature_window():
 def test_stone_formula_recovers_projection():
     T = np.diag([1.0, 3.0])
     f = np.array([1.0, 1.0])
-    dev = stone_formula_check(T, 2.0, f, f, epsilon=1e-4, delta=0.5)
+    dev = stone_formula_check(T, 2.0, f, f, epsilon=1e-4, delta=0.5).residuals["stone"]
     assert dev <= 1e-3
 
 
@@ -213,7 +213,7 @@ def test_stone_formula_off_diagonal_element():
     f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     lam = float(np.linalg.eigvalsh(T)[1])  # include the two lowest eigenspaces
-    dev = stone_formula_check(T, lam, f, g, epsilon=1e-4, delta=0.3)
+    dev = stone_formula_check(T, lam, f, g, epsilon=1e-4, delta=0.3).residuals["stone"]
     assert dev <= 5e-3
 
 
@@ -289,7 +289,7 @@ def test_fourier_deviation_is_the_analytic_tail(smax):
     w, V = np.linalg.eigh(T)
     c = np.conj(V.conj().T @ f) * (V.conj().T @ g)
     tail = abs(c @ (np.exp(1j * (z - w) * smax) / (z - w)))
-    dev = fourier_resolvent_check(T, z, f, g, smax=smax)
+    dev = fourier_resolvent_check(T, z, f, g, smax=smax).residuals["fourier"]
     assert dev == pytest.approx(tail, rel=1e-10, abs=1e-14)
 
 
@@ -299,7 +299,7 @@ def test_one_shot_trapezoid_converges_to_the_exact_integral_as_h_squared():
     T, f, g = spread_operator(np.random.default_rng(45))
     z, smax = 0.5 + 1.0j, 3.0
     integral = exact_fourier_integral(T, z, f, g, smax)
-    dev = fourier_resolvent_check(T, z, f, g, smax=smax)
+    dev = fourier_resolvent_check(T, z, f, g, smax=smax).residuals["fourier"]
     misses = []
     for steps in (10**3, 10**4, 10**5):
         quad, exact = one_shot_fourier(T, z, f, g, smax, steps)
@@ -316,7 +316,7 @@ def test_stone_closed_form_is_the_limit_of_the_trapezoid_rule(epsilon):
     # window [-3, 1], 40000 steps space the nodes 1e-4 apart, at most epsilon/10,
     # and the trapezoid rule then meets the exact integral up to its own rounding
     T, f, g = spread_operator(np.random.default_rng(45))
-    dev = stone_formula_check(T, 0.5, f, g, epsilon=epsilon, delta=0.5)
+    dev = stone_formula_check(T, 0.5, f, g, epsilon=epsilon, delta=0.5).residuals["stone"]
     quad, exact = one_shot_stone(T, 0.5, f, g, epsilon, 0.5, 40_000)
     assert dev == pytest.approx(abs(quad - exact), abs=1e-10)
     # with nodes 4e-3 apart the rule is off by 1.2e-6 (epsilon 1e-2) and by 2.3 (1e-3)
@@ -330,7 +330,7 @@ def test_stone_closed_form_matches_the_trapezoid_in_every_spectral_gap(lam):
     # above it), so E(lam) keeps 0, 1, ..., 5 eigenvalues and the exact side moves by O(1)
     # from gap to gap.  80000 steps space the nodes at most 8.5e-5 apart, below epsilon/100
     T, f, g = spread_operator(np.random.default_rng(45))
-    dev = stone_formula_check(T, lam, f, g, epsilon=1e-2, delta=0.25)
+    dev = stone_formula_check(T, lam, f, g, epsilon=1e-2, delta=0.25).residuals["stone"]
     quad, exact = one_shot_stone(T, lam, f, g, 1e-2, 0.25, 80_000)
     assert dev == pytest.approx(abs(quad - exact), abs=1e-10)
 
@@ -347,7 +347,7 @@ def test_stone_deviation_is_first_order_in_epsilon(probe):
     a, b = w.min() - 1.0, 1.0
     slope = abs(c @ (1.0 / (w - b) - 1.0 / (w - a))) / np.pi
     for epsilon in (1e-3, 1e-4):
-        dev = stone_formula_check(T, 0.5, f, g, epsilon=epsilon, delta=0.5)
+        dev = stone_formula_check(T, 0.5, f, g, epsilon=epsilon, delta=0.5).residuals["stone"]
         assert dev == pytest.approx(epsilon * slope, rel=epsilon)
 
 
@@ -356,7 +356,7 @@ def test_stone_is_exact_at_extreme_widths_and_endpoints(epsilon, lam, delta):
     # arctan2 takes (u - w, epsilon) apart, so no (u - w)/epsilon overflows (a RuntimeWarning
     # fails the suite); lam + delta = inf takes in each kernel's whole upper tail
     T, f, g = spread_operator(np.random.default_rng(45))
-    assert stone_formula_check(T, lam, f, g, epsilon=epsilon, delta=delta) <= 1e-3
+    assert stone_formula_check(T, lam, f, g, epsilon=epsilon, delta=delta).residuals["stone"] <= 1e-3
 
 
 def test_calculus_memory_is_bounded(traced_peak_mb):
@@ -404,3 +404,36 @@ def test_step_approximations_track_sup_distance():
     # finer staircases approximate better
     assert np.all(np.diff(out["sup_distances"]) < 0)
     assert out["sup_distances"][-1] <= 1.0 / 64
+
+
+# ------------------------------------------------------------ nan parameters
+
+NAN = float("nan")
+H3 = np.diag([1.0, 2.0, 3.0])
+ONES3 = np.ones(3) / np.sqrt(3.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: fourier_resolvent_check(H3, 2j, ONES3, ONES3, smax=NAN), "smax"),
+    (lambda: fourier_resolvent_check(H3, complex(NAN, 1.0), ONES3, ONES3, smax=20.0), "half plane"),
+    (lambda: fourier_resolvent_check(H3, complex(0.0, NAN), ONES3, ONES3, smax=20.0), "half plane"),
+    (lambda: stone_formula_check(H3, NAN, ONES3, ONES3, epsilon=1e-4, delta=1e-2), "lam"),
+    (lambda: stone_formula_check(H3, 1.5, ONES3, ONES3, epsilon=NAN, delta=1e-2), "positive"),
+    (lambda: stone_formula_check(H3, 1.5, ONES3, ONES3, epsilon=1e-4, delta=NAN), "positive"),
+    (lambda: spectral_projection(H3, NAN), "lam"),
+    (lambda: unitary_group(H3, NAN), "finite"),
+    (lambda: resolvent(H3, complex(NAN, 1.0)), "finite"),
+], ids=["fourier-smax", "fourier-re-z", "fourier-im-z", "stone-lam", "stone-epsilon",
+        "stone-delta", "projection-lam", "group-s", "resolvent-z"])
+def test_a_nan_parameter_raises(call, match):
+    # every comparison with nan is false, so a guard written as `x <= 0` lets nan through
+    # (fourier would read the exact resolvent, a pass, and the projection would be I)
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_infinite_parameters_keep_their_meaning():
+    # E(-inf) = 0, E(inf) = I, and smax = inf is the exact transform
+    assert not spectral_projection(H3, -np.inf).any()
+    assert_allclose(spectral_projection(H3, np.inf), np.eye(3))
+    assert fourier_resolvent_check(H3, 2j, ONES3, ONES3, smax=np.inf).residuals["fourier"] <= 1e-15

@@ -183,8 +183,9 @@ def test_char_matrix_commutes_with_assembly(monkeypatch):
                                .assemble() for b in ("p11", "p12", "p21", "p22")))
     ident = verify_identities(fam.assemble(), P)
     assert max(ident.residuals["A12"], ident.residuals["A13"]) <= 1e-14
-    # and the suite's char_matrix item is the largest of the gaps
-    assert decomposition_suite(fam)["char_matrix"]["residual"] == max(residuals.values())
+    # and the suite's fiberwise labels are the gaps
+    suite = decomposition_suite(fam).residuals
+    assert {b: suite[f"fiberwise_{b}"] for b in ("p11", "p12", "p21", "p22")} == residuals
 
 
 def _skew_p11(route):
@@ -234,7 +235,8 @@ def test_verify_audit_is_independent_of_the_fiber_route(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("hermitian", [False, True])
 def test_fiberwise_residuals_are_the_suite_char_matrix_gaps(hermitian):
     fam = random_family(np.random.default_rng(71), 4, 5, hermitian=hermitian)
-    gaps = decomposition_suite(fam)["char_matrix"]["gaps"]
+    suite = decomposition_suite(fam).residuals
+    gaps = {b: suite[f"fiberwise_{b}"] for b in ("p11", "p12", "p21", "p22")}
     # one route: the fibers' Gram blocks against the blocks of their SVD basis
     assert char_matrix_fiberwise(fam)[1] == gaps
 
@@ -246,29 +248,29 @@ def test_suite_random_family_all_items_pass():
     rng = np.random.default_rng(19)
     fam = random_family(rng, 3, 4)
     report = decomposition_suite(fam)
-    for name, item in report.items():
-        assert item["residual"] <= item["bound"], (name, item)
-    # the verdicts are bounded by 0, the fiber cross-check by IDENTITY_TOL, every
-    # other item by SUITE_TOL
-    assert {name: item["bound"] for name, item in report.items()} == {
-        **dict.fromkeys(("adjoint", "modulus", "inverse", "polynomial"), SUITE_TOL),
-        "char_matrix": IDENTITY_TOL,
-        **dict.fromkeys(("selfadjoint", "positive", "normal"), 0.0)}
-    assert report["char_matrix"]["residual"] == max(report["char_matrix"]["gaps"].values())
-    assert report["adjoint"]["residual"] <= 1e-12
-    assert report["modulus"]["residual"] <= 1e-9
-    # generic random fibers are injective, so the inverse item is live
-    assert report["inverse"]["applicable"]
-    assert "not normal" in report["polynomial"]["note"]
+    assert report.all_pass, report
+    # the verdicts are bounded by 0, the fiber cross-check and the two norms by
+    # IDENTITY_TOL, every other label by SUITE_TOL
+    assert report.bounds == {
+        **{f"fiberwise_{b}": IDENTITY_TOL for b in ("p11", "p12", "p21", "p22")},
+        **{f"suite_{s}": SUITE_TOL for s in ("adjoint", "modulus", "inverse", "polynomial")},
+        **dict.fromkeys(("suite_selfadjoint", "suite_positive", "suite_normal"), 0.0),
+        "norm_consistency": IDENTITY_TOL}
+    assert report.verdicts == {"suite_selfadjoint", "suite_positive", "suite_normal"}
+    assert report.residuals["suite_adjoint"] <= 1e-12
+    assert report.residuals["suite_modulus"] <= 1e-9
+    # generic random fibers are injective, so the inverse label is live
+    assert "suite_inverse" in report.residuals
+    assert "not normal" in report.notes["suite_polynomial"]
 
 
 def test_suite_hermitian_family_classified_selfadjoint():
     rng = np.random.default_rng(23)
     fam = random_family(rng, 3, 3, hermitian=True)
     report = decomposition_suite(fam)
-    assert report["selfadjoint"]["residual"] <= report["selfadjoint"]["bound"]
-    assert "assembled=True" in report["selfadjoint"]["note"]
-    assert report["polynomial"]["note"] == ""
+    assert report.residuals["suite_selfadjoint"] <= report.bounds["suite_selfadjoint"]
+    assert "assembled=True" in report.notes["suite_selfadjoint"]
+    assert "suite_polynomial" not in report.notes
 
 
 def test_suite_positivity_needs_every_fiber():
@@ -277,27 +279,29 @@ def test_suite_positivity_needs_every_fiber():
     grid = ParameterGrid(np.array([0.0, 1.0]))
     fam = OperatorFamily(grid, np.array([[[1.0]], [[-1.0]]]))
     report = decomposition_suite(fam)
-    assert report["positive"]["residual"] <= report["positive"]["bound"]
-    assert "assembled=False" in report["positive"]["note"]
-    assert "all_fibers=False" in report["positive"]["note"]
-    assert report["selfadjoint"]["residual"] <= report["selfadjoint"]["bound"]
+    assert report.residuals["suite_positive"] <= report.bounds["suite_positive"]
+    assert "assembled=False" in report.notes["suite_positive"]
+    assert "all_fibers=False" in report.notes["suite_positive"]
+    assert report.residuals["suite_selfadjoint"] <= report.bounds["suite_selfadjoint"]
 
 
 def test_suite_skips_inverse_for_singular_fiber():
     grid = ParameterGrid(np.array([0.0, 1.0]))
     fam = OperatorFamily(grid, np.array([[[1.0]], [[0.0]]]))
     report = decomposition_suite(fam)
-    assert not report["inverse"]["applicable"]
-    assert report["inverse"]["residual"] <= report["inverse"]["bound"]
-    assert "injective" in report["inverse"]["note"]
+    assert "suite_inverse" not in report.residuals
+    assert report.all_pass
+    assert "injective" in report.notes["suite_inverse"]
 
 
 def test_suite_polynomial_holds_by_construction_on_a_scalar_fiber():
     # p(bd F) = bd(p(F)) for every polynomial p, so the item is 0.0 and runs no Horner rule
     grid = ParameterGrid(np.array([0.0]))
     fam = OperatorFamily(grid, np.array([[[3.0]]]))
-    assert decomposition_suite(fam)["polynomial"] == {
-        "residual": 0.0, "bound": SUITE_TOL, "applicable": True, "note": ""}
+    report = decomposition_suite(fam)
+    assert (report.residuals["suite_polynomial"], report.bounds["suite_polynomial"]) == \
+        (0.0, SUITE_TOL)
+    assert "suite_polynomial" not in report.notes
 
 
 def _horner_from_zero(coeffs, A):
@@ -320,18 +324,20 @@ def test_polynomial_of_the_assembly_is_the_assembly_of_the_polynomials(n):
         dense = _horner_from_zero(coeffs, fam.assemble())
         fibers = OperatorFamily(fam.grid, _horner_from_zero(coeffs, F)).assemble()
         assert np.linalg.norm(fibers - dense) <= 1e-13 * np.linalg.norm(dense)
-    report = decomposition_suite(fam)["polynomial"]
-    assert report["residual"] == 0.0
-    assert ("not normal" in report["note"]) == (n > 1)
+    report = decomposition_suite(fam)
+    assert report.residuals["suite_polynomial"] == 0.0
+    assert ("not normal" in report.notes.get("suite_polynomial", "")) == (n > 1)
 
 
-def test_suite_modulus_item_carries_the_assembled_norm():
+def test_suite_norm_consistency_compares_two_readings_of_the_assembled_norm():
+    # family_norm's values-only svd against the largest singular value of the fiber
+    # pass's full svd: two LAPACK routines, so the label reads rounding, not 0 by construction
     rng = np.random.default_rng(31)
     fam = random_family(rng, 5, 6)
     report = decomposition_suite(fam)
     expected = np.linalg.norm(fam.assemble(), 2)
-    assert abs(report["modulus"]["norm"] - expected) <= 1e-14 * expected
-    assert report["modulus"]["norm"] == pytest.approx(family_norm(fam), rel=1e-12)
+    assert abs(family_norm(fam) - expected) <= 1e-14 * expected
+    assert report.residuals["norm_consistency"] <= 1e-15
 
 
 def _nearly_hermitian_family():
@@ -356,18 +362,19 @@ def test_suite_factors_only_stacks(monkeypatch, kind):
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, record)
     report = decomposition_suite(fam)
-    assert all(item["residual"] <= item["bound"] for item in report.values())
-    assert report["inverse"]["applicable"]
+    assert report.all_pass, report
+    assert "suite_inverse" in report.residuals
     # nothing the size of A is factored: only the fiber stack is
     assert {shape for _, shape, _ in calls} == {(m, n, n)}
     # one batched call per construction, none per fiber.  The fibers' Gram
     # pass makes two Cholesky gates and two inverses, and their svd gives the
-    # closed-formula blocks, |F| and the injectivity gate.  One svd without
-    # vectors gives the 2-norm, one eigvalsh of the Hermitian parts positivity,
-    # and one inverse the inverse item
-    fibers = ["cholesky", "cholesky", "eigvalsh", "inv", "inv", "inv", "svd", "svd"]
+    # closed-formula blocks, |F|, the injectivity gate and the norm that
+    # family_norm's 2-norm (np.linalg.norm's own values-only svd) is compared
+    # with.  One eigvalsh of the Hermitian parts gives positivity, and one
+    # inverse the inverse label
+    fibers = ["cholesky", "cholesky", "eigvalsh", "inv", "inv", "inv", "svd"]
     assert sorted(name for name, _, _ in calls) == fibers
-    assert [uv for name, _, uv in calls if name == "svd"] == [True, False]
+    assert [uv for name, _, uv in calls if name == "svd"] == [True]
 
 
 def _corpus_family(kind):
@@ -418,20 +425,22 @@ def test_tile_spectra_reproduce_the_dense_route(kind):
     A = fam.assemble()
     report = decomposition_suite(fam)
     norm2 = np.linalg.norm(A, 2)
-    assert abs(report["modulus"]["norm"] - norm2) <= 1e-14 * norm2
+    assert abs(family_norm(fam) - norm2) <= 1e-14 * norm2
+    assert report.residuals["norm_consistency"] <= 1e-15
     for name, assembled in _dense_verdicts(A).items():
-        assert f"assembled={assembled}," in report[name]["note"], (name, report[name])
+        note = report.notes[f"suite_{name}"]
+        assert f"assembled={assembled}," in note, (name, note)
     if kind == "psd-edge":
-        assert "assembled=True," in report["positive"]["note"]
+        assert "assembled=True," in report.notes["suite_positive"]
     if kind == "hermitian":
-        assert "assembled=False," in report["positive"]["note"]
+        assert "assembled=False," in report.notes["suite_positive"]
 
 
 @pytest.mark.parametrize("kind", ["random", "hermitian", "psd", "psd-edge", "nearly-hermitian",
                                   "laplacian", "scaled"])
 def test_suite_polynomial_is_at_rounding_level_on_an_assembled_family(kind):
     # p(bd F) = bd(p(F)) holds by construction, so nothing is left to round
-    assert decomposition_suite(_corpus_family(kind))["polynomial"]["residual"] == 0.0
+    assert decomposition_suite(_corpus_family(kind)).residuals["suite_polynomial"] == 0.0
 
 
 def _suite_under(monkeypatch, fam, assembled):
@@ -482,7 +491,7 @@ def test_verify_ignores_an_assembly_error(tmp_path, monkeypatch, capsys, size):
         del out["wall_time_ms"]
         outs.append(out)
     assert outs[0] == outs[1]
-    assert outs[1]["residuals"]["norm_consistency"] == 0.0
+    assert outs[1]["residuals"]["norm_consistency"] <= 1e-15
     assert outs[1]["notes"]["suite_positive"] == "assembled=True, all_fibers=True"
 
 
@@ -498,10 +507,10 @@ def test_tile_route_judges_each_fiber_at_its_own_scale(second):
     dense = _dense_verdicts(fam.assemble())
     assert dense["selfadjoint"] and dense["positive"]
     report = decomposition_suite(fam)
-    assert all(item["residual"] <= item["bound"] for item in report.values())
-    assert report["positive"]["note"] == "assembled=False, all_fibers=False"
+    assert report.all_pass, report
+    assert report.notes["suite_positive"] == "assembled=False, all_fibers=False"
     hermitian = second[0][1] == second[1][0]
-    assert report["selfadjoint"]["note"] == f"assembled={hermitian}, all_fibers={hermitian}"
+    assert report.notes["suite_selfadjoint"] == f"assembled={hermitian}, all_fibers={hermitian}"
 
 
 @pytest.mark.parametrize("where", ["off", "tile"])
@@ -520,10 +529,10 @@ def test_suite_verdicts_ignore_a_broken_assembly(monkeypatch, where):
     dense = _dense_verdicts(A)
     assert not dense["selfadjoint"] and not dense["normal"]
     report = _suite_under(monkeypatch, fam, A)
-    for name in ("selfadjoint", "normal"):
-        assert report[name]["note"] == "assembled=True, all_fibers=True", (name, report[name])
-        assert report[name]["residual"] == 0.0
-    assert report["adjoint"]["residual"] == 0.0
+    for name in ("suite_selfadjoint", "suite_normal"):
+        assert report.notes[name] == "assembled=True, all_fibers=True", (name, report)
+        assert report.residuals[name] == 0.0
+    assert report.residuals["suite_adjoint"] == 0.0
 
 
 def test_suite_positive_is_the_fibers_verdict_under_a_patched_assembly(monkeypatch):
@@ -536,9 +545,9 @@ def test_suite_positive_is_the_fibers_verdict_under_a_patched_assembly(monkeypat
     A[2, 4] = A[4, 2] = 1e-8
     assert np.linalg.eigvalsh(A).min() < -0.9e-8
     report = _suite_under(monkeypatch, fam, A)
-    assert report["selfadjoint"]["note"] == "assembled=True, all_fibers=True"
-    assert report["positive"]["note"] == "assembled=True, all_fibers=True"
-    assert report["positive"]["residual"] == 0.0
+    assert report.notes["suite_selfadjoint"] == "assembled=True, all_fibers=True"
+    assert report.notes["suite_positive"] == "assembled=True, all_fibers=True"
+    assert report.residuals["suite_positive"] == 0.0
 
 
 def test_suite_normal_stays_a_product_test():
@@ -550,17 +559,17 @@ def test_suite_normal_stays_a_product_test():
     fam = OperatorFamily(ParameterGrid(np.array([0.0])), A[None])
     for seed in range(20):
         report = decomposition_suite(fam, seed)
-        assert report["selfadjoint"]["note"] == "assembled=True, all_fibers=True"
-        assert report["normal"]["note"] == "assembled=False, all_fibers=False", seed
+        assert report.notes["suite_selfadjoint"] == "assembled=True, all_fibers=True"
+        assert report.notes["suite_normal"] == "assembled=False, all_fibers=False", seed
 
 
 def test_suite_norm_is_exact_for_a_nearly_hermitian_family():
     fam = _nearly_hermitian_family()
     report = decomposition_suite(fam)
-    assert report["selfadjoint"]["note"] == "assembled=True, all_fibers=True"
-    assert report["positive"]["note"] == "assembled=False, all_fibers=False"
-    assert abs(report["modulus"]["norm"] - family_norm(fam)) <= 1e-15
-    assert all(item["residual"] <= item["bound"] for item in report.values())
+    assert report.notes["suite_selfadjoint"] == "assembled=True, all_fibers=True"
+    assert report.notes["suite_positive"] == "assembled=False, all_fibers=False"
+    assert report.residuals["norm_consistency"] <= 1e-15
+    assert report.all_pass, report
 
 
 def test_suite_memory_is_a_few_fiber_stacks(traced_peak_mb):
@@ -601,7 +610,8 @@ def test_adjoint_item_ignores_a_patched_assembly(monkeypatch, order):
     W = np.asarray(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)), order=order)
     fam = OperatorFamily(ParameterGrid(np.arange(3.0)), blocks)
     report = _suite_under(monkeypatch, fam, W)
-    assert report["adjoint"] == {"residual": 0.0, "bound": SUITE_TOL, "applicable": True, "note": ""}
+    assert (report.residuals["suite_adjoint"], report.bounds["suite_adjoint"]) == (0.0, SUITE_TOL)
+    assert "suite_adjoint" not in report.notes
 
 
 @pytest.mark.parametrize("size", [1e-6, 1e-3])
@@ -612,10 +622,10 @@ def test_probe_residuals_ignore_a_patched_assembly(monkeypatch, size):
     fam = random_family(rng, 6, 5)
     E = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
     report = _suite_under(monkeypatch, fam, fam.assemble() + size * E / np.linalg.norm(E))
-    for name in ("modulus", "inverse"):
-        assert report[name]["residual"] <= 1e-13, (name, report[name])
-    assert report["polynomial"]["residual"] == 0.0
-    assert report["adjoint"]["residual"] == 0.0
+    for name in ("suite_modulus", "suite_inverse"):
+        assert report.residuals[name] <= 1e-13, (name, report)
+    assert report.residuals["suite_polynomial"] == 0.0
+    assert report.residuals["suite_adjoint"] == 0.0
 
 
 # ------------------------------------------------------------- sum/product

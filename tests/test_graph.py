@@ -93,6 +93,7 @@ def test_identity_suite_passes_for_random_operators():
         for label in ("A6", "A7", "A12", "A13"):
             assert report.residuals[label] <= 1e-12
         assert report.residuals["A8"] <= report.bounds["A8"] == 0.0
+        assert report.verdicts == {"A8"}
 
 
 def test_identity_suite_flags_corrupted_block():
@@ -280,8 +281,9 @@ def test_kernel_rule_range_limit_is_documented_behavior():
     assert not report.all_pass  # A8 alone fails it
     # the threshold is KERNEL_TOL * (1 + ||p11||_2): sigma_min(p11) = 1e-12 sits
     # below it, A8 reads the shortfall, and an operator inside the range passes
-    assert report.sigma_min == pytest.approx(1.0 / (1.0 + 1e12), rel=1e-12)
-    assert report.residuals["A8"] + report.sigma_min == pytest.approx(2.0 * KERNEL_TOL, rel=1e-12)
+    sigma_min = float(report.notes["A8_sigma_min"])
+    assert sigma_min == pytest.approx(1.0 / (1.0 + 1e12), rel=1e-12)
+    assert report.residuals["A8"] + sigma_min == pytest.approx(2.0 * KERNEL_TOL, rel=1e-12)
     T = np.diag([1e4, 1e-4]).astype(complex)
     report = verify_identities(T, char_matrix(T))
     assert report.residuals["A8"] <= report.bounds["A8"]
@@ -310,9 +312,10 @@ def test_kernel_predicate_equals_two_factorization_formulas(case):
     w11, w22, wc = (np.abs(np.linalg.eigvalsh(M)) for M in blocks)
 
     report = verify_identities(T, P)
-    assert report.sigma_min == min(float(w11.min()), float(w22.min()))
+    sigma_min = float(report.notes["A8_sigma_min"])
+    assert sigma_min == min(float(w11.min()), float(w22.min()))
     threshold = KERNEL_TOL * (1.0 + max(float(w11.max()), float(w22.max())))
-    assert report.residuals["A8"] == max(0.0, threshold - report.sigma_min)
+    assert report.residuals["A8"] == max(0.0, threshold - sigma_min)
     assert report.bounds["A8"] == 0.0
 
     gate_open = float(wc.min()) > KERNEL_TOL * (1.0 + float(wc.max()))
@@ -363,7 +366,7 @@ def test_real_operator_gives_real_blocks_equal_to_complex_route(n, scale):
     for label, value in real.residuals.items():
         assert (value <= real.bounds[label]) == (cplx.residuals[label] <= cplx.bounds[label])
         assert abs(value - cplx.residuals[label]) <= tol, label
-    assert abs(real.sigma_min - cplx.sigma_min) <= tol
+    assert abs(float(real.notes["A8_sigma_min"]) - float(cplx.notes["A8_sigma_min"])) <= tol
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from charmat.hilbert import _eig_hermitian as eig_hermitian
 from charmat.hilbert import _inner_product as inner_product
-from charmat.hilbert import adjoint
+from charmat.hilbert import Checks, adjoint
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -82,3 +84,42 @@ def test_eig_hermitian_symmetrizes_tiny_skew():
     A = np.array([[1.0, 0.5], [0.5 + 1e-15, 2.0]])
     w, V = eig_hermitian(A)
     assert_allclose((V * w) @ V.conj().T, (A + A.conj().T) / 2, atol=1e-12)
+
+
+# ------------------------------------------------------------------ checks
+
+
+def test_checks_hold_when_every_residual_is_within_its_bound():
+    checks = Checks()
+    assert checks.all_pass  # no label, nothing fails
+    checks.add("x", np.float64(1e-12), 1e-10)
+    checks.add("v", 0.0, 0.0, verdict=True)
+    assert checks.all_pass and checks.verdicts == {"v"}
+    assert type(checks.residuals["x"]) is float
+    checks.add("x", 2e-10, 1e-10)  # a label added again replaces its residual and bound
+    assert not checks.all_pass
+
+
+def test_extend_takes_over_labels_notes_and_verdicts():
+    a, b = Checks(), Checks()
+    a.add("x", 1.0, 2.0)
+    b.add("v", 0.0, 0.0, verdict=True)
+    b.notes["skipped"] = "why"
+    a.extend(b)
+    assert a == Checks({"x": 1.0, "v": 0.0}, {"x": 2.0, "v": 0.0}, {"skipped": "why"}, {"v"})
+    assert list(a.residuals) == ["x", "v"]  # the order the labels were added in
+
+
+def test_a_report_writes_bounds_as_tolerances_and_no_verdicts(tmp_path):
+    from charmat.io import Report
+
+    report = Report(command="demo", inputs="abc", seed=3)
+    checks = Checks()
+    checks.add("v", 1e-3, 0.0, verdict=True)
+    report.extend(checks)
+    blob = json.loads(report.to_json())
+    assert blob["tolerances"] == {"v": 0.0} and blob["pass"] is False
+    assert set(blob) == {"command", "inputs", "seed", "residuals", "tolerances", "notes", "pass",
+                         "wall_time_ms"}
+    report.save(tmp_path / "r.csv", "csv")
+    assert "verdict" not in (tmp_path / "r.csv").read_text()

@@ -412,9 +412,9 @@ def test_load_family_error_catalogue(tmp_path):
 def test_report_pass_rule_and_formats(tmp_path):
     r = Report(command="demo", inputs="abc")
     r.add("x", 1e-12, 1e-10)
-    assert r.passed
+    assert r.all_pass
     r.add("y", 2e-10, 1e-10)
-    assert not r.passed
+    assert not r.all_pass
     r.notes["y"] = "expected failure"
 
     blob = json.loads(r.to_json())
@@ -779,7 +779,8 @@ def test_cli_stone_integrates_kernels_narrower_than_any_node_spacing(tmp_path):
     out = tmp_path / "o"
     assert main(["selfadjoint", str(mat), "stone", "--lam", "0.5", "--seed", "3",
                  "--out", str(out)]) == 0
-    assert json.loads((out / "report.json").read_text())["residuals"]["stone"] <= cli.STONE_TOL
+    report = json.loads((out / "report.json").read_text())
+    assert report["residuals"]["stone"] <= report["tolerances"]["stone"] == 1e-3
 
 
 @pytest.mark.parametrize("steps", [HUGE_INT, "0", "-3"], ids=["1e400", "0", "-3"])
@@ -813,7 +814,7 @@ def test_cli_fourier_passes_a_correct_operator_at_any_resolution(tmp_path, capsy
     capsys.readouterr()
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert code == 0, report["residuals"]
-    assert report["residuals"]["fourier"] <= cli.FOURIER_TOL
+    assert report["residuals"]["fourier"] <= report["tolerances"]["fourier"] == 1e-4
 
 
 @pytest.mark.parametrize("failure", ["info", "LapackError"])

@@ -202,3 +202,38 @@ def test_each_subparser_carries_its_command(argv, command):
 def test_selfadjoint_choices_are_the_checks_that_name_their_flag():
     action = next(a for a in _subparsers()["selfadjoint"]._actions if a.dest == "subcommand")
     assert action.choices == tuple(cli._REQUIRES)
+
+
+# one check record: every check returns hilbert.Checks, and the CLI's report extends it
+
+
+def _classes_with_a_residuals_field(path: Path) -> list[str]:
+    return [node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)
+            and any(name == "residuals" for stmt in node.body for name in _defined_names(stmt))]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_hilbert_defines_a_check_record(path):
+    expected = ["Checks"] if path.name == "hilbert.py" else []
+    assert _classes_with_a_residuals_field(path) == expected
+
+
+def test_record_guard_sees_a_second_record(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Report:\n    residuals: dict = None\n\n\n"
+        "class Sub(Report):\n    seed: int = 0\n", encoding="utf-8")
+    assert _classes_with_a_residuals_field(tmp_path / "a.py") == ["Report"]
+
+
+@pytest.mark.parametrize("name", ["IdentityReport", "VERDICTS", "STONE_TOL", "FOURIER_TOL"])
+def test_the_older_verdict_shapes_are_gone(name):
+    assert not [path.name for path in sorted(SRC.glob("*.py"))
+                if re.search(rf"\b{name}\b", path.read_text(encoding="utf-8"))]
+
+
+def test_cli_unpacks_no_suite_item():
+    # the report extends the suite's Checks, so cli.py reads no per-item dict
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    keys = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not keys & {"residual", "applicable"}
